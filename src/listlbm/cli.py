@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import ListLbmError, ParameterError
 from .geometry import load_voxels, make_channel, make_packing, save_voxels
@@ -30,26 +29,11 @@ from .solver import Simulation, TrtParams, run_benchmark
 from .sparse_io import read_header, read_sparse
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved settings for one subcommand run.
-
-    Collects every path and count referenced by the run so the shared
-    invariants (distinct paths, positive process counts) live in one place.
-    """
-
-    paths: tuple[str, ...] = ()
-    ranks: int = 1
-    parts: int = 1
-
-    def __post_init__(self):
-        real = [p for p in self.paths if p is not None]
-        if len(set(map(os.path.abspath, real))) != len(real):
-            raise ParameterError(f"paths must be distinct: {sorted(real)}")
-        if self.ranks < 1:
-            raise ParameterError(f"rank count must be >= 1, got {self.ranks}")
-        if self.parts < 1:
-            raise ParameterError(f"partition count must be >= 1, got {self.parts}")
+def _distinct_paths(*paths):
+    """Reject a run whose given (non-None) paths name the same file twice."""
+    real = [p for p in paths if p is not None]
+    if len(set(map(os.path.abspath, real))) != len(real):
+        raise ParameterError(f"paths must be distinct: {sorted(real)}")
 
 
 def _input_path(text):
@@ -58,14 +42,22 @@ def _input_path(text):
     return text
 
 
-def _positive_int(text):
+def _int_at_least(text, low):
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
     return value
+
+
+def _positive_int(text):
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text):
+    return _int_at_least(text, 0)
 
 
 def _force_triple(text):
@@ -92,7 +84,6 @@ def _periodic_flags(text):
 
 
 def _cmd_generate(args):
-    PipelineConfig(paths=(args.out,))
     if args.channel:
         grid = make_channel(args.d)
     else:
@@ -104,7 +95,7 @@ def _cmd_generate(args):
 
 
 def _cmd_preprocess(args):
-    PipelineConfig(paths=(args.infile, args.out), ranks=args.ranks)
+    _distinct_paths(args.infile, args.out)
     grid = load_voxels(args.infile)
     scheme = parse_scheme(args.scheme)
     header = preprocess_to_file(grid, scheme, args.out,
@@ -114,8 +105,7 @@ def _cmd_preprocess(args):
 
 
 def _cmd_analyze(args):
-    PipelineConfig(paths=(args.infile, args.map),
-                   parts=args.parts if args.parts is not None else 1)
+    _distinct_paths(args.infile, args.map)
     header, records = read_sparse(args.infile)
     if args.map is not None:
         assignment = import_partition_map(args.map, header.n_fluid)
@@ -131,7 +121,7 @@ def _cmd_analyze(args):
 
 
 def _run_solver(args, warmup):
-    PipelineConfig(paths=(args.infile, args.report), parts=args.parts)
+    _distinct_paths(args.infile, args.report)
     header, records = read_sparse(args.infile)
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
     sim = Simulation(header, records, nparts=args.parts, params=params,
@@ -234,7 +224,7 @@ def _build_parser():
 
     ben = commands.add_parser("bench", help="run the solver and report FLUP/s")
     _add_solver_flags(ben)
-    ben.add_argument("--warmup", type=int, default=0,
+    ben.add_argument("--warmup", type=_nonnegative_int, default=0,
                      help="untimed steps before measuring (default 0)")
     ben.set_defaults(handler=_cmd_bench)
 

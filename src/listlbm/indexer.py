@@ -240,7 +240,6 @@ def octree_reduce(
     lists_by_rank,
     tree: RankTree,
     rng=None,
-    trace: bool = False,
 ) -> list[list[IncellInfo]]:
     """Assign start_Ic to every rank's runs via the tree reduction.
 
@@ -250,9 +249,10 @@ def octree_reduce(
     is 1). Downward, merged starts are scattered back onto the original
     constituent lists and routed to their senders. `rng`, when given,
     shuffles message arrival order within sibling groups; results must
-    not depend on it.
+    not depend on it. Each level is logged at DEBUG level.
     """
     P = tree.nranks
+    trace = log.isEnabledFor(logging.DEBUG)
     if len(lists_by_rank) != P:
         raise ProtocolError(f"expected {P} rank lists, got {len(lists_by_rank)}")
     current: dict[int, list[IncellInfo]] = {}

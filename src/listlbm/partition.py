@@ -20,6 +20,7 @@ __all__ = [
     "PartitionStats",
     "chunk_ranges",
     "emit_histograms",
+    "first_bad_start",
     "import_partition_map",
     "partition_stats",
 ]
@@ -36,13 +37,11 @@ class PartitionAssignment:
         b = np.asarray(self.boundaries, dtype=np.uint64)
         if b.ndim != 1 or b.size < 2:
             raise ValueError(f"need at least 2 boundaries, got shape {b.shape}")
-        if b[0] != 1 or b[-1] != self.n_fluid + 1:
-            raise ValueError(
-                f"boundaries must run from 1 to N_f+1={self.n_fluid + 1}, "
-                f"got {b[0]}..{b[-1]}"
-            )
-        if not (b[1:] > b[:-1]).all():
-            raise ValueError("boundaries must be strictly increasing")
+        if b[-1] != self.n_fluid + 1:
+            raise ValueError(f"last boundary must be N_f+1={self.n_fluid + 1}, got {b[-1]}")
+        bad = first_bad_start(b[:-1], self.n_fluid)
+        if bad is not None:
+            raise ValueError(f"boundary #{bad[0]}: {bad[1]}")
         object.__setattr__(self, "boundaries", b)
 
     @property
@@ -68,6 +67,25 @@ class PartitionAssignment:
         )
 
 
+def first_bad_start(starts, n_fluid: int) -> tuple[int, str] | None:
+    """Index and reason of the first entry that breaks the partition
+    start rules (begins at 1, increases strictly, stays <= N_f), or None
+    when the list obeys them all."""
+    s = np.asarray(starts)
+    if s.size == 0:
+        return 0, "start list is empty"
+    drop = np.concatenate([[s[0] != 1], s[1:] <= s[:-1]])
+    bad = np.flatnonzero(drop | (s > n_fluid))
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    if k == 0 and drop[0]:
+        return 0, f"first start must be 1, got {s[0]}"
+    if drop[k]:
+        return k, f"start {s[k]} does not increase past {s[k - 1]}"
+    return k, f"start {s[k]} exceeds N_f={n_fluid}"
+
+
 def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
     """Equal chunking: the first (N_f mod N) chunks are one cell larger."""
     if N < 1:
@@ -89,30 +107,28 @@ def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
 def import_partition_map(path, n_fluid: int) -> PartitionAssignment:
     """Read one start index per line; starts must begin at 1, increase
     strictly and stay within [1, N_f]."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise PartitionMapError(
+            "partition map is not ASCII text", line=raw.count(b"\n", 0, exc.start) + 1
+        ) from None
     starts = []
     for lineno, line in enumerate(lines, 1):
         s = line.strip()
         if not s:
             raise PartitionMapError("empty line in partition map", line=lineno)
         try:
-            v = int(s)
+            starts.append(int(s))
         except ValueError:
             raise PartitionMapError(f"not an integer: {s!r}", line=lineno) from None
-        if lineno == 1 and v != 1:
-            raise PartitionMapError(f"first start must be 1, got {v}", line=lineno)
-        if starts and v <= starts[-1]:
-            raise PartitionMapError(
-                f"start {v} does not increase past {starts[-1]}", line=lineno
-            )
-        if not 1 <= v <= n_fluid:
-            raise PartitionMapError(
-                f"start {v} outside [1, {n_fluid}]", line=lineno
-            )
-        starts.append(v)
     if not starts:
         raise PartitionMapError("partition map contains no start indices")
+    bad = first_bad_start(starts, n_fluid)
+    if bad is not None:
+        raise PartitionMapError(bad[1], line=bad[0] + 1)
     bounds = np.array(starts + [n_fluid + 1], dtype=np.uint64)
     return PartitionAssignment(n_fluid=n_fluid, boundaries=bounds)
 

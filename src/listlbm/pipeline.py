@@ -30,14 +30,17 @@ __all__ = [
 ]
 
 
-def _distributed_ic(grid, scheme, boxes, order, rng=None):
-    tree = build_rank_tree(len(boxes))
+def _distributed_ic(grid, scheme, nranks, rng):
+    """Rank boxes and each box's I_c block from the simulated reduction."""
+    boxes = decompose_ranks(grid.dims, nranks)
+    order = CellOrder(grid.dims, scheme)
     lists = [find_runs(grid, scheme, b, boxes, order=order) for b in boxes]
-    assigned = octree_reduce(lists, tree, rng=rng)
-    return [
+    assigned = octree_reduce(lists, build_rank_tree(nranks), rng=rng)
+    ic_by_rank = [
         assign_contiguous(grid, scheme, b, assigned[b.rank], order=order)
         for b in boxes
     ]
+    return boxes, ic_by_rank
 
 
 def contiguous_index_field(
@@ -45,9 +48,7 @@ def contiguous_index_field(
 ) -> np.ndarray:
     """Dense (Z, Y, X) map of I_c computed via the distributed path."""
     X, Y, Z = grid.dims
-    boxes = decompose_ranks(grid.dims, nranks)
-    order = CellOrder(grid.dims, scheme)
-    ic_by_rank = _distributed_ic(grid, scheme, boxes, order, rng=rng)
+    boxes, ic_by_rank = _distributed_ic(grid, scheme, nranks, rng)
     dense = np.zeros((Z, Y, X), dtype=np.uint64)
     for b in boxes:
         dense[b.lo[2] : b.hi[2], b.lo[1] : b.hi[1], b.lo[0] : b.hi[0]] = ic_by_rank[
@@ -63,10 +64,9 @@ def preprocess_grid(
     periodic=(False, False, False),
     rng=None,
 ) -> tuple[SparseHeader, SparseRecords]:
-    """Produce the sorted sparse records and matching header in memory."""
-    boxes = decompose_ranks(grid.dims, nranks)
-    order = CellOrder(grid.dims, scheme)
-    ic_by_rank = _distributed_ic(grid, scheme, boxes, order, rng=rng)
+    """Produce the sparse records, sorted by I_c, and the matching header
+    in memory; this is the one place the records get sorted."""
+    boxes, ic_by_rank = _distributed_ic(grid, scheme, nranks, rng)
     halos = halo_exchange(grid, boxes, ic_by_rank, periodic=periodic)
     records = SparseRecords.concat(build_adjacency(h) for h in halos).sorted_by_ic()
     if len(records) != grid.fluid_count:
@@ -89,17 +89,8 @@ def preprocess_to_file(
     path,
     nranks: int = 1,
     periodic=(False, False, False),
-    part_starts=None,
 ) -> SparseHeader:
     """Preprocess and write the sparse file; returns the header."""
     header, records = preprocess_grid(grid, scheme, nranks=nranks, periodic=periodic)
-    if part_starts is not None:
-        header = SparseHeader(
-            dims=header.dims,
-            n_fluid=header.n_fluid,
-            scheme_text=header.scheme_text,
-            periodic=header.periodic,
-            part_starts=tuple(int(s) for s in part_starts),
-        )
     write_sparse(path, records, header)
     return header

@@ -1,6 +1,6 @@
 """List-based D3Q19 TRT flow solver over the sparse representation.
 
-Each partition loads its chunk of the 1-D fluid cell list, rewrites the
+Each partition takes its range of the 1-D fluid cell list, rewrites the
 adjacency to local slot ids (ghost slots for remote fluid neighbors,
 bounce-back self-references for solid neighbors) and runs a fused
 pull-scheme stream-collide step on two population arrays. Partitions
@@ -24,7 +24,7 @@ from .errors import (
     ProtocolError,
 )
 from .partition import chunk_ranges
-from .sparse_io import SparseHeader, read_chunk
+from .sparse_io import SparseHeader
 
 __all__ = [
     "BenchReport",
@@ -32,7 +32,6 @@ __all__ = [
     "Simulation",
     "TrtParams",
     "init_equilibrium",
-    "load_and_localize",
     "macroscopic",
     "poiseuille_error",
     "run_benchmark",
@@ -93,7 +92,7 @@ class LocalDomain:
         hi = int(assignment.boundaries[part + 1])
         if not np.array_equal(records.ic, np.arange(lo, hi, dtype=np.uint64)):
             raise ProtocolError(
-                f"partition {part} needs records [{lo}, {hi}), got {len(records)}"
+                f"partition {part} needs records I_c = {lo}..{hi - 1} in order"
             )
         self.header = header
         self.part = part
@@ -143,13 +142,6 @@ class LocalDomain:
 
         self.f_src = np.zeros((19, nslots))
         self.f_dst = np.zeros((19, nslots))
-
-
-def load_and_localize(path, n: int, N: int) -> LocalDomain:
-    """Read chunk n of N from a sparse file and localize its adjacency."""
-    header, records = read_chunk(path, n, N)
-    assignment = chunk_ranges(header.n_fluid, N)
-    return LocalDomain(header, records, assignment, n)
 
 
 def init_equilibrium(domain: LocalDomain, rho0: float, u0=(0.0, 0.0, 0.0)) -> None:
@@ -213,8 +205,10 @@ def macroscopic(domain: LocalDomain, params: TrtParams):
 class Simulation:
     """Coordinator for N partitions stepping in lockstep.
 
-    Workers only ever write their own arrays; the ghost exchange runs
-    at a barrier between steps, so results do not depend on scheduling.
+    `records` must be sorted by I_c, as `preprocess_grid` and
+    `read_sparse` return them; each partition takes its slice. Workers
+    only ever write their own arrays; the ghost exchange runs at a
+    barrier between steps, so results do not depend on scheduling.
     """
 
     def __init__(self, header, records, nparts: int, params: TrtParams, workers: int | None = None):
@@ -223,33 +217,16 @@ class Simulation:
         self.assignment = chunk_ranges(header.n_fluid, nparts)
         self.workers = workers
         bounds = self.assignment.boundaries
-        rec = records.sorted_by_ic()
         self.domains = []
         for p in range(nparts):
             lo, hi = int(bounds[p]), int(bounds[p + 1])
             sl = slice(lo - 1, hi - 1)
-            chunk = SparseRecords(rec.coords[sl], rec.ic[sl], rec.nbr[sl])
+            chunk = SparseRecords(records.coords[sl], records.ic[sl], records.nbr[sl])
             self.domains.append(LocalDomain(header, chunk, self.assignment, p))
         self._wire()
         self.step_count = 0
         self.compute_seconds = np.zeros(nparts)
         self.exchange_seconds = np.zeros(nparts)
-
-    @classmethod
-    def from_file(cls, path, nparts: int, params: TrtParams, workers: int | None = None):
-        """Each partition reads only its own chunk from the file."""
-        domains = [load_and_localize(path, p, nparts) for p in range(nparts)]
-        sim = cls.__new__(cls)
-        sim.header = domains[0].header
-        sim.params = params
-        sim.assignment = chunk_ranges(sim.header.n_fluid, nparts)
-        sim.workers = workers
-        sim.domains = domains
-        sim._wire()
-        sim.step_count = 0
-        sim.compute_seconds = np.zeros(nparts)
-        sim.exchange_seconds = np.zeros(nparts)
-        return sim
 
     def _wire(self):
         # validate that send sets line up with the receivers' ghost sets

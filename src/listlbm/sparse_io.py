@@ -1,4 +1,4 @@
-"""Binary sparse-representation file: sorted write, whole and chunked read.
+"""Binary sparse-representation file: write, whole and chunked read.
 
 Layout (little-endian): magic "SPRS", version u32, X/Y/Z u64, N_f u64,
 periodic-axis bits u32, scheme string (u16 length + ASCII), partition
@@ -18,7 +18,7 @@ import numpy as np
 
 from .adjacency import SparseRecords
 from .errors import ConsistencyError, FormatError
-from .partition import chunk_ranges
+from .partition import chunk_ranges, first_bad_start
 
 __all__ = [
     "RECORD_DTYPE",
@@ -59,15 +59,9 @@ class SparseHeader:
         if len(encoded) > 0xFFFF:
             raise ValueError("scheme text too long")
         if self.part_starts is not None:
-            s = self.part_starts
-            if not s or s[0] != 1:
-                raise ValueError("partition start table must begin at 1")
-            if any(b <= a for a, b in zip(s, s[1:])):
-                raise ValueError("partition start table must increase strictly")
-            if s[-1] > self.n_fluid:
-                raise ValueError(
-                    f"partition start {s[-1]} exceeds N_f={self.n_fluid}"
-                )
+            bad = first_bad_start(self.part_starts, self.n_fluid)
+            if bad is not None:
+                raise ValueError(f"partition start table entry #{bad[0]}: {bad[1]}")
 
 
 def header_nbytes(header: SparseHeader) -> int:
@@ -92,7 +86,8 @@ def _pack_header(header: SparseHeader) -> bytes:
 
 
 def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
-    """Write records sorted by I_c; the index set must be exactly [1, N_f].
+    """Write records that are already sorted by I_c: record i must hold
+    I_c = i + 1.
 
     All consistency checks run before any bytes are written.
     """
@@ -100,18 +95,17 @@ def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
         raise ConsistencyError(
             f"header says {header.n_fluid} records, got {len(records)}"
         )
-    rec = records.sorted_by_ic()
-    if not np.array_equal(rec.ic, np.arange(1, len(rec) + 1, dtype=np.uint64)):
-        raise ConsistencyError("record indices must cover [1, N_f] exactly once")
-    if len(rec) and int(rec.nbr.max()) > header.n_fluid:
+    if not np.array_equal(records.ic, np.arange(1, len(records) + 1, dtype=np.uint64)):
+        raise ConsistencyError("records must be in I_c order 1, 2, ..., N_f")
+    if len(records) and int(records.nbr.max()) > header.n_fluid:
         raise ConsistencyError(
-            f"neighbor index {int(rec.nbr.max())} exceeds N_f={header.n_fluid}"
+            f"neighbor index {int(records.nbr.max())} exceeds N_f={header.n_fluid}"
         )
-    arr = np.empty(len(rec), dtype=RECORD_DTYPE)
-    arr["x"] = rec.coords[:, 0]
-    arr["y"] = rec.coords[:, 1]
-    arr["z"] = rec.coords[:, 2]
-    arr["nbr"] = rec.nbr
+    arr = np.empty(len(records), dtype=RECORD_DTYPE)
+    arr["x"] = records.coords[:, 0]
+    arr["y"] = records.coords[:, 1]
+    arr["z"] = records.coords[:, 2]
+    arr["nbr"] = records.nbr
     with open(path, "wb") as fh:
         fh.write(_pack_header(header))
         fh.write(arr.tobytes())
@@ -163,21 +157,10 @@ def read_header(fh) -> SparseHeader:
             )
         raw = _read_exact(fh, 8 * count, "start table")
         starts = np.frombuffer(raw, dtype="<u8")
-        if starts[0] != 1:
+        bad = first_bad_start(starts, n_fluid)
+        if bad is not None:
             raise FormatError(
-                f"first partition start must be 1, got {starts[0]}", offset=tpos + 12
-            )
-        bad = np.flatnonzero(starts[1:] <= starts[:-1])
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise FormatError(
-                f"partition start #{k} = {starts[k]} does not increase",
-                offset=tpos + 12 + 8 * k,
-            )
-        if starts[-1] > n_fluid:
-            raise FormatError(
-                f"partition start {starts[-1]} exceeds N_f={n_fluid}",
-                offset=tpos + 12 + 8 * (count - 1),
+                f"partition start #{bad[0]}: {bad[1]}", offset=tpos + 12 + 8 * bad[0]
             )
         part_starts = tuple(int(s) for s in starts)
     periodic = tuple(bool(pbits >> i & 1) for i in range(3))
@@ -207,13 +190,22 @@ def _check_body_size(path, header: SparseHeader, base: int) -> None:
         )
 
 
-def _to_records(arr: np.ndarray, first_ic: int) -> SparseRecords:
+def _to_records(arr: np.ndarray, first_ic: int, n_fluid: int, base: int) -> SparseRecords:
+    """Records from raw rows starting at I_c = first_ic; `base` is the
+    byte offset of the first record in the file."""
     n = arr.shape[0]
     coords = np.empty((n, 3), dtype=np.uint32)
     coords[:, 0] = arr["x"]
     coords[:, 1] = arr["y"]
     coords[:, 2] = arr["z"]
     nbr = arr["nbr"].astype(np.uint64)  # detach from the read-only file buffer
+    if n and int(nbr.max()) > n_fluid:
+        row, col = divmod(int(np.argmax(nbr > n_fluid)), 18)
+        ic = first_ic + row
+        raise FormatError(
+            f"neighbor index {int(nbr[row, col])} of I_c={ic} exceeds N_f={n_fluid}",
+            offset=base + RECORD_DTYPE.itemsize * (ic - 1) + 12 + 8 * col,
+        )
     ic = np.arange(first_ic, first_ic + n, dtype=np.uint64)
     return SparseRecords(coords=coords, ic=ic, nbr=nbr)
 
@@ -225,7 +217,7 @@ def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
         base = fh.tell()
         _check_body_size(path, header, base)
         arr = np.frombuffer(fh.read(), dtype=RECORD_DTYPE)
-    return header, _to_records(arr, 1)
+    return header, _to_records(arr, 1, header.n_fluid, base)
 
 
 def read_chunk(path, n: int, N: int) -> tuple[SparseHeader, SparseRecords]:
@@ -242,4 +234,4 @@ def read_chunk(path, n: int, N: int) -> tuple[SparseHeader, SparseRecords]:
         fh.seek(base + RECORD_DTYPE.itemsize * (lo - 1))
         raw = fh.read(RECORD_DTYPE.itemsize * (hi - lo))
         arr = np.frombuffer(raw, dtype=RECORD_DTYPE)
-    return header, _to_records(arr, lo)
+    return header, _to_records(arr, lo, header.n_fluid, base)

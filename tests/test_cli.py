@@ -136,6 +136,15 @@ class TestAnalyze:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_ascii_map_exits_one(self, tmp_path, sparse_file, capsys):
+        map_file = tmp_path / "map.txt"
+        map_file.write_bytes(b"\xff1\n")
+        code = main(["analyze", "--in", str(sparse_file), "--map", str(map_file),
+                     "--out-prefix", str(tmp_path / "h")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "line 1" in err[0]
+
     def test_parts_and_map_conflict(self, tmp_path, sparse_file):
         map_file = tmp_path / "map.txt"
         map_file.write_text("1\n")
@@ -167,6 +176,25 @@ class TestSolveAndBench:
                      "--warmup", "2"])
         assert code == 0
         assert "flup_count=400" in capsys.readouterr().out
+
+    def test_negative_warmup_is_usage_error(self, sparse_file):
+        code = main(["bench", "--in", str(sparse_file), "--steps", "2",
+                     "--warmup", "-3"])
+        assert code == 2
+
+    def test_neighbor_above_fluid_count_exits_one(self, tmp_path, sparse_file, capsys):
+        from listlbm.sparse_io import header_nbytes, read_header
+        with open(sparse_file, "rb") as fh:
+            header = read_header(fh)
+        raw = bytearray(sparse_file.read_bytes())
+        at = header_nbytes(header) + 12  # record I_c=1, first neighbor
+        raw[at : at + 8] = (header.n_fluid + 5).to_bytes(8, "little")
+        bad = tmp_path / "bad.sprs"
+        bad.write_bytes(bytes(raw))
+        assert main(["solve", "--in", str(bad), "--steps", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "I_c=1" in err[0] and f"offset {at}" in err[0]
 
     def test_zero_steps_is_usage_error(self, sparse_file):
         assert main(["solve", "--in", str(sparse_file), "--steps", "0"]) == 2

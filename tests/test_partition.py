@@ -19,6 +19,7 @@ from listlbm import (
     partition_stats,
     preprocess_grid,
 )
+from listlbm.partition import first_bad_start
 
 
 class TestChunkRanges:
@@ -103,6 +104,39 @@ class TestImportMap:
     def test_empty_file(self, tmp_path):
         with pytest.raises(PartitionMapError):
             import_partition_map(self.write(tmp_path, ""), 10)
+
+    def test_non_ascii_names_its_line(self, tmp_path):
+        path = tmp_path / "parts.txt"
+        path.write_bytes(b"1\n\xff5\n")
+        with pytest.raises(PartitionMapError, match="line 2"):
+            import_partition_map(path, 10)
+
+
+class TestFirstBadStart:
+    @pytest.mark.parametrize("starts,expect", [
+        ([1], None),
+        ([1, 5, 10], None),
+        ([], 0),
+        ([2, 5], 0),
+        ([0, 5], 0),
+        ([1, 5, 5], 2),
+        ([1, 7, 3], 2),
+        ([1, 11], 1),
+        ([1, 11, 3], 1),  # the first breach wins, whatever rule it breaks
+    ])
+    def test_index_of_first_breach(self, starts, expect):
+        bad = first_bad_start(starts, 10)
+        assert (None if bad is None else bad[0]) == expect
+
+    def test_reads_unsigned_file_values(self):
+        starts = np.array([1, 2**64 - 1], dtype=np.uint64)
+        assert first_bad_start(starts, 10) == (1, f"start {2**64 - 1} exceeds N_f=10")
+
+    def test_assignment_shares_the_rules(self):
+        with pytest.raises(ValueError, match="does not increase"):
+            PartitionAssignment(n_fluid=10, boundaries=np.array([1, 5, 5, 11]))
+        with pytest.raises(ValueError, match="N_f\\+1=11"):
+            PartitionAssignment(n_fluid=10, boundaries=np.array([1, 5, 10]))
 
 
 def stats_for(flags_zyx, N, periodic=(False, False, False), scheme=LexBlocked(1)):

@@ -7,7 +7,9 @@ from listlbm import (
     Morton,
     NotConvergedError,
     ParameterError,
+    ProtocolError,
     Simulation,
+    SparseRecords,
     TrtParams,
     VoxelGrid,
     make_channel,
@@ -202,19 +204,12 @@ class TestLocalization:
         sim = make_sim(channel6_sparse, nparts=1)
         assert sim.domains[0].ghost_ic.size == 0
 
-    def test_from_file_matches_in_memory(self, tmp_path, channel6_sparse):
+    def test_unsorted_records_rejected(self, channel6_sparse):
         header, records = channel6_sparse
-        path = tmp_path / "c6.sprs"
-        from listlbm import write_sparse
-        write_sparse(path, records, header)
-        params = TrtParams(tau_plus=0.8, force=(1e-6, 0.0, 0.0))
-        from_file = Simulation.from_file(path, nparts=3, params=params)
-        from_file.init_equilibrium(1.0)
-        in_memory = Simulation(header, records, nparts=3, params=params)
-        in_memory.init_equilibrium(1.0)
-        from_file.run(20)
-        in_memory.run(20)
-        assert np.array_equal(from_file.gather_state(), in_memory.gather_state())
+        idx = np.random.default_rng(0).permutation(len(records))
+        shuffled = SparseRecords(records.coords[idx], records.ic[idx], records.nbr[idx])
+        with pytest.raises(ProtocolError, match="in order"):
+            Simulation(header, shuffled, nparts=2, params=TrtParams(tau_plus=0.8))
 
     def test_gather_orders_by_contiguous_index(self, channel6_sparse):
         sim = make_sim(channel6_sparse, nparts=8)

@@ -115,6 +115,13 @@ class TestWriteValidation:
         with pytest.raises(ConsistencyError):
             write_sparse(tmp_path / "n.sprs", self.make_records([1, 2, 3]), header)
 
+    def test_unsorted_records_rejected_before_write(self, tmp_path):
+        header = SparseHeader((4, 1, 1), 3, "lex:b=1")
+        path = tmp_path / "shuffled.sprs"
+        with pytest.raises(ConsistencyError, match="order"):
+            write_sparse(path, self.make_records([2, 1, 3]), header)
+        assert not path.exists()
+
     def test_neighbor_out_of_range_rejected(self, tmp_path):
         header = SparseHeader((4, 1, 1), 3, "lex:b=1")
         records = self.make_records([1, 2, 3])
@@ -228,3 +235,52 @@ class TestFormatErrors:
         out.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError):
             read_chunk(out, 0, 2)
+
+    def test_neighbor_above_fluid_count(self, channel_file, tmp_path):
+        path, header = channel_file
+        base = header_nbytes(header)
+        at = base + 156 * 4 + 12 + 8 * 2  # I_c=5, direction 2
+
+        def mutate(raw):
+            raw[at : at + 8] = (header.n_fluid + 5).to_bytes(8, "little")
+
+        bad = corrupt(path, tmp_path, "nbr.sprs", mutate)
+        for read in (lambda: read_sparse(bad), lambda: read_chunk(bad, 0, 2)):
+            with pytest.raises(FormatError, match="I_c=5") as info:
+                read()
+            assert info.value.offset == at
+        _, tail = read_chunk(bad, 1, 2)  # the other chunk does not hold I_c=5
+        assert len(tail) == header.n_fluid // 2
+
+
+@pytest.fixture(scope="module")
+def table_file(tmp_path_factory):
+    """A 10-cell line with the start table (1, 4, 8) and its offset."""
+    grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
+    header, records = preprocess_grid(grid, LexBlocked(1))
+    stamped = SparseHeader(header.dims, header.n_fluid, header.scheme_text,
+                           part_starts=(1, 4, 8))
+    path = tmp_path_factory.mktemp("table") / "line.sprs"
+    write_sparse(path, records, stamped)
+    first_start = header_nbytes(header) - 4 + 12  # flag u32, count u64
+    return path, first_start
+
+
+class TestStartTableErrors:
+    @pytest.mark.parametrize("k,value,reason", [
+        (0, 2, "first start must be 1"),
+        (1, 1, "does not increase"),
+        (2, 3, "does not increase"),
+        (2, 11, "exceeds N_f=10"),
+    ])
+    def test_bad_start_names_its_offset(self, table_file, tmp_path, k, value, reason):
+        path, first_start = table_file
+        at = first_start + 8 * k
+
+        def mutate(raw):
+            raw[at : at + 8] = value.to_bytes(8, "little")
+
+        bad = corrupt(path, tmp_path, "t.sprs", mutate)
+        with pytest.raises(FormatError, match=reason) as info:
+            read_sparse(bad)
+        assert info.value.offset == at
