@@ -10,8 +10,9 @@ Single binary with subcommands::
     listlbm bench      (same as solve, plus --warmup K)
     listlbm info       --in FILE
 
-Exit status: 0 on success, 1 with a one-line diagnostic for domain errors,
-2 for usage errors (unknown flags, conflicting flags, missing files).
+Exit status: 0 on success, 1 with a one-line diagnostic for domain errors
+and unwritable outputs, 2 for usage errors (unknown flags, conflicting
+flags, missing files).
 """
 
 from __future__ import annotations
@@ -126,11 +127,12 @@ def _run_solver(args, warmup):
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
     sim = Simulation(header, records, nparts=args.parts, params=params,
                      workers=args.workers)
-    sim.init_equilibrium(1.0)
-    report = run_benchmark(sim, steps=args.steps, warmup=warmup)
+    # open the report before stepping, so a bad path costs no run
+    with open(args.report or os.devnull, "w") as fh:
+        sim.init_equilibrium(1.0)
+        report = run_benchmark(sim, steps=args.steps, warmup=warmup)
+        fh.write(report.csv())
     if args.report is not None:
-        with open(args.report, "w") as fh:
-            fh.write(report.csv())
         print(f"wrote {args.report}")
     print(f"steps={args.steps} fluid_cells={header.n_fluid} partitions={args.parts}")
     print(f"flup_count={report.flup_count} seconds={report.seconds:.3f}")
@@ -247,7 +249,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except ListLbmError as exc:
+    except (ListLbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,10 +62,10 @@ class ParameterError(ListLbmError):
 
 
 class DivergenceError(ListLbmError):
-    """The solver produced NaN populations."""
+    """A solver step met a cell whose density is not positive (or NaN)."""
 
     def __init__(self, step):
-        super().__init__(f"NaN population detected at step {step}")
+        super().__init__(f"density not positive at step {step}: the run diverged")
         self.step = step
 
 

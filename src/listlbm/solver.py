@@ -3,28 +3,30 @@
 Each partition takes its range of the 1-D fluid cell list, rewrites the
 adjacency to local slot ids (ghost slots for remote fluid neighbors,
 bounce-back self-references for solid neighbors) and runs a fused
-pull-scheme stream-collide step on two population arrays. Partitions
-exchange full 19-population ghost sets once per step; results are
-bit-identical for any partition count and any worker scheduling.
+pull-scheme stream-collide step on two population arrays. Once per
+step each partition copies the full 19 populations of its ghosts from
+their owners; results are bit-identical for any partition count and
+any worker scheduling.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import STENCIL, SparseRecords
+from .adjacency import STENCIL
 from .errors import (
+    DataError,
     DivergenceError,
     NotConvergedError,
     ParameterError,
     ProtocolError,
 )
 from .partition import chunk_ranges
-from .sparse_io import SparseHeader
 
 __all__ = [
     "BenchReport",
@@ -60,12 +62,14 @@ class TrtParams:
     force: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.tau_plus > 0.5:
-            raise ParameterError(f"tau_plus must exceed 1/2, got {self.tau_plus}")
-        if not self.magic_lambda > 0.0:
+        if not 0.5 < self.tau_plus < math.inf:
+            raise ParameterError(f"tau_plus must be finite and exceed 1/2, got {self.tau_plus}")
+        if not 0.0 < self.magic_lambda < math.inf:
             raise ParameterError(
-                f"magic lambda must be positive, got {self.magic_lambda}"
+                f"magic lambda must be finite and positive, got {self.magic_lambda}"
             )
+        if not all(map(math.isfinite, self.force)):
+            raise ParameterError(f"force must be finite, got {self.force}")
 
     @property
     def nu(self) -> float:
@@ -85,60 +89,36 @@ class TrtParams:
 
 
 class LocalDomain:
-    """One partition's owned cells, ghosts and rewritten adjacency."""
+    """One partition's owned cells [lo, hi), ghosts and rewritten adjacency.
 
-    def __init__(self, header: SparseHeader, records: SparseRecords, assignment, part: int):
-        lo = int(assignment.boundaries[part])
-        hi = int(assignment.boundaries[part + 1])
-        if not np.array_equal(records.ic, np.arange(lo, hi, dtype=np.uint64)):
-            raise ProtocolError(
-                f"partition {part} needs records I_c = {lo}..{hi - 1} in order"
-            )
-        self.header = header
+    `by_dir` is the direction-major adjacency of the whole domain:
+    `by_dir[i, a]` is the I_c of the neighbor of cell I_c = a + 1 in
+    stencil direction i, 0 for a solid one.
+    """
+
+    def __init__(self, coords, by_dir: np.ndarray, lo: int, hi: int, part: int):
         self.part = part
-        self.ic0 = lo
         self.n_own = hi - lo
-        self.coords = records.coords
-        nbr = records.nbr.astype(np.int64)
-
-        foreign = (nbr != 0) & ((nbr < lo) | (nbr >= hi))
-        self.ghost_ic = np.unique(nbr[foreign])
-        self.n_ghost = int(self.ghost_ic.size)
-        nslots = self.n_own + self.n_ghost
-        self.nslots = nslots
+        self.coords = coords
 
         # population p at a cell pulls from the neighbor opposite to its
         # direction of travel; nbr 0 turns into a bounce-back self-pull
         # of the opposite population
-        self_slots = np.arange(self.n_own, dtype=np.int64)
-        pull_slot = np.empty((19, self.n_own), dtype=np.int64)
-        pull_pop = np.empty((19, self.n_own), dtype=np.int64)
-        pull_slot[0] = self_slots
-        pull_pop[0] = 0
-        for p in range(1, 19):
-            src = nbr[:, (p - 1) ^ 1]
-            solid = src == 0
-            in_own = (src >= lo) & (src < hi)
-            gpos = np.searchsorted(self.ghost_ic, src)
-            slot = np.where(in_own, src - lo, self.n_own + gpos)
-            pull_slot[p] = np.where(solid, self_slots, slot)
-            pull_pop[p] = np.where(solid, OPP[p], p)
-        self._pull_flat = pull_pop * nslots + pull_slot
+        src = by_dir[OPP[1:] - 1, lo - 1 : hi - 1]
+        solid = src == 0
+        remote = ~solid & ((src < lo) | (src >= hi))
+        # ascending I_c, so the ghosts owned by one partition are contiguous
+        self.ghost_ic = np.unique(src[remote])
+        self.n_ghost = int(self.ghost_ic.size)
+        nslots = self.n_own + self.n_ghost
 
-        # send set to q: own cells with any neighbor in q's range; by link
-        # symmetry this equals q's ghost set from this partition
-        owner = assignment.owner_of(records.nbr)  # solid entries map to -1
-        self.send_to: dict[int, np.ndarray] = {}
-        for q in np.unique(owner):
-            q = int(q)
-            if q < 0 or q == part:
-                continue
-            self.send_to[q] = np.flatnonzero((owner == q).any(axis=1))
-        self.recv_from: dict[int, np.ndarray] = {}
-        gowner = assignment.owner_of(self.ghost_ic)
-        for q in np.unique(gowner):
-            q = int(q)
-            self.recv_from[q] = self.n_own + np.flatnonzero(gowner == q)
+        slot = src - lo
+        slot[remote] = self.n_own + np.searchsorted(self.ghost_ic, src[remote])
+        self_slots = np.arange(self.n_own, dtype=np.int64)
+        pull_slot = np.where(solid, self_slots, slot)
+        pull_pop = np.where(solid, OPP[1:, None], np.arange(1, 19)[:, None])
+        # population 0 stays in place: flat index p * nslots + slot
+        self._pull_flat = np.vstack([self_slots, pull_pop * nslots + pull_slot])
 
         self.f_src = np.zeros((19, nslots))
         self.f_dst = np.zeros((19, nslots))
@@ -165,8 +145,11 @@ def _moments(f: np.ndarray):
     return rho, m
 
 
-def _collide_stream(domain: LocalDomain, params: TrtParams) -> None:
-    """Fused pull + TRT collision + forcing into the destination array."""
+def _collide_stream(domain: LocalDomain, params: TrtParams) -> bool:
+    """Fused pull + TRT collision + forcing into the destination array.
+
+    Returns whether the density of every pulled cell is positive (False
+    also for NaN)."""
     n = domain.n_own
     f = domain.f_src.reshape(-1)[domain._pull_flat]
     rho, m = _moments(f)
@@ -190,6 +173,7 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> None:
         cg = CF[:, 0] * g[0] + CF[:, 1] * g[1] + CF[:, 2] * g[2]
         post += (3.0 * W * cg)[:, None] * rho
     domain.f_dst[:, :n] = post
+    return bool(rho.min() > 0.0)
 
 
 def macroscopic(domain: LocalDomain, params: TrtParams):
@@ -200,6 +184,24 @@ def macroscopic(domain: LocalDomain, params: TrtParams):
     g = np.asarray(params.force, dtype=float)
     u = (m + 0.5 * g[:, None]) / rho
     return rho, u.T.copy()
+
+
+def _check_links(by_dir: np.ndarray) -> None:
+    """Raise DataError unless every entry of the (18, N_f) adjacency is 0
+    or in 1..N_f and every link a -> b in direction i has its link back
+    b -> a in direction i ^ 1."""
+    n = by_dir.shape[1]
+    for i in range(18):
+        row = by_dir[i]
+        bad = np.flatnonzero((row < 0) | (row > n))
+        if bad.size:
+            a = int(bad[0])
+            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} is outside 1..{n}")
+        linked = np.flatnonzero(row)
+        bad = np.flatnonzero(by_dir[i ^ 1, row[linked] - 1] != linked + 1)
+        if bad.size:
+            a = int(linked[bad[0]])
+            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} has no link back")
 
 
 class Simulation:
@@ -216,44 +218,28 @@ class Simulation:
         self.params = params
         self.assignment = chunk_ranges(header.n_fluid, nparts)
         self.workers = workers
-        bounds = self.assignment.boundaries
-        self.domains = []
-        for p in range(nparts):
-            lo, hi = int(bounds[p]), int(bounds[p + 1])
-            sl = slice(lo - 1, hi - 1)
-            chunk = SparseRecords(records.coords[sl], records.ic[sl], records.nbr[sl])
-            self.domains.append(LocalDomain(header, chunk, self.assignment, p))
-        self._wire()
+        n = header.n_fluid
+        if not np.array_equal(records.ic, np.arange(1, n + 1, dtype=np.uint64)):
+            raise ProtocolError(f"the solver needs records I_c = 1..{n} in order")
+        by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
+        _check_links(by_dir)
+        bounds = [int(b) for b in self.assignment.boundaries]
+        self.domains = [
+            LocalDomain(records.coords[lo - 1 : hi - 1], by_dir, lo, hi, p)
+            for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+        # exchange plan (q, p, ghost slots of q, own slots of p): each
+        # receiver's ghosts from p form one contiguous run of its list
+        self._plan = []
+        for q, dq in enumerate(self.domains):
+            cut = np.searchsorted(dq.ghost_ic, bounds)
+            for p in np.flatnonzero(np.diff(cut)):
+                g0, g1 = int(cut[p]), int(cut[p + 1])
+                dst = slice(dq.n_own + g0, dq.n_own + g1)
+                self._plan.append((q, int(p), dst, dq.ghost_ic[g0:g1] - bounds[p]))
         self.step_count = 0
         self.compute_seconds = np.zeros(nparts)
         self.exchange_seconds = np.zeros(nparts)
-
-    def _wire(self):
-        # validate that send sets line up with the receivers' ghost sets
-        for p, dp in enumerate(self.domains):
-            for q, slots in sorted(dp.send_to.items()):
-                dq = self.domains[q]
-                recv = dq.recv_from.get(p)
-                if recv is None or len(recv) != len(slots):
-                    raise ProtocolError(
-                        f"partition {p} sends {len(slots)} cells to {q}, "
-                        f"which expects "
-                        f"{0 if recv is None else len(recv)} ghosts"
-                    )
-                sent_ic = dp.ic0 + slots.astype(np.uint64)
-                ghost_ic = dq.ghost_ic[recv - dq.n_own]
-                if not np.array_equal(sent_ic, ghost_ic):
-                    raise ProtocolError(
-                        f"ghost indices of partition {q} from {p} do not "
-                        f"match the sender's cells"
-                    )
-        for p, dp in enumerate(self.domains):
-            for q in dp.recv_from:
-                if p not in self.domains[q].send_to:
-                    raise ProtocolError(
-                        f"partition {p} expects ghosts from {q}, "
-                        f"which sends none"
-                    )
 
     @property
     def nparts(self) -> int:
@@ -265,29 +251,26 @@ class Simulation:
         self._exchange()
 
     def _exchange(self):
-        for q, dq in enumerate(self.domains):
+        for q, p, dst, src in self._plan:
             t0 = time.perf_counter()
-            for p in sorted(dq.recv_from):
-                dp = self.domains[p]
-                dq.f_src[:, dq.recv_from[p]] = dp.f_src[:, dp.send_to[q]]
+            self.domains[q].f_src[:, dst] = self.domains[p].f_src[:, src]
             self.exchange_seconds[q] += time.perf_counter() - t0
 
-    def _compute_one(self, d: LocalDomain):
+    def _compute_one(self, d: LocalDomain) -> bool:
         t0 = time.perf_counter()
-        _collide_stream(d, self.params)
+        healthy = _collide_stream(d, self.params)
         self.compute_seconds[d.part] += time.perf_counter() - t0
+        return healthy
 
     def step(self) -> None:
         """One stream-collide-exchange cycle for all partitions."""
         if self.workers and self.workers > 1 and len(self.domains) > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(self._compute_one, self.domains))
+                healthy = list(pool.map(self._compute_one, self.domains))
         else:
-            for d in self.domains:
-                self._compute_one(d)
-        for d in self.domains:
-            if np.isnan(d.f_dst[:, : d.n_own]).any():
-                raise DivergenceError(self.step_count + 1)
+            healthy = [self._compute_one(d) for d in self.domains]
+        if not all(healthy):
+            raise DivergenceError(self.step_count + 1)
         for d in self.domains:
             d.f_src, d.f_dst = d.f_dst, d.f_src
         self._exchange()

@@ -20,6 +20,23 @@ def sparse_file(tmp_path, voxel_file):
     return path
 
 
+@pytest.fixture
+def channel6_file(tmp_path):
+    voxels = tmp_path / "c6.voxl"
+    path = tmp_path / "c6.sprs"
+    assert main(["generate", "--channel", "--d", "6", "--out", str(voxels)]) == 0
+    assert main(["preprocess", "--in", str(voxels), "--periodic", "x",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def error_only(stderr):
+    """Check that `stderr` is exactly one `error:` line and return it."""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return lines[0]
+
+
 class TestGenerate:
     def test_channel_writes_file(self, tmp_path, capsys):
         out = tmp_path / "c.voxl"
@@ -86,6 +103,12 @@ class TestPreprocess:
         assert code == 1
         assert "distinct" in capsys.readouterr().err
 
+    def test_missing_output_directory_exits_one(self, tmp_path, voxel_file, capsys):
+        code = main(["preprocess", "--in", str(voxel_file),
+                     "--out", str(tmp_path / "nodir" / "x.sprs")])
+        assert code == 1
+        assert "No such file or directory" in error_only(capsys.readouterr().err)
+
 
 class TestInfo:
     def test_prints_header_fields(self, sparse_file, capsys):
@@ -144,6 +167,12 @@ class TestAnalyze:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "line 1" in err[0]
+
+    def test_missing_output_directory_exits_one(self, tmp_path, sparse_file, capsys):
+        code = main(["analyze", "--in", str(sparse_file), "--parts", "2",
+                     "--out-prefix", str(tmp_path / "nodir" / "o")])
+        assert code == 1
+        assert "No such file or directory" in error_only(capsys.readouterr().err)
 
     def test_parts_and_map_conflict(self, tmp_path, sparse_file):
         map_file = tmp_path / "map.txt"
@@ -209,6 +238,38 @@ class TestSolveAndBench:
                      "--tau", "0.4"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_report_directory_exits_one(self, tmp_path, sparse_file, capsys):
+        code = main(["solve", "--in", str(sparse_file), "--steps", "1",
+                     "--report", str(tmp_path / "nodir" / "r.csv")])
+        assert code == 1
+        assert "No such file or directory" in error_only(capsys.readouterr().err)
+
+    def test_one_way_link_exits_one(self, tmp_path, sparse_file, capsys):
+        from listlbm.sparse_io import RECORD_DTYPE, header_nbytes, read_header
+        with open(sparse_file, "rb") as fh:
+            header = read_header(fh)
+        raw = bytearray(sparse_file.read_bytes())
+        at = header_nbytes(header) + 9 * RECORD_DTYPE.itemsize + 12  # +x of I_c=10
+        raw[at : at + 8] = (10).to_bytes(8, "little")
+        bad = tmp_path / "bad.sprs"
+        bad.write_bytes(bytes(raw))
+        assert main(["solve", "--in", str(bad), "--parts", "3", "--steps", "1"]) == 1
+        assert "link 0 of I_c=10 to 10 has no link back" in error_only(capsys.readouterr().err)
+
+    def test_divergent_run_exits_one(self, channel6_file, capsys):
+        code = main(["solve", "--in", str(channel6_file), "--force", "0.5,0,0",
+                     "--steps", "200"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "density not positive at step 28" in error_only(err)
+        assert "flups" not in out
+
+    @pytest.mark.parametrize("flags", [["--force", "inf,0,0"], ["--tau", "inf"]])
+    def test_non_finite_parameter_exits_one(self, sparse_file, capsys, flags):
+        code = main(["solve", "--in", str(sparse_file), "--steps", "2", *flags])
+        assert code == 1
+        assert "finite" in error_only(capsys.readouterr().err)
 
 
 class TestUsage:

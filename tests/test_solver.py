@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from listlbm import (
+    DataError,
     DivergenceError,
     LexBlocked,
     Morton,
@@ -46,6 +47,16 @@ class TestTrtParams:
             TrtParams(tau_plus=0.5)
         with pytest.raises(ParameterError):
             TrtParams(tau_plus=0.8, magic_lambda=0.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"tau_plus": float("inf")},
+        {"tau_plus": 0.8, "magic_lambda": float("inf")},
+        {"tau_plus": 0.8, "force": (float("inf"), 0.0, 0.0)},
+        {"tau_plus": 0.8, "force": (0.0, float("nan"), 0.0)},
+    ])
+    def test_rejects_non_finite_values(self, kw):
+        with pytest.raises(ParameterError, match="finite"):
+            TrtParams(**kw)
 
     def test_weights(self):
         assert W.sum() == pytest.approx(1.0)
@@ -203,6 +214,34 @@ class TestLocalization:
     def test_single_partition_has_no_ghosts(self, channel6_sparse):
         sim = make_sim(channel6_sparse, nparts=1)
         assert sim.domains[0].ghost_ic.size == 0
+
+    def test_ghost_slots_hold_owner_state(self, channel6_sparse):
+        header, records = channel6_sparse
+        sim = Simulation(header, records, nparts=5,
+                         params=TrtParams(tau_plus=0.8, force=(1e-5, 0.0, 0.0)))
+        sim.init_equilibrium(1.0, (0.05, -0.02, 0.03))
+        sim.run(2)
+        state = sim.gather_state()
+        for d in sim.domains:
+            assert d.n_ghost > 0
+            assert np.array_equal(d.f_src[:, d.n_own:], state[:, d.ghost_ic - 1])
+
+    @pytest.mark.parametrize("nparts", [1, 3])
+    def test_one_way_link_rejected(self, channel6_sparse, nparts):
+        header, records = channel6_sparse
+        nbr = records.nbr.copy()
+        nbr[9, 0] = 10  # +x of I_c=10 points at itself
+        bad = SparseRecords(records.coords, records.ic, nbr)
+        with pytest.raises(DataError, match="link 0 of I_c=10 to 10 has no link back"):
+            Simulation(header, bad, nparts=nparts, params=TrtParams(tau_plus=0.8))
+
+    def test_neighbor_above_fluid_count_rejected(self, channel6_sparse):
+        header, records = channel6_sparse
+        nbr = records.nbr.copy()
+        nbr[4, 7] = header.n_fluid + 1
+        bad = SparseRecords(records.coords, records.ic, nbr)
+        with pytest.raises(DataError, match=f"I_c=5 to {header.n_fluid + 1} is outside"):
+            Simulation(header, bad, nparts=2, params=TrtParams(tau_plus=0.8))
 
     def test_unsorted_records_rejected(self, channel6_sparse):
         header, records = channel6_sparse
