@@ -34,8 +34,8 @@ from .geometry import (
     save_voxels,
 )
 from .indexer import (
+    RUN_DTYPE,
     SENTINEL_END,
-    IncellInfo,
     build_rank_tree,
     find_runs,
     octree_reduce,
@@ -71,7 +71,6 @@ __all__ = [
     "DomainError",
     "FormatError",
     "GeometryError",
-    "IncellInfo",
     "LexBlocked",
     "ListLbmError",
     "Morton",
@@ -82,6 +81,7 @@ __all__ = [
     "PartitionStats",
     "ProtocolError",
     "RankBox",
+    "RUN_DTYPE",
     "SENTINEL_END",
     "SchemeParseError",
     "Simulation",

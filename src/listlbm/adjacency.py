@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import DataError, ProtocolError
 from .geometry import RankBox, VoxelGrid
 
-__all__ = ["STENCIL", "HaloView", "SparseRecords", "build_adjacency", "halo_exchange"]
+__all__ = [
+    "STENCIL", "HaloView", "SparseRecords", "build_adjacency", "check_links", "halo_exchange",
+]
 
 # 18 non-rest directions, opposite-paired: direction i and i XOR 1 are
 # opposites. Order: 6 axis vectors, then 12 diagonals.
@@ -201,3 +203,22 @@ def build_adjacency(halo: HaloView) -> SparseRecords:
     for i, (dx, dy, dz) in enumerate(STENCIL):
         nbr[:, i] = halo.ic[1 + zz + dz, 1 + yy + dy, 1 + xx + dx]
     return SparseRecords(coords=coords, ic=ic, nbr=nbr)
+
+
+def check_links(by_dir: np.ndarray) -> None:
+    """Raise DataError unless every entry of the (18, N_f) adjacency is 0
+    or in 1..N_f and every link a -> b in direction i has its link back
+    b -> a in direction i ^ 1. Rows are scanned as contiguous int64."""
+    by_dir = np.ascontiguousarray(by_dir, dtype=np.int64)
+    n = by_dir.shape[1]
+    for i in range(18):
+        row = by_dir[i]
+        bad = np.flatnonzero((row < 0) | (row > n))
+        if bad.size:
+            a = int(bad[0])
+            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} is outside 1..{n}")
+        linked = np.flatnonzero(row)
+        bad = np.flatnonzero(by_dir[i ^ 1, row[linked] - 1] != linked + 1)
+        if bad.size:
+            a = int(linked[bad[0]])
+            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} has no link back")

@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 
+from .adjacency import check_links
 from .errors import ListLbmError, ParameterError
 from .geometry import load_voxels, make_channel, make_packing, save_voxels
 from .numbering import parse_scheme
@@ -108,6 +109,7 @@ def _cmd_preprocess(args):
 def _cmd_analyze(args):
     _distinct_paths(args.infile, args.map)
     header, records = read_sparse(args.infile)
+    check_links(records.nbr.T)
     if args.map is not None:
         assignment = import_partition_map(args.map, header.n_fluid)
     else:
@@ -127,10 +129,17 @@ def _run_solver(args, warmup):
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
     sim = Simulation(header, records, nparts=args.parts, params=params,
                      workers=args.workers)
-    # open the report before stepping, so a bad path costs no run
+    # open the report before stepping, so a bad path costs no run, and
+    # delete it again if stepping fails, so no empty report is left
     with open(args.report or os.devnull, "w") as fh:
         sim.init_equilibrium(1.0)
-        report = run_benchmark(sim, steps=args.steps, warmup=warmup)
+        try:
+            report = run_benchmark(sim, steps=args.steps, warmup=warmup)
+        except BaseException:
+            fh.close()
+            if args.report is not None:
+                os.remove(args.report)
+            raise
         fh.write(report.csv())
     if args.report is not None:
         print(f"wrote {args.report}")

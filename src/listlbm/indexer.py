@@ -1,18 +1,19 @@
 """Distributed assignment of the contiguous fluid index I_c.
 
 Each rank detects maximal runs of consecutive existing cells it owns
-(in global index order), summarizes them as incell/outcell records, and
-participates in a tree reduction that merges runs and prefix-sums fluid
-counts. Afterwards every fluid cell carries a domain-wide unique
-contiguous index in [1, N_f]; solid cells carry 0. The reduction is
-deterministic regardless of message arrival order and independent of
-the rank count. Ranks are simulated in-process.
+(in global index order) and summarizes them as one table of
+incell/outcell records (`RUN_DTYPE`, one row per run). The tables take
+part in a tree reduction that merges runs and prefix-sums fluid counts
+with whole-array operations. Afterwards every fluid cell carries a
+domain-wide unique contiguous index in [1, N_f]; solid cells carry 0.
+The reduction is deterministic regardless of message arrival order and
+independent of the rank count. Ranks are simulated in-process.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .geometry import RankBox, VoxelGrid
 from .numbering import LexBlocked, Morton, NumberingScheme, cell_index
 
 __all__ = [
+    "RUN_DTYPE",
     "SENTINEL_END",
     "CellOrder",
-    "IncellInfo",
     "RankTree",
     "assign_contiguous",
     "build_rank_tree",
@@ -39,24 +40,17 @@ log = logging.getLogger(__name__)
 SENTINEL_END = 2**64 - 1
 
 
-@dataclass(frozen=True)
-class IncellInfo:
-    """One maximal run of consecutive existing cells owned by one rank."""
-
-    incell_I: int
-    outcell_I: int
-    fluid_count: int
-    owner_rank: int
-    start_Ic: int | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.incell_I < self.outcell_I <= SENTINEL_END:
-            raise ValueError(
-                f"run bounds must satisfy incell < outcell, got "
-                f"[{self.incell_I}, {self.outcell_I})"
-            )
-        if self.fluid_count < 0:
-            raise ValueError(f"negative fluid count {self.fluid_count}")
+# One row per run. `start` is the I_c of the run's first fluid cell;
+# 0 means not assigned yet, since I_c starts at 1.
+RUN_DTYPE = np.dtype(
+    [
+        ("incell", np.uint64),
+        ("outcell", np.uint64),
+        ("fluid", np.int64),
+        ("owner", np.int64),
+        ("start", np.int64),
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -152,8 +146,8 @@ def find_runs(
     box: RankBox,
     all_boxes=None,
     order: CellOrder | None = None,
-) -> list[IncellInfo]:
-    """Summarize the box's cells as incell/outcell runs, sorted by incell.
+) -> np.ndarray:
+    """Summarize the box's cells as a RUN_DTYPE table sorted by incell.
 
     The outcell is the existing cell with the smallest index greater
     than the run; it always lies on another rank (otherwise the run
@@ -165,152 +159,135 @@ def find_runs(
     if order is None:
         order = CellOrder(grid.dims, scheme)
     codes_s, flags_s, _, _ = _box_sorted_cells(grid, scheme, box)
-    if codes_s.size == 0:
-        return []
     pos = order.position_of(codes_s)
     starts, ends = _run_bounds(pos)
-    fluid = np.add.reduceat(flags_s.astype(np.int64), starts)
-    last_pos = pos[ends - 1]
-    succ = np.minimum(last_pos + 1, order.ncells - 1)
-    out_codes = order.code_at(succ)
-    runs = []
-    for i in range(len(starts)):
-        has_succ = last_pos[i] + 1 < order.ncells
-        runs.append(
-            IncellInfo(
-                incell_I=int(codes_s[starts[i]]),
-                outcell_I=int(out_codes[i]) if has_succ else SENTINEL_END,
-                fluid_count=int(fluid[i]),
-                owner_rank=box.rank,
-            )
-        )
+    succ = pos[ends - 1] + 1
+    has_succ = succ < order.ncells
+    runs = np.zeros(starts.size, RUN_DTYPE)
+    runs["incell"] = codes_s[starts]
+    runs["outcell"] = SENTINEL_END
+    runs["outcell"][has_succ] = order.code_at(succ[has_succ])
+    runs["fluid"] = np.add.reduceat(flags_s.astype(np.int64), starts)
+    runs["owner"] = box.rank
     return runs
 
 
-def _merge_runs(entries: list[IncellInfo], owner: int) -> list[IncellInfo]:
-    """Merge index-sorted runs whose outcell meets the next incell."""
-    merged: list[IncellInfo] = []
-    for e in entries:
-        if merged:
-            prev = merged[-1]
-            if e.incell_I < prev.outcell_I:
-                raise ProtocolError(
-                    f"overlapping runs [{prev.incell_I}, {prev.outcell_I}) "
-                    f"and [{e.incell_I}, {e.outcell_I})"
-                )
-            if e.incell_I == prev.outcell_I:
-                merged[-1] = replace(
-                    prev,
-                    outcell_I=e.outcell_I,
-                    fluid_count=prev.fluid_count + e.fluid_count,
-                )
-                continue
-        merged.append(replace(e, owner_rank=owner))
-    return merged
+def _reject_overlap(runs: np.ndarray) -> None:
+    """Raise ProtocolError unless incell-sorted runs are disjoint."""
+    inc, out = runs["incell"], runs["outcell"]
+    bad = np.flatnonzero(inc[1:] < out[:-1])
+    if bad.size:
+        k = int(bad[0])
+        raise ProtocolError(
+            f"overlapping runs [{inc[k]}, {out[k]}) and [{inc[k + 1]}, {out[k + 1]})"
+        )
 
 
-def _scatter_starts(
-    A: list[IncellInfo], B: list[IncellInfo]
-) -> list[IncellInfo]:
-    """Map start indices of merged runs B back onto their constituents A.
+def _merge_runs(A: np.ndarray, owner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge incell-sorted runs whose outcell meets the next incell.
 
-    Constituents inherit the merged start offset by the fluid counts of
-    the constituents merged before them.
+    Returns the merged table, owned by `owner`, and for each run of A
+    the index of the merged run it joined.
     """
-    out: list[IncellInfo] = []
-    i = 0
-    for b in B:
-        if b.start_Ic is None:
-            raise ProtocolError("merged run reached downward pass without a start")
-        running = b.start_Ic
-        while i < len(A) and A[i].incell_I < b.outcell_I:
-            if A[i].incell_I < b.incell_I:
-                raise ProtocolError(
-                    f"run at index {A[i].incell_I} precedes its merged parent"
-                )
-            out.append(replace(A[i], start_Ic=running))
-            running += A[i].fluid_count
-            i += 1
-    if i != len(A):
-        raise ProtocolError(f"{len(A) - i} runs left unmapped in downward pass")
-    return out
+    _reject_overlap(A)
+    head = np.ones(A.size, dtype=bool)
+    head[1:] = A["incell"][1:] != A["outcell"][:-1]
+    heads = np.flatnonzero(head)
+    B = np.zeros(heads.size, RUN_DTYPE)
+    B["incell"] = A["incell"][heads]
+    # the run before each head (cyclically) ends a merged run
+    B["outcell"] = A["outcell"][np.roll(head, -1)]
+    B["fluid"] = np.add.reduceat(A["fluid"], heads)
+    B["owner"] = owner
+    return B, np.cumsum(head) - 1
 
 
-def octree_reduce(
-    lists_by_rank,
-    tree: RankTree,
-    rng=None,
-) -> list[list[IncellInfo]]:
-    """Assign start_Ic to every rank's runs via the tree reduction.
+def _fluid_before(fluid: np.ndarray) -> np.ndarray:
+    """Fluid cells in the runs before each run, from per-run counts."""
+    return np.cumsum(fluid) - fluid
 
-    Upward, each sibling master concatenates its children's run lists,
+
+def octree_reduce(lists_by_rank, tree: RankTree, rng=None) -> list[np.ndarray]:
+    """Every rank's run table, sorted by incell, with its `start` column
+    filled by the tree reduction; the submitted tables are not changed.
+
+    Upward, each sibling master concatenates its children's tables,
     sorts them by incell index, merges adjacent runs and forwards the
     result as its own. The root prefix-sums fluid counts (first start
-    is 1). Downward, merged starts are scattered back onto the original
-    constituent lists and routed to their senders. `rng`, when given,
-    shuffles message arrival order within sibling groups; results must
-    not depend on it. Each level is logged at DEBUG level.
+    is 1). Downward, a run starts at its merged run's start plus the
+    fluid cells of the runs merged before it, and goes back to its
+    sender. `rng`, when given, shuffles message arrival order within
+    sibling groups; results must not depend on it. Each level is
+    logged at DEBUG level.
     """
     P = tree.nranks
     trace = log.isEnabledFor(logging.DEBUG)
     if len(lists_by_rank) != P:
         raise ProtocolError(f"expected {P} rank lists, got {len(lists_by_rank)}")
-    current: dict[int, list[IncellInfo]] = {}
-    for r in range(P):
-        ent = sorted(lists_by_rank[r], key=lambda e: e.incell_I)
-        for e in ent:
-            if e.owner_rank != r:
-                raise ProtocolError(
-                    f"rank {r} submitted a run owned by rank {e.owner_rank}"
-                )
-        current[r] = ent
+    current: dict[int, np.ndarray] = {}
+    for r, runs in enumerate(lists_by_rank):
+        runs = runs[np.argsort(runs["incell"], kind="stable")]
+        wrong = np.flatnonzero(runs["owner"] != r)
+        if wrong.size:
+            raise ProtocolError(
+                f"rank {r} submitted a run owned by rank {runs['owner'][wrong[0]]}"
+            )
+        bad = np.flatnonzero((runs["incell"] >= runs["outcell"]) | (runs["fluid"] < 0))
+        if bad.size:
+            e = runs[bad[0]]
+            raise ProtocolError(
+                f"rank {r} submitted the invalid run [{e['incell']}, {e['outcell']}) "
+                f"with {e['fluid']} fluid cells"
+            )
+        current[r] = runs
 
-    stored: list[dict[int, list[IncellInfo]]] = []
+    # per level, each master's (constituents, merged run joined, merged runs)
+    stored: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
     for li, level in enumerate(tree.levels):
         stored.append({})
-        nxt: dict[int, list[IncellInfo]] = {}
+        nxt: dict[int, np.ndarray] = {}
         for master, members in level:
-            parts = [(m, current[m]) for m in members]
+            parts = [current[m] for m in members]
             if rng is not None:
                 rng.shuffle(parts)
-            A = [e for _, lst in parts for e in lst]
-            A.sort(key=lambda e: e.incell_I)
-            B = _merge_runs(A, master)
-            stored[li][master] = A
+            A = np.concatenate(parts)
+            A = A[np.argsort(A["incell"], kind="stable")]
+            B, joined = _merge_runs(A, master)
+            stored[li][master] = (A, joined, B)
             nxt[master] = B
             if trace:
                 log.debug(
                     "up level %d master %d: %d runs from %s -> %d merged",
-                    li, master, len(A), list(members), len(B),
+                    li, master, A.size, list(members), B.size,
                 )
         current = nxt
 
-    root_runs = current[tree.root]
-    assigned: list[IncellInfo] = []
-    running = 1
-    prev_out = -1
-    for e in root_runs:
-        if e.incell_I < prev_out:
-            raise ProtocolError(
-                f"overlapping runs at root: incell {e.incell_I} < outcell {prev_out}"
-            )
-        assigned.append(replace(e, start_Ic=running))
-        running += e.fluid_count
-        prev_out = e.outcell_I
+    root = current[tree.root]
+    _reject_overlap(root)
+    root["start"] = 1 + _fluid_before(root["fluid"])
     if trace:
-        log.debug("root %d assigned %d starts, N_f=%d", tree.root, len(assigned), running - 1)
+        log.debug("root %d assigned %d starts, N_f=%d",
+                  tree.root, root.size, int(root["fluid"].sum()))
 
-    down = {tree.root: assigned}
+    down = {tree.root: root}
     for li in range(len(tree.levels) - 1, -1, -1):
-        nxt_down: dict[int, list[IncellInfo]] = {}
+        nxt_down: dict[int, np.ndarray] = {}
         for master, members in tree.levels[li]:
-            mapped = _scatter_starts(stored[li][master], down[master])
+            A, joined, B = stored[li][master]
+            msg = down[master]
+            if not np.array_equal(msg["incell"], B["incell"]) or (msg["start"] < 1).any():
+                raise ProtocolError(
+                    f"master {master} got {msg.size} runs downward for its "
+                    f"{B.size} merged runs, or a run without a start"
+                )
+            base = msg["start"] - _fluid_before(B["fluid"])
+            A["start"] = base[joined] + _fluid_before(A["fluid"])
             for m in members:
-                nxt_down[m] = [e for e in mapped if e.owner_rank == m]
+                nxt_down[m] = A[A["owner"] == m]
             if trace:
                 log.debug(
                     "down level %d master %d: scattered %d runs to %s",
-                    li, master, len(mapped), list(members),
+                    li, master, A.size, list(members),
                 )
         down = nxt_down
     return [down[r] for r in range(P)]
@@ -320,42 +297,49 @@ def assign_contiguous(
     grid: VoxelGrid,
     scheme: NumberingScheme,
     box: RankBox,
-    icis: list[IncellInfo],
+    runs: np.ndarray,
     order: CellOrder | None = None,
 ) -> np.ndarray:
     """Contiguous indices of the box's cells, shaped like the box region.
 
     Within each run, fluid cells receive consecutive I_c starting at
-    the run's start_Ic in increasing index order; solid cells receive 0.
+    the run's start in increasing index order; solid cells receive 0.
     Returned array is indexed [z - lo_z, y - lo_y, x - lo_x].
     """
     if order is None:
         order = CellOrder(grid.dims, scheme)
     codes_s, flags_s, sortidx, shape = _box_sorted_cells(grid, scheme, box)
-    pos = order.position_of(codes_s)
-    starts, ends = _run_bounds(pos)
-    icis_sorted = sorted(icis, key=lambda e: e.incell_I)
-    if len(icis_sorted) != len(starts):
+    starts, _ = _run_bounds(order.position_of(codes_s))
+    runs = runs[np.argsort(runs["incell"], kind="stable")]
+    if runs.size != starts.size:
         raise ProtocolError(
-            f"box of rank {box.rank} has {len(starts)} runs "
-            f"but received {len(icis_sorted)} records"
+            f"box of rank {box.rank} has {starts.size} runs "
+            f"but received {runs.size} records"
         )
+    bad = np.flatnonzero(codes_s[starts] != runs["incell"])
+    if bad.size:
+        k = bad[0]
+        raise ProtocolError(
+            f"run incell mismatch: box has {codes_s[starts[k]]}, "
+            f"record says {runs['incell'][k]}"
+        )
+    bad = np.flatnonzero(runs["start"] < 1)
+    if bad.size:
+        raise ProtocolError(f"run at incell {runs['incell'][bad[0]]} has no start index")
+    fluid = np.add.reduceat(flags_s.astype(np.int64), starts)
+    bad = np.flatnonzero(fluid != runs["fluid"])
+    if bad.size:
+        k = bad[0]
+        raise ProtocolError(
+            f"run at incell {runs['incell'][k]}: fluid count {fluid[k]} "
+            f"does not match record {runs['fluid'][k]}"
+        )
+    # the k-th fluid cell of the box, in index order, gets k plus its
+    # run's start less the fluid cells of the runs before it
+    fl = np.flatnonzero(flags_s)
+    base = runs["start"] - _fluid_before(fluid)
     out_sorted = np.zeros(codes_s.size, dtype=np.uint64)
-    for a, b, ici in zip(starts, ends, icis_sorted):
-        if int(codes_s[a]) != ici.incell_I:
-            raise ProtocolError(
-                f"run incell mismatch: box has {int(codes_s[a])}, "
-                f"record says {ici.incell_I}"
-            )
-        if ici.start_Ic is None:
-            raise ProtocolError(f"run at incell {ici.incell_I} has no start index")
-        fl = a + np.flatnonzero(flags_s[a:b])
-        if fl.size != ici.fluid_count:
-            raise ProtocolError(
-                f"run at incell {ici.incell_I}: fluid count {fl.size} "
-                f"does not match record {ici.fluid_count}"
-            )
-        out_sorted[fl] = ici.start_Ic + np.arange(fl.size, dtype=np.uint64)
+    out_sorted[fl] = np.arange(fl.size) + np.repeat(base, fluid)
     dense = np.empty(codes_s.size, dtype=np.uint64)
     dense[sortidx] = out_sorted
     return dense.reshape(shape)

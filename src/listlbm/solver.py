@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import STENCIL
+from .adjacency import STENCIL, check_links
 from .errors import (
-    DataError,
     DivergenceError,
     NotConvergedError,
     ParameterError,
@@ -186,24 +185,6 @@ def macroscopic(domain: LocalDomain, params: TrtParams):
     return rho, u.T.copy()
 
 
-def _check_links(by_dir: np.ndarray) -> None:
-    """Raise DataError unless every entry of the (18, N_f) adjacency is 0
-    or in 1..N_f and every link a -> b in direction i has its link back
-    b -> a in direction i ^ 1."""
-    n = by_dir.shape[1]
-    for i in range(18):
-        row = by_dir[i]
-        bad = np.flatnonzero((row < 0) | (row > n))
-        if bad.size:
-            a = int(bad[0])
-            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} is outside 1..{n}")
-        linked = np.flatnonzero(row)
-        bad = np.flatnonzero(by_dir[i ^ 1, row[linked] - 1] != linked + 1)
-        if bad.size:
-            a = int(linked[bad[0]])
-            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} has no link back")
-
-
 class Simulation:
     """Coordinator for N partitions stepping in lockstep.
 
@@ -222,7 +203,7 @@ class Simulation:
         if not np.array_equal(records.ic, np.arange(1, n + 1, dtype=np.uint64)):
             raise ProtocolError(f"the solver needs records I_c = 1..{n} in order")
         by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
-        _check_links(by_dir)
+        check_links(by_dir)
         bounds = [int(b) for b in self.assignment.boundaries]
         self.domains = [
             LocalDomain(records.coords[lo - 1 : hi - 1], by_dir, lo, hi, p)

@@ -30,6 +30,20 @@ def channel6_file(tmp_path):
     return path
 
 
+def self_linked_copy(path, tmp_path):
+    """Copy of the sparse file `path` whose I_c=10 names itself as +x
+    neighbour, a link with no link back."""
+    from listlbm.sparse_io import RECORD_DTYPE, header_nbytes, read_header
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+    raw = bytearray(path.read_bytes())
+    at = header_nbytes(header) + 9 * RECORD_DTYPE.itemsize + 12  # +x of I_c=10
+    raw[at : at + 8] = (10).to_bytes(8, "little")
+    bad = tmp_path / "bad.sprs"
+    bad.write_bytes(bytes(raw))
+    return bad
+
+
 def error_only(stderr):
     """Check that `stderr` is exactly one `error:` line and return it."""
     lines = stderr.splitlines()
@@ -143,6 +157,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "error:" in err and "4000" in err
 
+    def test_one_way_link_exits_one(self, tmp_path, channel6_file, capsys):
+        bad = self_linked_copy(channel6_file, tmp_path)
+        code = main(["analyze", "--in", str(bad), "--parts", "3",
+                     "--out-prefix", str(tmp_path / "o")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "link 0 of I_c=10 to 10 has no link back" in error_only(err)
+        assert "total_remote_links" not in out
+
     def test_partition_map_input(self, tmp_path, sparse_file, capsys):
         map_file = tmp_path / "map.txt"
         map_file.write_text("1\n41\n")
@@ -246,24 +269,19 @@ class TestSolveAndBench:
         assert "No such file or directory" in error_only(capsys.readouterr().err)
 
     def test_one_way_link_exits_one(self, tmp_path, sparse_file, capsys):
-        from listlbm.sparse_io import RECORD_DTYPE, header_nbytes, read_header
-        with open(sparse_file, "rb") as fh:
-            header = read_header(fh)
-        raw = bytearray(sparse_file.read_bytes())
-        at = header_nbytes(header) + 9 * RECORD_DTYPE.itemsize + 12  # +x of I_c=10
-        raw[at : at + 8] = (10).to_bytes(8, "little")
-        bad = tmp_path / "bad.sprs"
-        bad.write_bytes(bytes(raw))
+        bad = self_linked_copy(sparse_file, tmp_path)
         assert main(["solve", "--in", str(bad), "--parts", "3", "--steps", "1"]) == 1
         assert "link 0 of I_c=10 to 10 has no link back" in error_only(capsys.readouterr().err)
 
-    def test_divergent_run_exits_one(self, channel6_file, capsys):
+    def test_divergent_run_exits_one(self, tmp_path, channel6_file, capsys):
+        report = tmp_path / "r.csv"
         code = main(["solve", "--in", str(channel6_file), "--force", "0.5,0,0",
-                     "--steps", "200"])
+                     "--steps", "200", "--report", str(report)])
         assert code == 1
         out, err = capsys.readouterr()
         assert "density not positive at step 28" in error_only(err)
         assert "flups" not in out
+        assert not report.exists()
 
     @pytest.mark.parametrize("flags", [["--force", "inf,0,0"], ["--tau", "inf"]])
     def test_non_finite_parameter_exits_one(self, sparse_file, capsys, flags):

@@ -1,9 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from listlbm import (
+    RUN_DTYPE,
     SENTINEL_END,
-    IncellInfo,
     LexBlocked,
     Morton,
     ProtocolError,
@@ -15,7 +17,7 @@ from listlbm import (
     octree_reduce,
     serial_oracle,
 )
-from listlbm.indexer import assign_contiguous
+from listlbm.indexer import _merge_runs, assign_contiguous
 from listlbm.pipeline import contiguous_index_field
 from conftest import ALL_SCHEMES, SCHEME_IDS, random_grid
 
@@ -25,23 +27,25 @@ def line_grid(flags_x):
     return VoxelGrid(np.asarray(flags_x, dtype=bool).reshape(1, 1, -1))
 
 
+def table(*rows):
+    """Run table of (incell, outcell, fluid, owner) rows, starts unset."""
+    return np.array([(*row, 0) for row in rows], dtype=RUN_DTYPE)
+
+
 TWO_RANK_LINE = [
     RankBox(0, (0, 0, 0), (2, 1, 1)),
     RankBox(1, (2, 0, 0), (4, 1, 1)),
 ]
 
 
-class TestIncellInfo:
+class TestRunTable:
     def test_sentinel_value(self):
         assert SENTINEL_END == 2 ** 64 - 1
 
     def test_rejects_empty_or_inverted_runs(self):
-        with pytest.raises(ValueError):
-            IncellInfo(5, 5, 0, 0)
-        with pytest.raises(ValueError):
-            IncellInfo(5, 3, 0, 0)
-        with pytest.raises(ValueError):
-            IncellInfo(0, 2, -1, 0)
+        for run in [(5, 5, 0, 0), (5, 3, 0, 0), (0, 2, -1, 0)]:
+            with pytest.raises(ProtocolError, match="invalid run"):
+                octree_reduce([table(run)], build_rank_tree(1))
 
 
 class TestRankTree:
@@ -70,75 +74,71 @@ class TestFindRuns:
         grid = line_grid([1, 1, 1, 1])
         runs0 = find_runs(grid, LexBlocked(1), TWO_RANK_LINE[0])
         runs1 = find_runs(grid, LexBlocked(1), TWO_RANK_LINE[1])
-        assert runs0 == [IncellInfo(0, 2, 2, 0)]
-        assert runs1 == [IncellInfo(2, SENTINEL_END, 2, 1)]
+        assert np.array_equal(runs0, table((0, 2, 2, 0)))
+        assert np.array_equal(runs1, table((2, SENTINEL_END, 2, 1)))
 
     def test_single_rank_single_run(self, channel4):
         (box,) = decompose_ranks(channel4.dims, 1)
         (run,) = find_runs(channel4, LexBlocked(1), box)
-        assert run.incell_I == 0
-        assert run.outcell_I == SENTINEL_END
-        assert run.fluid_count == channel4.fluid_count
+        assert run["incell"] == 0
+        assert run["outcell"] == SENTINEL_END
+        assert run["fluid"] == channel4.fluid_count
 
     def test_solid_cells_extend_runs_but_not_counts(self):
         grid = line_grid([1, 0, 1, 1])
         runs0 = find_runs(grid, LexBlocked(1), TWO_RANK_LINE[0])
-        assert runs0 == [IncellInfo(0, 2, 1, 0)]
+        assert np.array_equal(runs0, table((0, 2, 1, 0)))
 
     def test_morton_gaps_split_nothing_spurious(self):
         # a rank owning one full z-slab of a pow2 cube stays contiguous
         grid = VoxelGrid(np.ones((2, 2, 2), dtype=bool))
         box = RankBox(0, (0, 0, 0), (2, 2, 1))
         (run,) = find_runs(grid, Morton(1), box)
-        assert run.incell_I == 0
-        assert run.fluid_count == 4
+        assert run["incell"] == 0
+        assert run["fluid"] == 4
 
 
 class TestOctreeReduce:
     def test_two_runs_merge_and_split_starts(self):
-        lists = [
-            [IncellInfo(0, 2, 2, 0)],
-            [IncellInfo(2, SENTINEL_END, 2, 1)],
-        ]
+        lists = [table((0, 2, 2, 0)), table((2, SENTINEL_END, 2, 1))]
         out = octree_reduce(lists, build_rank_tree(2))
-        assert out[0][0].start_Ic == 1
-        assert out[1][0].start_Ic == 3
+        assert out[0]["start"].tolist() == [1]
+        assert out[1]["start"].tolist() == [3]
+
+    def test_adjacent_runs_merge(self):
+        runs = table((0, 2, 2, 0), (2, 5, 1, 1), (5, 6, 0, 2), (7, 9, 2, 0))
+        merged, joined = _merge_runs(runs, 4)
+        assert np.array_equal(merged, table((0, 6, 3, 4), (7, 9, 2, 4)))
+        assert joined.tolist() == [0, 0, 0, 1]
 
     def test_single_rank_starts_at_one(self):
-        lists = [[IncellInfo(0, SENTINEL_END, 7, 0)]]
-        out = octree_reduce(lists, build_rank_tree(1))
-        assert out[0][0].start_Ic == 1
+        out = octree_reduce([table((0, SENTINEL_END, 7, 0))], build_rank_tree(1))
+        assert out[0]["start"].tolist() == [1]
 
     def test_zero_fluid_run_consumes_no_indices(self):
-        lists = [[
-            IncellInfo(0, 5, 5, 0),
-            IncellInfo(10, 12, 0, 0),
-            IncellInfo(20, SENTINEL_END, 3, 0),
-        ]]
-        out = octree_reduce(lists, build_rank_tree(1))
-        assert [e.start_Ic for e in out[0]] == [1, 6, 6]
+        runs = table((0, 5, 5, 0), (10, 12, 0, 0), (20, SENTINEL_END, 3, 0))
+        out = octree_reduce([runs], build_rank_tree(1))
+        assert out[0]["start"].tolist() == [1, 6, 6]
 
     def test_gaps_between_ranks_allowed(self):
-        lists = [
-            [IncellInfo(0, 4, 3, 0)],
-            [IncellInfo(8, SENTINEL_END, 2, 1)],
-        ]
+        lists = [table((0, 4, 3, 0)), table((8, SENTINEL_END, 2, 1))]
         out = octree_reduce(lists, build_rank_tree(2))
-        assert out[0][0].start_Ic == 1
-        assert out[1][0].start_Ic == 4
+        assert out[0]["start"].tolist() == [1]
+        assert out[1]["start"].tolist() == [4]
 
     def test_overlapping_runs_rejected(self):
-        lists = [
-            [IncellInfo(0, 3, 3, 0)],
-            [IncellInfo(2, SENTINEL_END, 2, 1)],
-        ]
-        with pytest.raises(ProtocolError):
+        lists = [table((0, 3, 3, 0)), table((2, SENTINEL_END, 2, 1))]
+        with pytest.raises(ProtocolError, match="overlapping"):
             octree_reduce(lists, build_rank_tree(2))
 
+    def test_overlap_within_single_rank_rejected(self):
+        runs = table((0, 3, 3, 0), (2, SENTINEL_END, 2, 0))
+        with pytest.raises(ProtocolError, match="overlapping"):
+            octree_reduce([runs], build_rank_tree(1))
+
     def test_wrong_owner_rejected(self):
-        lists = [[IncellInfo(0, SENTINEL_END, 1, 3)]]
-        with pytest.raises(ProtocolError):
-            octree_reduce(lists, build_rank_tree(1))
+        with pytest.raises(ProtocolError, match="owned by rank 3"):
+            octree_reduce([table((0, SENTINEL_END, 1, 3))], build_rank_tree(1))
 
     def test_arrival_order_does_not_matter(self):
         grid = random_grid(5, (16, 8, 7))
@@ -148,7 +148,27 @@ class TestOctreeReduce:
         base = octree_reduce(lists, tree)
         for seed in (0, 1, 2):
             shuffled = octree_reduce(lists, tree, rng=np.random.default_rng(seed))
-            assert shuffled == base
+            assert all(np.array_equal(a, b) for a, b in zip(shuffled, base))
+        assert not any(runs["start"].any() for runs in lists)
+
+    def test_debug_trace_logs_each_level(self, caplog):
+        grid = random_grid(8, (8, 8, 8))
+        boxes = decompose_ranks(grid.dims, 64)
+        tree = build_rank_tree(64)
+        lists = [find_runs(grid, Morton(2), b, all_boxes=boxes) for b in boxes]
+        base = octree_reduce(lists, tree)
+        with caplog.at_level(logging.DEBUG, logger="listlbm.indexer"):
+            traced = octree_reduce(lists, tree)
+        messages = [r.getMessage() for r in caplog.records]
+        for li, groups in enumerate(tree.levels):
+            for master, _ in groups:
+                assert sum(m.startswith(f"up level {li} master {master}:")
+                           for m in messages) == 1
+                assert sum(m.startswith(f"down level {li} master {master}:")
+                           for m in messages) == 1
+        assert sum(m.startswith("root 0 assigned ")
+                   and m.endswith(f"N_f={grid.fluid_count}") for m in messages) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(traced, base))
 
 
 class TestAssignContiguous:
@@ -169,9 +189,19 @@ class TestAssignContiguous:
     def test_unset_start_rejected(self):
         grid = line_grid([1, 1, 1, 1])
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
-        with pytest.raises(ProtocolError):
-            assign_contiguous(grid, LexBlocked(1), box,
-                              [IncellInfo(0, SENTINEL_END, 4, 0)])
+        with pytest.raises(ProtocolError, match="no start"):
+            assign_contiguous(grid, LexBlocked(1), box, table((0, SENTINEL_END, 4, 0)))
+
+    @pytest.mark.parametrize("rows,match", [
+        ([(0, 2, 2, 0, 1), (2, SENTINEL_END, 2, 0, 3)], "has 1 runs"),
+        ([(1, SENTINEL_END, 4, 0, 1)], "incell mismatch"),
+        ([(0, SENTINEL_END, 3, 0, 1)], "fluid count 4"),
+    ], ids=["run-count", "incell", "fluid-count"])
+    def test_mismatched_runs_rejected(self, rows, match):
+        grid = line_grid([1, 1, 1, 1])
+        box = RankBox(0, (0, 0, 0), (4, 1, 1))
+        with pytest.raises(ProtocolError, match=match):
+            assign_contiguous(grid, LexBlocked(1), box, np.array(rows, dtype=RUN_DTYPE))
 
 
 class TestSerialOracle:
@@ -212,7 +242,7 @@ class TestSerialOracle:
 
 @pytest.mark.parametrize("scheme", [LexBlocked(1), LexBlocked(4), Morton(2)],
                          ids=["lex:b=1", "lex:b=4", "morton:g=2"])
-@pytest.mark.parametrize("P", [1, 3, 5, 8])
+@pytest.mark.parametrize("P", [1, 3, 5, 8, 64, 100])
 def test_distributed_matches_oracle(scheme, P):
     grid = random_grid(8, (8, 8, 8))
     assert np.array_equal(contiguous_index_field(grid, scheme, nranks=P),
@@ -221,7 +251,6 @@ def test_distributed_matches_oracle(scheme, P):
 
 def test_root_fluid_total_matches_grid(channel6):
     boxes = decompose_ranks(channel6.dims, 7)
-    total = sum(e.fluid_count
-                for b in boxes
-                for e in find_runs(channel6, LexBlocked(4), b, all_boxes=boxes))
+    total = sum(int(find_runs(channel6, LexBlocked(4), b, all_boxes=boxes)["fluid"].sum())
+                for b in boxes)
     assert total == channel6.fluid_count
