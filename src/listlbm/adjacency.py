@@ -1,8 +1,9 @@
 """D3Q19 adjacency construction over fluid cells via halo exchange.
 
-Each rank pads its box by one cell, fills the pad from neighboring
-ranks (wrapping on periodic axes, solid outside non-periodic ends) and
-then reads every stencil neighbor with plain shifted slices. Neighbor
+Each rank's box is padded by one cell of I_c, filled with one copy from
+each rank that owns part of it (wrapped on periodic axes, 0 beyond
+non-periodic ends); a cell is fluid when its I_c is > 0. A pad cell held
+by no rank or by two is a ProtocolError naming the cell. Neighbor
 entries store the contiguous index of the fluid neighbor, or 0 when the
 neighbor is solid or outside the domain.
 """
@@ -92,30 +93,21 @@ class SparseRecords:
 
 @dataclass(frozen=True)
 class HaloView:
-    """A rank's box padded by one cell of neighbor data on every side.
+    """A rank's box padded by one cell of neighbor I_c on every side.
 
-    flags and ic are shaped (ez + 2, ey + 2, ex + 2); pad cells outside a
-    non-periodic boundary stay solid with ic 0.
+    ic is shaped (ez + 2, ey + 2, ex + 2); a cell is fluid when its I_c
+    is > 0, and pad cells beyond a non-periodic boundary hold 0.
     """
 
     box: RankBox
-    flags: np.ndarray
     ic: np.ndarray
 
 
-def _axis_segments(lo: int, hi: int, dim: int, periodic: bool):
-    """(pad_lo, pad_hi, src_lo, src_hi) pieces of the padded window."""
-    e = hi - lo
-    segs = [(1, 1 + e, lo, hi)]
-    if lo - 1 >= 0:
-        segs.append((0, 1, lo - 1, lo))
-    elif periodic:
-        segs.append((0, 1, dim - 1, dim))
-    if hi < dim:
-        segs.append((1 + e, 2 + e, hi, hi + 1))
-    elif periodic:
-        segs.append((1 + e, 2 + e, 0, 1))
-    return segs
+def _first_cell(mask: np.ndarray, gx, gy, gz) -> tuple[int, int, int]:
+    """Global (x, y, z) of the first set entry of a (z, y, x) mask whose
+    axes have the global coordinates gz, gy, gx."""
+    iz, iy, ix = np.argwhere(mask)[0]
+    return int(gx[ix]), int(gy[iy]), int(gz[iz])
 
 
 def halo_exchange(
@@ -124,85 +116,85 @@ def halo_exchange(
     ic_by_rank,
     periodic=(False, False, False),
 ) -> list[HaloView]:
-    """Assemble per-rank padded (flag, I_c) views from rank-local data.
+    """Assemble each rank's padded I_c view from rank-local fields.
 
-    Every pad cell inside the (possibly wrapped) domain must be covered
-    by exactly one box of the decomposition; a gap raises ProtocolError.
+    Every owning rank fills its part of a receiver's padded box in one
+    copy. Each pad cell inside the (possibly wrapped) domain must be held
+    by exactly one box of the decomposition; a gap or an overlap raises
+    ProtocolError naming the cell.
     """
-    X, Y, Z = grid.dims
-    src_flags = {}
+    dims = grid.dims
     for b in boxes:
-        src_flags[b.rank] = grid.flags[
-            b.lo[2] : b.hi[2], b.lo[1] : b.hi[1], b.lo[0] : b.hi[0]
-        ]
-        ez, ey, ex = src_flags[b.rank].shape
+        ex, ey, ez = b.extent
         if ic_by_rank[b.rank].shape != (ez, ey, ex):
             raise ProtocolError(
                 f"rank {b.rank} index field has shape {ic_by_rank[b.rank].shape}, "
                 f"box needs {(ez, ey, ex)}"
             )
+        if any(h > d for h, d in zip(b.hi, dims)):
+            raise ProtocolError(f"box of rank {b.rank} reaches past the grid {dims}")
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
     views = []
     for b in boxes:
-        ex, ey, ez = b.extent
-        fpad = np.zeros((ez + 2, ey + 2, ex + 2), dtype=bool)
-        ipad = np.zeros((ez + 2, ey + 2, ex + 2), dtype=np.uint64)
-        segs_x = _axis_segments(b.lo[0], b.hi[0], X, periodic[0])
-        segs_y = _axis_segments(b.lo[1], b.hi[1], Y, periodic[1])
-        segs_z = _axis_segments(b.lo[2], b.hi[2], Z, periodic[2])
-        for pz0, pz1, gz0, gz1 in segs_z:
-            for py0, py1, gy0, gy1 in segs_y:
-                for px0, px1, gx0, gx1 in segs_x:
-                    want = (gz1 - gz0) * (gy1 - gy0) * (gx1 - gx0)
-                    got = 0
-                    for q in boxes:
-                        ix0, ix1 = max(gx0, q.lo[0]), min(gx1, q.hi[0])
-                        iy0, iy1 = max(gy0, q.lo[1]), min(gy1, q.hi[1])
-                        iz0, iz1 = max(gz0, q.lo[2]), min(gz1, q.hi[2])
-                        if ix0 >= ix1 or iy0 >= iy1 or iz0 >= iz1:
-                            continue
-                        qs = (
-                            slice(iz0 - q.lo[2], iz1 - q.lo[2]),
-                            slice(iy0 - q.lo[1], iy1 - q.lo[1]),
-                            slice(ix0 - q.lo[0], ix1 - q.lo[0]),
-                        )
-                        ps = (
-                            slice(pz0 + (iz0 - gz0), pz0 + (iz1 - gz0)),
-                            slice(py0 + (iy0 - gy0), py0 + (iy1 - gy0)),
-                            slice(px0 + (ix0 - gx0), px0 + (ix1 - gx0)),
-                        )
-                        fpad[ps] = src_flags[q.rank][qs]
-                        ipad[ps] = ic_by_rank[q.rank][qs]
-                        got += (iz1 - iz0) * (iy1 - iy0) * (ix1 - ix0)
-                    if got != want:
-                        raise ProtocolError(
-                            f"halo of rank {b.rank}: window "
-                            f"[{gx0},{gx1})x[{gy0},{gy1})x[{gz0},{gz1}) "
-                            f"missing {want - got} cells"
-                        )
-        views.append(HaloView(box=b, flags=fpad, ic=ipad))
+        # Padded axes as global coordinates: wrapped on periodic axes,
+        # -1 beyond a non-periodic end (no box holds -1).
+        axes = []
+        for a in range(3):
+            g = np.arange(b.lo[a] - 1, b.hi[a] + 1)
+            if periodic[a]:
+                g %= dims[a]
+            else:
+                g[(g < 0) | (g >= dims[a])] = -1
+            axes.append(g)
+        gx, gy, gz = axes
+        # holds[a][q, k]: box q holds padded position k on axis a.
+        holds = [(lo[:, a, None] <= g) & (g < hi[:, a, None]) for a, g in enumerate(axes)]
+        ic = np.zeros((gz.size, gy.size, gx.size), dtype=np.uint64)
+        held = np.zeros(ic.shape, dtype=bool)
+        for q in np.flatnonzero(holds[0].any(1) & holds[1].any(1) & holds[2].any(1)):
+            kx, ky, kz = (np.flatnonzero(h[q]) for h in holds)
+            dst = np.ix_(kz, ky, kx)
+            if held[dst].any():
+                cell = _first_cell(held[dst], gx[kx], gy[ky], gz[kz])
+                raise ProtocolError(
+                    f"halo of rank {b.rank}: cell {cell} is held by rank "
+                    f"{boxes[q].rank} and by another rank"
+                )
+            held[dst] = True
+            src = np.ix_(gz[kz] - lo[q, 2], gy[ky] - lo[q, 1], gx[kx] - lo[q, 0])
+            ic[dst] = ic_by_rank[boxes[q].rank][src]
+        gap = (gz >= 0)[:, None, None] & (gy >= 0)[:, None] & (gx >= 0) & ~held
+        if gap.any():
+            cell = _first_cell(gap, gx, gy, gz)
+            raise ProtocolError(f"halo of rank {b.rank}: cell {cell} is held by no rank")
+        views.append(HaloView(box=b, ic=ic))
     return views
 
 
 def build_adjacency(halo: HaloView) -> SparseRecords:
-    """One record per local fluid cell, neighbors read off the padded view.
+    """One record per local fluid cell (I_c > 0), neighbors read off the
+    padded view.
 
     A neighbor entry is the fluid neighbor's I_c, or 0 for solid cells
     and cells beyond a non-periodic boundary (their padded I_c is 0).
     Records come out in row-major box order, not yet sorted by I_c.
     """
-    core = halo.flags[1:-1, 1:-1, 1:-1]
-    zz, yy, xx = np.nonzero(core)
+    _, py, px = halo.ic.shape
+    zz, yy, xx = np.nonzero(halo.ic[1:-1, 1:-1, 1:-1] > 0)
     x0, y0, z0 = halo.box.lo
     n = xx.size
     coords = np.empty((n, 3), dtype=np.uint32)
     coords[:, 0] = xx + x0
     coords[:, 1] = yy + y0
     coords[:, 2] = zz + z0
-    ic = halo.ic[1 + zz, 1 + yy, 1 + xx]
+    flat = halo.ic.reshape(-1)
+    at = ((zz + 1) * py + yy + 1) * px + xx + 1
+    off = STENCIL @ np.array((1, px, px * py))
     nbr = np.empty((n, 18), dtype=np.uint64)
-    for i, (dx, dy, dz) in enumerate(STENCIL):
-        nbr[:, i] = halo.ic[1 + zz + dz, 1 + yy + dy, 1 + xx + dx]
-    return SparseRecords(coords=coords, ic=ic, nbr=nbr)
+    for i in range(18):
+        nbr[:, i] = flat[at + off[i]]
+    return SparseRecords(coords=coords, ic=flat[at], nbr=nbr)
 
 
 def check_links(by_dir: np.ndarray) -> None:

@@ -10,8 +10,8 @@ Single binary with subcommands::
     listlbm bench      (same as solve, plus --warmup K)
     listlbm info       --in FILE
 
-Exit status: 0 on success, 1 with a one-line diagnostic for domain errors
-and unwritable outputs, 2 for usage errors (unknown flags, conflicting
+Exit status: 0 on success, 1 with a one-line diagnostic for domain errors,
+unwritable outputs and sizes too large to allocate, 2 for usage errors (unknown flags, conflicting
 flags, missing files).
 """
 
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (ListLbmError, OSError) as exc:
+    except (ListLbmError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from listlbm import (
     preprocess_grid,
 )
 from listlbm.adjacency import halo_exchange
-from listlbm.geometry import decompose_ranks
+from listlbm.geometry import RankBox, decompose_ranks
 from listlbm.pipeline import contiguous_index_field
 from conftest import ALL_SCHEMES, SCHEME_IDS, random_grid
 
@@ -110,10 +112,16 @@ class TestSymmetryAndInvariance:
         records = records_for(grid, scheme, periodic=(True, False, True))
         assert_link_symmetry(records)
 
-    @pytest.mark.parametrize("P", [2, 3, 8])
-    def test_rank_count_does_not_change_records(self, channel4, P):
-        base = records_for(channel4, Morton(2))
-        other = records_for(channel4, Morton(2), nranks=P)
+    # With every axis periodic, some boxes span a whole axis and wrap
+    # onto themselves.
+    @pytest.mark.parametrize("P, periodic", [
+        pytest.param(P, periodic, id=f"{P}{tag}")
+        for periodic, tag in (((False,) * 3, ""), ((True,) * 3, "-xyz"))
+        for P in (2, 3, 8, 27)
+    ])
+    def test_rank_count_does_not_change_records(self, channel4, P, periodic):
+        base = records_for(channel4, Morton(2), periodic=periodic)
+        other = records_for(channel4, Morton(2), nranks=P, periodic=periodic)
         assert base.equals(other)
 
     def test_record_count_and_coverage(self, channel4):
@@ -128,10 +136,10 @@ class TestHaloExchange:
         boxes = decompose_ranks(grid.dims, 1)
         ic = contiguous_index_field(grid, LexBlocked(1))
         (view,) = halo_exchange(grid, boxes, [ic])
-        assert not view.flags[0, :, :].any() and not view.flags[-1, :, :].any()
-        assert not view.flags[:, 0, :].any() and not view.flags[:, -1, :].any()
-        assert not view.flags[:, :, 0].any() and not view.flags[:, :, -1].any()
-        assert view.flags[1:-1, 1:-1, 1:-1].all()
+        assert not view.ic[0, :, :].any() and not view.ic[-1, :, :].any()
+        assert not view.ic[:, 0, :].any() and not view.ic[:, -1, :].any()
+        assert not view.ic[:, :, 0].any() and not view.ic[:, :, -1].any()
+        assert view.ic[1:-1, 1:-1, 1:-1].all()
 
     def test_interior_rank_sees_all_neighbors(self):
         grid = VoxelGrid(np.ones((6, 6, 6), dtype=bool))
@@ -142,7 +150,7 @@ class TestHaloExchange:
         views = halo_exchange(grid, boxes, parts)
         center = next(b for b in boxes if b.lo == (2, 2, 2))
         view = views[center.rank]
-        assert view.flags.all()
+        assert view.ic.all()
         lo = np.array(center.lo)
         expect = field[lo[2] - 1:lo[2] + 3, lo[1] - 1:lo[1] + 3, lo[0] - 1:lo[0] + 3]
         assert np.array_equal(view.ic, expect)
@@ -162,3 +170,22 @@ class TestHaloExchange:
         bad = [np.zeros((1, 1, 3), dtype=np.uint64), np.zeros((1, 1, 2), dtype=np.uint64)]
         with pytest.raises(ProtocolError):
             halo_exchange(grid, boxes, bad)
+
+    def test_box_past_grid_rejected(self):
+        grid = VoxelGrid(np.ones((1, 1, 4), dtype=bool))
+        box = RankBox(0, (0, 0, 0), (5, 1, 1))
+        with pytest.raises(ProtocolError, match="reaches past the grid"):
+            halo_exchange(grid, [box], [np.ones((1, 1, 5), dtype=np.uint64)])
+
+    # On a 6-cell line, rank 1 holds [3,6) and rank 0 holds [0,4) or [0,2).
+    @pytest.mark.parametrize("first_hi, cell, what", [
+        (4, "(3, 0, 0)", "held by rank 1 and by another rank"),
+        (2, "(2, 0, 0)", "held by no rank"),
+    ], ids=["overlap", "gap"])
+    def test_coverage_fault_names_the_cell(self, first_hi, cell, what):
+        grid = VoxelGrid(np.ones((1, 1, 6), dtype=bool))
+        field = contiguous_index_field(grid, LexBlocked(1))
+        boxes = [RankBox(0, (0, 0, 0), (first_hi, 1, 1)), RankBox(1, (3, 0, 0), (6, 1, 1))]
+        parts = [field[:, :, b.lo[0]:b.hi[0]] for b in boxes]
+        with pytest.raises(ProtocolError, match=re.escape(f"cell {cell} is {what}")):
+            halo_exchange(grid, boxes, parts)

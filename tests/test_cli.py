@@ -78,6 +78,14 @@ class TestGenerate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_impossible_size_exits_one(self, tmp_path, capsys):
+        # The (d, d, 5d) flag array needs 4.44 PiB, so its allocation fails at once.
+        code = main(["generate", "--channel", "--d", "100000",
+                     "--out", str(tmp_path / "big.voxl")])
+        assert code == 1
+        assert "Unable to allocate" in error_only(capsys.readouterr().err)
+        assert not (tmp_path / "big.voxl").exists()
+
 
 class TestPreprocess:
     def test_repeat_runs_are_byte_identical(self, tmp_path, voxel_file):
