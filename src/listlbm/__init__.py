@@ -19,7 +19,6 @@ from .errors import (
     ListLbmError,
     NotConvergedError,
     ParameterError,
-    PartitionMapError,
     ProtocolError,
     SchemeParseError,
     TooManyProcessesError,
@@ -47,7 +46,6 @@ from .partition import (
     PartitionStats,
     chunk_ranges,
     emit_histograms,
-    import_partition_map,
     partition_stats,
 )
 from .pipeline import contiguous_index_field, preprocess_grid, preprocess_to_file
@@ -77,7 +75,6 @@ __all__ = [
     "NotConvergedError",
     "ParameterError",
     "PartitionAssignment",
-    "PartitionMapError",
     "PartitionStats",
     "ProtocolError",
     "RankBox",
@@ -100,7 +97,6 @@ __all__ = [
     "emit_histograms",
     "find_runs",
     "halo_exchange",
-    "import_partition_map",
     "index_of",
     "load_voxels",
     "make_channel",

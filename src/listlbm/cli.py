@@ -4,11 +4,14 @@ Single binary with subcommands::
 
     listlbm generate   --channel|--packing --d D [--seed S] --out FILE
     listlbm preprocess --in FILE [--scheme TEXT] [--ranks P] [--periodic AXES] --out FILE
-    listlbm analyze    --in FILE (--parts N | --map FILE) --out-prefix PREFIX
+    listlbm analyze    --in FILE [--parts N] --out-prefix PREFIX
     listlbm solve      --in FILE [--parts N] [--tau T] [--lambda L]
                        [--force GX,GY,GZ] --steps K [--workers W] [--report FILE]
     listlbm bench      (same as solve, plus --warmup K)
     listlbm info       --in FILE
+
+Without --parts, analyze, solve and bench take the partitions of the
+file's start table, or one partition when the file has none.
 
 Exit status: 0 on success, 1 with a one-line diagnostic for domain errors,
 unwritable outputs and sizes too large to allocate, 2 for usage errors (unknown flags, conflicting
@@ -25,7 +28,7 @@ from .adjacency import check_links
 from .errors import ListLbmError, ParameterError
 from .geometry import load_voxels, make_channel, make_packing, save_voxels
 from .numbering import parse_scheme
-from .partition import chunk_ranges, emit_histograms, import_partition_map, partition_stats
+from .partition import emit_histograms, partition_stats
 from .pipeline import preprocess_to_file
 from .solver import Simulation, TrtParams, run_benchmark
 from .sparse_io import read_header, read_sparse
@@ -107,13 +110,9 @@ def _cmd_preprocess(args):
 
 
 def _cmd_analyze(args):
-    _distinct_paths(args.infile, args.map)
     header, records = read_sparse(args.infile)
     check_links(records.nbr.T)
-    if args.map is not None:
-        assignment = import_partition_map(args.map, header.n_fluid)
-    else:
-        assignment = chunk_ranges(header.n_fluid, args.parts)
+    assignment = header.partition(args.parts)
     stats = partition_stats(records, assignment)
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")
     print(f"total_remote_links={stats.total_remote_links}")
@@ -143,7 +142,7 @@ def _run_solver(args, warmup):
         fh.write(report.csv())
     if args.report is not None:
         print(f"wrote {args.report}")
-    print(f"steps={args.steps} fluid_cells={header.n_fluid} partitions={args.parts}")
+    print(f"steps={args.steps} fluid_cells={header.n_fluid} partitions={sim.nparts}")
     print(f"flup_count={report.flup_count} seconds={report.seconds:.3f}")
     print(f"flups={report.flups:.6e} gflops_est={report.gflops_est:.6f}")
     return 0
@@ -173,11 +172,16 @@ def _cmd_info(args):
     return 0
 
 
-def _add_solver_flags(sub):
+def _add_input_flags(sub):
     sub.add_argument("--in", dest="infile", type=_input_path, required=True,
                      help="sparse domain file")
-    sub.add_argument("--parts", type=_positive_int, default=1,
-                     help="number of solver partitions (default 1)")
+    sub.add_argument("--parts", type=_positive_int, default=None,
+                     help="equal-chunk partition count (default: the file's start "
+                          "table, else 1)")
+
+
+def _add_solver_flags(sub):
+    _add_input_flags(sub)
     sub.add_argument("--tau", type=float, default=0.8,
                      help="even relaxation time tau+ (default 0.8)")
     sub.add_argument("--lambda", dest="magic", type=float, default=3.0 / 16.0,
@@ -219,13 +223,7 @@ def _build_parser():
     pre.set_defaults(handler=_cmd_preprocess)
 
     ana = commands.add_parser("analyze", help="partition quality statistics and histograms")
-    ana.add_argument("--in", dest="infile", type=_input_path, required=True,
-                     help="sparse domain file")
-    split = ana.add_mutually_exclusive_group(required=True)
-    split.add_argument("--parts", type=_positive_int, default=None,
-                       help="equal-chunk partition count")
-    split.add_argument("--map", type=_input_path, default=None,
-                       help="partition map file (one start index per line)")
+    _add_input_flags(ana)
     ana.add_argument("--out-prefix", required=True, help="prefix for histogram CSV files")
     ana.set_defaults(handler=_cmd_analyze)
 

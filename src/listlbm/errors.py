@@ -43,16 +43,6 @@ class TooManyProcessesError(ListLbmError):
     """More partitions requested than fluid cells available."""
 
 
-class PartitionMapError(ListLbmError):
-    """An external partition-map file is malformed. Carries the line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-        self.line = line
-
-
 class DataError(ListLbmError):
     """Sparse records reference indices outside the valid range."""
 

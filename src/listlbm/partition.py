@@ -1,10 +1,11 @@
 """Partitioning of the 1-D fluid cell list and partition-quality metrics.
 
-The default assignment cuts the contiguous index range [1, N_f] into N
-equal chunks (the trailing ones smaller by one cell). Externally
-computed partitions are imported as a text file of start indices.
-Quality metrics count, per partition, the distinct neighbor partitions
-and the directed PDF links crossing partition boundaries.
+A partitioning is a list of start indices cutting the contiguous index
+range [1, N_f] into ranges: N equal chunks (the trailing ones smaller by
+one cell) or the start table of a sparse file, chosen in one place by
+`SparseHeader.partition`. Quality metrics count, per partition, the
+distinct neighbor partitions and the directed PDF links crossing
+partition boundaries.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, PartitionMapError, TooManyProcessesError
+from .errors import DataError, TooManyProcessesError
 
 __all__ = [
     "PartitionAssignment",
@@ -21,7 +22,6 @@ __all__ = [
     "chunk_ranges",
     "emit_histograms",
     "first_bad_start",
-    "import_partition_map",
     "partition_stats",
 ]
 
@@ -101,35 +101,6 @@ def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
     bounds[0] = 1
     np.cumsum(sizes, out=bounds[1:])
     bounds[1:] += 1
-    return PartitionAssignment(n_fluid=n_fluid, boundaries=bounds)
-
-
-def import_partition_map(path, n_fluid: int) -> PartitionAssignment:
-    """Read one start index per line; starts must begin at 1, increase
-    strictly and stay within [1, N_f]."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise PartitionMapError(
-            "partition map is not ASCII text", line=raw.count(b"\n", 0, exc.start) + 1
-        ) from None
-    starts = []
-    for lineno, line in enumerate(lines, 1):
-        s = line.strip()
-        if not s:
-            raise PartitionMapError("empty line in partition map", line=lineno)
-        try:
-            starts.append(int(s))
-        except ValueError:
-            raise PartitionMapError(f"not an integer: {s!r}", line=lineno) from None
-    if not starts:
-        raise PartitionMapError("partition map contains no start indices")
-    bad = first_bad_start(starts, n_fluid)
-    if bad is not None:
-        raise PartitionMapError(bad[1], line=bad[0] + 1)
-    bounds = np.array(starts + [n_fluid + 1], dtype=np.uint64)
     return PartitionAssignment(n_fluid=n_fluid, boundaries=bounds)
 
 

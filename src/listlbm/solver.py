@@ -25,7 +25,6 @@ from .errors import (
     ParameterError,
     ProtocolError,
 )
-from .partition import chunk_ranges
 
 __all__ = [
     "BenchReport",
@@ -188,16 +187,19 @@ def macroscopic(domain: LocalDomain, params: TrtParams):
 class Simulation:
     """Coordinator for N partitions stepping in lockstep.
 
-    `records` must be sorted by I_c, as `preprocess_grid` and
-    `read_sparse` return them; each partition takes its slice. Workers
-    only ever write their own arrays; the ghost exchange runs at a
-    barrier between steps, so results do not depend on scheduling.
+    The partitions are `header.partition(nparts)`: `nparts` equal chunks,
+    or with None the file's start table or one partition. `records` must
+    be sorted by I_c, as `preprocess_grid` and `read_sparse` return them;
+    each partition takes its slice. Workers only ever write their own
+    arrays; the ghost exchange runs at a barrier between steps, so
+    results do not depend on scheduling.
     """
 
-    def __init__(self, header, records, nparts: int, params: TrtParams, workers: int | None = None):
+    def __init__(self, header, records, nparts: int | None, params: TrtParams,
+                 workers: int | None = None):
         self.header = header
         self.params = params
-        self.assignment = chunk_ranges(header.n_fluid, nparts)
+        self.assignment = header.partition(nparts)
         self.workers = workers
         n = header.n_fluid
         if not np.array_equal(records.ic, np.arange(1, n + 1, dtype=np.uint64)):
@@ -219,8 +221,8 @@ class Simulation:
                 dst = slice(dq.n_own + g0, dq.n_own + g1)
                 self._plan.append((q, int(p), dst, dq.ghost_ic[g0:g1] - bounds[p]))
         self.step_count = 0
-        self.compute_seconds = np.zeros(nparts)
-        self.exchange_seconds = np.zeros(nparts)
+        self.compute_seconds = np.zeros(self.assignment.N)
+        self.exchange_seconds = np.zeros(self.assignment.N)
 
     @property
     def nparts(self) -> int:

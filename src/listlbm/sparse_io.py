@@ -10,6 +10,7 @@ so chunk reads seek straight to their record range.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 
 from .adjacency import SparseRecords
 from .errors import ConsistencyError, FormatError
-from .partition import chunk_ranges, first_bad_start
+from .partition import PartitionAssignment, chunk_ranges, first_bad_start
 
 __all__ = [
     "RECORD_DTYPE",
@@ -62,6 +63,14 @@ class SparseHeader:
             bad = first_bad_start(self.part_starts, self.n_fluid)
             if bad is not None:
                 raise ValueError(f"partition start table entry #{bad[0]}: {bad[1]}")
+
+    def partition(self, parts: int | None = None) -> PartitionAssignment:
+        """The one source of partition boundaries: `parts` equal chunks
+        when given, else the file's start table, else one partition."""
+        if parts is None and self.part_starts is not None:
+            bounds = np.array([*self.part_starts, self.n_fluid + 1], dtype=np.uint64)
+            return PartitionAssignment(n_fluid=self.n_fluid, boundaries=bounds)
+        return chunk_ranges(self.n_fluid, 1 if parts is None else parts)
 
 
 def header_nbytes(header: SparseHeader) -> int:
@@ -112,13 +121,14 @@ def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """Read n bytes, comparing n with the bytes left first, so a length
+    taken from the file never sizes a buffer larger than the file."""
     pos = fh.tell()
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(
-            f"truncated {what}: need {n} bytes, got {len(buf)}", offset=pos + len(buf)
-        )
-    return buf
+    left = fh.seek(0, os.SEEK_END) - pos
+    fh.seek(pos)
+    if n > left:
+        raise FormatError(f"truncated {what}: need {n} bytes, got {left}", offset=pos)
+    return fh.read(n)
 
 
 def read_header(fh) -> SparseHeader:
@@ -220,17 +230,16 @@ def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
     return header, _to_records(arr, 1, header.n_fluid, base)
 
 
-def read_chunk(path, n: int, N: int) -> tuple[SparseHeader, SparseRecords]:
-    """Read only chunk n of N (equal chunking over [1, N_f])."""
+def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
+    """Read only the records I_c in [lo, hi), e.g. one range of
+    `header.partition(...)`; the range must lie in [1, N_f + 1]."""
+    lo, hi = operator.index(lo), operator.index(hi)
     with open(path, "rb") as fh:
         header = read_header(fh)
         base = fh.tell()
-        assignment = chunk_ranges(header.n_fluid, N)  # validates N <= N_f
-        if not 0 <= n < N:
-            raise ValueError(f"chunk id {n} outside [0, {N})")
+        if not 1 <= lo <= hi <= header.n_fluid + 1:
+            raise ValueError(f"record range [{lo}, {hi}) outside [1, {header.n_fluid + 1}]")
         _check_body_size(path, header, base)
-        lo = int(assignment.boundaries[n])
-        hi = int(assignment.boundaries[n + 1])
         fh.seek(base + RECORD_DTYPE.itemsize * (lo - 1))
         raw = fh.read(RECORD_DTYPE.itemsize * (hi - lo))
         arr = np.frombuffer(raw, dtype=RECORD_DTYPE)

@@ -1,6 +1,23 @@
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from listlbm import (
+    LexBlocked,
+    PartitionAssignment,
+    SparseHeader,
+    chunk_ranges,
+    make_channel,
+    partition_stats,
+    preprocess_grid,
+    read_sparse,
+    write_sparse,
+)
 from listlbm.cli import main
 
 
@@ -28,6 +45,33 @@ def channel6_file(tmp_path):
     assert main(["preprocess", "--in", str(voxels), "--periodic", "x",
                  "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture
+def stamped_file(tmp_path, sparse_file):
+    """The 80-cell channel with the unequal start table (1, 11, 50)."""
+    header, records = read_sparse(sparse_file)
+    path = tmp_path / "stamped.sprs"
+    write_sparse(path, records, SparseHeader(header.dims, header.n_fluid, header.scheme_text,
+                                             header.periodic, part_starts=(1, 11, 50)))
+    return path
+
+
+def header_fields(scheme_text):
+    """Byte offset and width of each integer field of a header with a
+    start table: the fixed fields take 46 bytes, then the scheme text."""
+    flag = 46 + len(scheme_text)
+    return {"X": (8, 8), "Y": (16, 8), "Z": (24, 8), "N_f": (32, 8), "periodic": (40, 4),
+            "table flag": (flag, 4), "count": (flag + 4, 8), "start": (flag + 20, 8)}
+
+
+def overwrite(raw, fields, values):
+    """Copy of the file bytes `raw` with the named header fields set."""
+    out = bytearray(raw)
+    for name, value in values.items():
+        at, width = fields[name]
+        out[at : at + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+    return bytes(out)
 
 
 def self_linked_copy(path, tmp_path):
@@ -146,6 +190,16 @@ class TestInfo:
         assert main(["info", "--in", str(voxel_file)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [2 ** 60, 2 ** 37])
+    def test_start_table_beyond_file_exits_one(self, tmp_path, channel6_file, capsys, count):
+        # the channel has no table, so the count lands on the first record
+        big = 2 ** 21
+        bad = tmp_path / "big.sprs"
+        bad.write_bytes(overwrite(channel6_file.read_bytes(), header_fields("lex:b=1"), {
+            "X": big, "Y": big, "Z": big, "N_f": 2 ** 61, "table flag": 1, "count": count}))
+        assert main(["info", "--in", str(bad)]) == 1
+        assert "truncated start table" in error_only(capsys.readouterr().err)
+
 
 class TestAnalyze:
     def test_writes_histograms(self, tmp_path, sparse_file, capsys):
@@ -174,48 +228,42 @@ class TestAnalyze:
         assert "link 0 of I_c=10 to 10 has no link back" in error_only(err)
         assert "total_remote_links" not in out
 
-    def test_partition_map_input(self, tmp_path, sparse_file, capsys):
-        map_file = tmp_path / "map.txt"
-        map_file.write_text("1\n41\n")
-        code = main(["analyze", "--in", str(sparse_file), "--map", str(map_file),
-                     "--out-prefix", str(tmp_path / "h")])
-        assert code == 0
-        assert "partitions=2" in capsys.readouterr().out
-
-    def test_bad_map_exits_one(self, tmp_path, sparse_file, capsys):
-        map_file = tmp_path / "map.txt"
-        map_file.write_text("3\n")
-        code = main(["analyze", "--in", str(sparse_file), "--map", str(map_file),
-                     "--out-prefix", str(tmp_path / "h")])
-        assert code == 1
-        assert "line 1" in capsys.readouterr().err
-
-    def test_non_ascii_map_exits_one(self, tmp_path, sparse_file, capsys):
-        map_file = tmp_path / "map.txt"
-        map_file.write_bytes(b"\xff1\n")
-        code = main(["analyze", "--in", str(sparse_file), "--map", str(map_file),
-                     "--out-prefix", str(tmp_path / "h")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "line 1" in err[0]
-
     def test_missing_output_directory_exits_one(self, tmp_path, sparse_file, capsys):
         code = main(["analyze", "--in", str(sparse_file), "--parts", "2",
                      "--out-prefix", str(tmp_path / "nodir" / "o")])
         assert code == 1
         assert "No such file or directory" in error_only(capsys.readouterr().err)
 
-    def test_parts_and_map_conflict(self, tmp_path, sparse_file):
-        map_file = tmp_path / "map.txt"
-        map_file.write_text("1\n")
-        code = main(["analyze", "--in", str(sparse_file), "--parts", "2",
-                     "--map", str(map_file), "--out-prefix", str(tmp_path / "h")])
-        assert code == 2
-
-    def test_split_selector_required(self, tmp_path, sparse_file):
+    def test_split_selector_required(self, tmp_path, sparse_file, capsys):
+        # without --parts or a start table the file is one partition
         code = main(["analyze", "--in", str(sparse_file),
                      "--out-prefix", str(tmp_path / "h")])
-        assert code == 2
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "partitions=1 " in out
+        assert "total_remote_links=0" in out
+
+    def test_start_table_is_the_default(self, tmp_path, stamped_file, capsys):
+        header, records = read_sparse(stamped_file)
+        table = PartitionAssignment(header.n_fluid, np.array([1, 11, 50, 81]))
+        expect = partition_stats(records, table).total_remote_links
+        assert expect != partition_stats(records, chunk_ranges(80, 3)).total_remote_links
+        code = main(["analyze", "--in", str(stamped_file),
+                     "--out-prefix", str(tmp_path / "h")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "partitions=3 " in out
+        assert f"total_remote_links={expect}\n" in out
+
+    def test_parts_override_start_table(self, tmp_path, stamped_file, capsys):
+        _, records = read_sparse(stamped_file)
+        expect = partition_stats(records, chunk_ranges(80, 4)).total_remote_links
+        code = main(["analyze", "--in", str(stamped_file), "--parts", "4",
+                     "--out-prefix", str(tmp_path / "h")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "partitions=4 " in out
+        assert f"total_remote_links={expect}\n" in out
 
 
 class TestSolveAndBench:
@@ -230,6 +278,10 @@ class TestSolveAndBench:
         lines = report.read_text().splitlines()
         assert lines[0] == "partitions,steps,fluid_cells,seconds,flups,gflops_est"
         assert lines[1].startswith("2,10,80,")
+
+    def test_partition_count_of_start_table(self, stamped_file, capsys):
+        assert main(["solve", "--in", str(stamped_file), "--steps", "2"]) == 0
+        assert "partitions=3\n" in capsys.readouterr().out
 
     def test_bench_accepts_warmup(self, sparse_file, capsys):
         code = main(["bench", "--in", str(sparse_file), "--steps", "5",
@@ -296,6 +348,50 @@ class TestSolveAndBench:
         code = main(["solve", "--in", str(sparse_file), "--steps", "2", *flags])
         assert code == 1
         assert "finite" in error_only(capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """Two stamped files to corrupt: the 80-cell channel with the start
+    table (1, 11, 50), and the same bytes under a header promising
+    N_f = 2^61 cells in a 2^21-cube, far more than the file holds."""
+    header, records = preprocess_grid(make_channel(4), LexBlocked(4),
+                                      periodic=(True, False, False))
+    path = tmp_path_factory.mktemp("fuzz") / "base.sprs"
+    write_sparse(path, records, SparseHeader(header.dims, header.n_fluid, header.scheme_text,
+                                             header.periodic, part_starts=(1, 11, 50)))
+    fields = header_fields(header.scheme_text)
+    stamped = path.read_bytes()
+    big = 2 ** 21
+    promised = overwrite(stamped, fields, {"X": big, "Y": big, "Z": big, "N_f": 2 ** 61})
+    return path.parent, fields, {"stamped": stamped, "promised": promised}
+
+
+def run_captured(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestHeaderFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(base=st.sampled_from(["stamped", "promised"]),
+           field=st.sampled_from(list(header_fields("lex:b=4"))),
+           value=st.integers(0, 2 ** 64 - 1))
+    @example(base="promised", field="count", value=2 ** 60)
+    @example(base="promised", field="count", value=2 ** 37)
+    def test_every_command_ends_in_a_verdict(self, fuzz_bases, base, field, value):
+        """One overwritten header field never crashes a command: each
+        exits 0 quietly or 1 with exactly one `error:` line."""
+        where, fields, bases = fuzz_bases
+        path = where / "fuzzed.sprs"
+        path.write_bytes(overwrite(bases[base], fields, {field: value}))
+        for argv in (["info"], ["analyze", "--out-prefix", str(where / "h")],
+                     ["solve", "--steps", "1"]):
+            code, err = run_captured([argv[0], "--in", str(path), *argv[1:]])
+            assert (code, err) == (0, "") or (
+                code == 1 and re.fullmatch(r"error: \S.*\n", err)), (argv, code, err)
 
 
 class TestUsage:

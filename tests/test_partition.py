@@ -9,13 +9,11 @@ from listlbm import (
     DataError,
     LexBlocked,
     PartitionAssignment,
-    PartitionMapError,
     PartitionStats,
     TooManyProcessesError,
     VoxelGrid,
     chunk_ranges,
     emit_histograms,
-    import_partition_map,
     partition_stats,
     preprocess_grid,
 )
@@ -68,48 +66,6 @@ class TestChunkRanges:
         assert sizes.max() - sizes.min() <= 1
         ic = np.asarray(assignment.boundaries[:-1], dtype=np.uint64)
         assert assignment.owner_of(ic).tolist() == list(range(N))
-
-
-class TestImportMap:
-    def write(self, tmp_path, text):
-        path = tmp_path / "parts.txt"
-        path.write_text(text)
-        return path
-
-    def test_valid_map(self, tmp_path):
-        assignment = import_partition_map(self.write(tmp_path, "1\n5\n8\n"), 10)
-        assert assignment.sizes.tolist() == [4, 3, 3]
-        assert assignment == chunk_ranges(10, 3)
-
-    def test_single_start(self, tmp_path):
-        assignment = import_partition_map(self.write(tmp_path, "1\n"), 10)
-        assert assignment.sizes.tolist() == [10]
-
-    def test_must_begin_at_one(self, tmp_path):
-        with pytest.raises(PartitionMapError, match="line 1"):
-            import_partition_map(self.write(tmp_path, "2\n5\n"), 10)
-
-    def test_non_integer_line(self, tmp_path):
-        with pytest.raises(PartitionMapError, match="line 2"):
-            import_partition_map(self.write(tmp_path, "1\nfive\n"), 10)
-
-    def test_non_increasing(self, tmp_path):
-        with pytest.raises(PartitionMapError, match="line 3"):
-            import_partition_map(self.write(tmp_path, "1\n5\n5\n"), 10)
-
-    def test_out_of_range(self, tmp_path):
-        with pytest.raises(PartitionMapError, match="line 2"):
-            import_partition_map(self.write(tmp_path, "1\n11\n"), 10)
-
-    def test_empty_file(self, tmp_path):
-        with pytest.raises(PartitionMapError):
-            import_partition_map(self.write(tmp_path, ""), 10)
-
-    def test_non_ascii_names_its_line(self, tmp_path):
-        path = tmp_path / "parts.txt"
-        path.write_bytes(b"1\n\xff5\n")
-        with pytest.raises(PartitionMapError, match="line 2"):
-            import_partition_map(path, 10)
 
 
 class TestFirstBadStart:

@@ -130,38 +130,55 @@ class TestWriteValidation:
             write_sparse(tmp_path / "nbr.sprs", records, header)
 
 
+def ranges(assignment):
+    b = [int(x) for x in assignment.boundaries]
+    return list(zip(b[:-1], b[1:]))
+
+
 class TestChunkedReads:
     def test_first_chunk_of_ten_by_three(self, tmp_path):
         grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
         path = tmp_path / "line.sprs"
-        preprocess_to_file(grid, LexBlocked(1), path)
-        _, records = read_chunk(path, 0, 3)
+        header = preprocess_to_file(grid, LexBlocked(1), path)
+        lo, hi = ranges(header.partition(3))[0]
+        _, records = read_chunk(path, lo, hi)
         assert records.ic.tolist() == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 80])
     def test_chunks_concatenate_to_whole(self, channel_file, N):
         path, header = channel_file
         _, whole = read_sparse(path)
-        parts = [read_chunk(path, n, N)[1] for n in range(N)]
+        parts = [read_chunk(path, lo, hi)[1] for lo, hi in ranges(header.partition(N))]
+        assert SparseRecords.concat(parts).equals(whole)
+
+    def test_table_chunks_concatenate_to_whole(self, table_file):
+        path, _ = table_file
+        header, whole = read_sparse(path)
+        assert ranges(header.partition()) == [(1, 4), (4, 8), (8, 11)]
+        parts = [read_chunk(path, lo, hi)[1] for lo, hi in ranges(header.partition())]
         assert SparseRecords.concat(parts).equals(whole)
 
     def test_single_record_chunks(self, channel_file):
         path, header = channel_file
-        _, chunk = read_chunk(path, 5, header.n_fluid)
+        _, chunk = read_chunk(path, 6, 7)
         assert len(chunk) == 1
         assert chunk.ic[0] == 6
+        _, empty = read_chunk(path, 81, 81)
+        assert len(empty) == 0
 
     def test_too_many_chunks(self, channel_file):
-        path, header = channel_file
+        _, header = channel_file
         with pytest.raises(TooManyProcessesError):
-            read_chunk(path, 0, header.n_fluid + 1)
+            header.partition(header.n_fluid + 1)
 
-    def test_bad_chunk_number(self, channel_file):
+    def test_bad_chunk_number(self, channel_file, tmp_path):
         path, _ = channel_file
-        with pytest.raises(ValueError):
-            read_chunk(path, 3, 3)
-        with pytest.raises(ValueError):
-            read_chunk(path, -1, 3)
+        cut = tmp_path / "cut.sprs"
+        cut.write_bytes(path.read_bytes()[:-10])
+        for lo, hi in [(0, 3), (3, 2), (1, 82), (82, 82)]:
+            for source in (path, cut):  # the range is checked before any record
+                with pytest.raises(ValueError, match=r"outside \[1, 81\]"):
+                    read_chunk(source, lo, hi)
 
 
 def corrupt(path, tmp_path, name, mutate):
@@ -234,7 +251,7 @@ class TestFormatErrors:
         out = tmp_path / "c.sprs"
         out.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError):
-            read_chunk(out, 0, 2)
+            read_chunk(out, 1, 41)
 
     def test_neighbor_above_fluid_count(self, channel_file, tmp_path):
         path, header = channel_file
@@ -245,11 +262,11 @@ class TestFormatErrors:
             raw[at : at + 8] = (header.n_fluid + 5).to_bytes(8, "little")
 
         bad = corrupt(path, tmp_path, "nbr.sprs", mutate)
-        for read in (lambda: read_sparse(bad), lambda: read_chunk(bad, 0, 2)):
+        for read in (lambda: read_sparse(bad), lambda: read_chunk(bad, 1, 41)):
             with pytest.raises(FormatError, match="I_c=5") as info:
                 read()
             assert info.value.offset == at
-        _, tail = read_chunk(bad, 1, 2)  # the other chunk does not hold I_c=5
+        _, tail = read_chunk(bad, 41, 81)  # the other chunk does not hold I_c=5
         assert len(tail) == header.n_fluid // 2
 
 
@@ -284,3 +301,19 @@ class TestStartTableErrors:
         with pytest.raises(FormatError, match=reason) as info:
             read_sparse(bad)
         assert info.value.offset == at
+
+    @pytest.mark.parametrize("count", [2 ** 60, 2 ** 37])
+    def test_count_beyond_file_names_table_offset(self, channel_file, tmp_path, count):
+        path, header = channel_file
+        flag = header_nbytes(header) - 4
+
+        def mutate(raw):
+            for at in (8, 16, 24):
+                raw[at : at + 8] = (2 ** 21).to_bytes(8, "little")
+            raw[32:40] = (2 ** 61).to_bytes(8, "little")
+            raw[flag : flag + 12] = (1).to_bytes(4, "little") + count.to_bytes(8, "little")
+
+        bad = corrupt(path, tmp_path, "big.sprs", mutate)
+        with pytest.raises(FormatError, match="truncated start table") as info:
+            read_sparse(bad)
+        assert info.value.offset == flag + 12
