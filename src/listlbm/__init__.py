@@ -9,7 +9,6 @@ collision kernel with indirect addressing.
 
 from .adjacency import STENCIL, SparseRecords, build_adjacency, halo_exchange
 from .errors import (
-    ConsistencyError,
     DataError,
     DecompositionError,
     DivergenceError,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchReport",
-    "ConsistencyError",
     "DataError",
     "DecompositionError",
     "DivergenceError",

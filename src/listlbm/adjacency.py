@@ -1,11 +1,14 @@
-"""D3Q19 adjacency construction over fluid cells via halo exchange.
+"""D3Q19 adjacency construction over fluid cells via halo exchange, and
+the one validator of sparse records in memory.
 
 Each rank's box is padded by one cell of I_c, filled with one copy from
 each rank that owns part of it (wrapped on periodic axes, 0 beyond
 non-periodic ends); a cell is fluid when its I_c is > 0. A pad cell held
 by no rank or by two is a ProtocolError naming the cell. Neighbor
 entries store the contiguous index of the fluid neighbor, or 0 when the
-neighbor is solid or outside the domain.
+neighbor is solid or outside the domain. `check_records` and
+`check_links` raise DataError naming the first I_c that breaks a record
+rule; the file readers share `first_bad_entry` for the range rule.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .errors import DataError, ProtocolError
 from .geometry import RankBox, VoxelGrid
 
 __all__ = [
-    "STENCIL", "HaloView", "SparseRecords", "build_adjacency", "check_links", "halo_exchange",
+    "STENCIL", "HaloView", "SparseRecords", "build_adjacency", "check_links", "check_records",
+    "first_bad_entry", "halo_exchange",
 ]
 
 # 18 non-rest directions, opposite-paired: direction i and i XOR 1 are
@@ -197,18 +201,38 @@ def build_adjacency(halo: HaloView) -> SparseRecords:
     return SparseRecords(coords=coords, ic=flat[at], nbr=nbr)
 
 
+def first_bad_entry(nbr: np.ndarray, n_fluid: int) -> tuple[int, int] | None:
+    """Record and direction of the first (n, 18) neighbor entry above
+    N_f, or None when every entry is 0 or in 1..N_f."""
+    if not nbr.size or int(nbr.max()) <= n_fluid:
+        return None
+    return divmod(int(np.argmax(nbr > n_fluid)), 18)
+
+
+def check_records(records: SparseRecords, n_fluid: int) -> None:
+    """Raise DataError unless there are N_f records, record i holds
+    I_c = i + 1, and every neighbor entry is 0 or in 1..N_f."""
+    n = len(records)
+    if n != n_fluid:
+        raise DataError(f"{n} records for N_f={n_fluid}: I_c={min(n, n_fluid) + 1} has no match")
+    bad = np.flatnonzero(records.ic != np.arange(1, n + 1, dtype=np.uint64))
+    if bad.size:
+        a = int(bad[0])
+        raise DataError(f"I_c={a + 1} is not record {a}: records must be I_c = 1..{n} in order")
+    bad = first_bad_entry(records.nbr, n_fluid)
+    if bad is not None:
+        a, i = bad
+        raise DataError(f"link {i} of I_c={a + 1} to {records.nbr[a, i]} is outside 1..{n}")
+
+
 def check_links(by_dir: np.ndarray) -> None:
-    """Raise DataError unless every entry of the (18, N_f) adjacency is 0
-    or in 1..N_f and every link a -> b in direction i has its link back
-    b -> a in direction i ^ 1. Rows are scanned as contiguous int64."""
+    """Raise DataError unless every link a -> b in direction i of the
+    (18, N_f) adjacency has its link back b -> a in direction i ^ 1.
+    Entries must already be 0 or in 1..N_f (`check_records`). Rows are
+    scanned as contiguous int64."""
     by_dir = np.ascontiguousarray(by_dir, dtype=np.int64)
-    n = by_dir.shape[1]
     for i in range(18):
         row = by_dir[i]
-        bad = np.flatnonzero((row < 0) | (row > n))
-        if bad.size:
-            a = int(bad[0])
-            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} is outside 1..{n}")
         linked = np.flatnonzero(row)
         bad = np.flatnonzero(by_dir[i ^ 1, row[linked] - 1] != linked + 1)
         if bad.size:

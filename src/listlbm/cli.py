@@ -31,7 +31,7 @@ from .numbering import parse_scheme
 from .partition import emit_histograms, partition_stats
 from .pipeline import preprocess_to_file
 from .solver import Simulation, TrtParams, run_benchmark
-from .sparse_io import read_header, read_sparse
+from .sparse_io import check_body_size, read_header, read_sparse
 
 
 def _distinct_paths(*paths):
@@ -159,6 +159,7 @@ def _cmd_bench(args):
 def _cmd_info(args):
     with open(args.infile, "rb") as fh:
         header = read_header(fh)
+        check_body_size(fh, header.n_fluid)
     X, Y, Z = header.dims
     print(f"dims={X}x{Y}x{Z}")
     print(f"fluid_cells={header.n_fluid}")
@@ -237,7 +238,7 @@ def _build_parser():
                      help="untimed steps before measuring (default 0)")
     ben.set_defaults(handler=_cmd_bench)
 
-    inf = commands.add_parser("info", help="print a sparse domain file header")
+    inf = commands.add_parser("info", help="check a sparse domain file's size, print its header")
     inf.add_argument("--in", dest="infile", type=_input_path, required=True,
                      help="sparse domain file")
     inf.set_defaults(handler=_cmd_info)

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all listlbm modules."""
+"""Exception taxonomy shared by all listlbm modules. Bad sparse records
+raise DataError in memory and FormatError, at a byte offset, in a file."""
 
 
 class ListLbmError(Exception):
@@ -35,16 +36,13 @@ class ProtocolError(ListLbmError):
     """The distributed reduction or exchange received inconsistent data."""
 
 
-class ConsistencyError(ListLbmError):
-    """Records violate the contiguous-index bijection."""
-
-
 class TooManyProcessesError(ListLbmError):
     """More partitions requested than fluid cells available."""
 
 
 class DataError(ListLbmError):
-    """Sparse records reference indices outside the valid range."""
+    """In-memory sparse records break a record rule: their count, the I_c
+    order 1..N_f, the neighbor range or link symmetry."""
 
 
 class ParameterError(ListLbmError):

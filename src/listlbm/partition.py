@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TooManyProcessesError
+from .adjacency import check_records
+from .errors import TooManyProcessesError
 
 __all__ = [
     "PartitionAssignment",
@@ -131,23 +132,12 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     A directed link a -> b counts when partition(a) != partition(b);
     links to solid cells (nbr 0) and links staying inside a partition
     (including periodic wraps onto the same partition) do not count.
+    The records pass `check_records` first; link symmetry is not checked.
     """
+    check_records(records, assignment.n_fluid)
     N = assignment.N
-    n_fluid = assignment.n_fluid
-    ic = records.ic
     nbr = records.nbr
-    if len(records) != n_fluid:
-        raise DataError(
-            f"expected {n_fluid} records covering [1, {n_fluid}], got {len(records)}"
-        )
-    if n_fluid and (ic.min() < 1 or ic.max() > n_fluid):
-        raise DataError("record indices outside [1, N_f]")
-    if n_fluid and int(nbr.max()) > n_fluid:
-        raise DataError(
-            f"neighbor index {int(nbr.max())} exceeds N_f={n_fluid}"
-        )
-    owner = assignment.owner_of(ic)
-    fluid_cells = np.bincount(owner, minlength=N).astype(np.int64)
+    owner = assignment.owner_of(records.ic)
 
     valid = nbr != 0
     src = np.broadcast_to(owner[:, None], nbr.shape)[valid]
@@ -157,7 +147,7 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     pair_ids = np.unique(src[cross].astype(np.int64) * N + dst[cross])
     neighbor_count = np.bincount(pair_ids // N, minlength=N).astype(np.int64)
     return PartitionStats(
-        fluid_cells=fluid_cells,
+        fluid_cells=assignment.sizes,
         neighbor_count=neighbor_count,
         remote_links=remote_links,
     )

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adjacency import SparseRecords, build_adjacency, halo_exchange
-from .errors import ConsistencyError
+from .adjacency import SparseRecords, build_adjacency, check_records, halo_exchange
 from .geometry import VoxelGrid, decompose_ranks
 from .indexer import (
     CellOrder,
@@ -69,11 +68,7 @@ def preprocess_grid(
     boxes, ic_by_rank = _distributed_ic(grid, scheme, nranks, rng)
     halos = halo_exchange(grid, boxes, ic_by_rank, periodic=periodic)
     records = SparseRecords.concat(build_adjacency(h) for h in halos).sorted_by_ic()
-    if len(records) != grid.fluid_count:
-        raise ConsistencyError(
-            f"adjacency produced {len(records)} records "
-            f"for {grid.fluid_count} fluid cells"
-        )
+    check_records(records, grid.fluid_count)
     header = SparseHeader(
         dims=grid.dims,
         n_fluid=grid.fluid_count,

@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import STENCIL, check_links
-from .errors import (
-    DivergenceError,
-    NotConvergedError,
-    ParameterError,
-    ProtocolError,
-)
+from .adjacency import STENCIL, check_links, check_records
+from .errors import DivergenceError, NotConvergedError, ParameterError
 
 __all__ = [
     "BenchReport",
@@ -190,7 +185,8 @@ class Simulation:
     The partitions are `header.partition(nparts)`: `nparts` equal chunks,
     or with None the file's start table or one partition. `records` must
     be sorted by I_c, as `preprocess_grid` and `read_sparse` return them;
-    each partition takes its slice. Workers only ever write their own
+    each partition takes its slice. Records that fail `check_records` or
+    `check_links` raise DataError. Workers only ever write their own
     arrays; the ghost exchange runs at a barrier between steps, so
     results do not depend on scheduling.
     """
@@ -201,9 +197,7 @@ class Simulation:
         self.params = params
         self.assignment = header.partition(nparts)
         self.workers = workers
-        n = header.n_fluid
-        if not np.array_equal(records.ic, np.arange(1, n + 1, dtype=np.uint64)):
-            raise ProtocolError(f"the solver needs records I_c = 1..{n} in order")
+        check_records(records, header.n_fluid)
         by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
         check_links(by_dir)
         bounds = [int(b) for b in self.assignment.boundaries]

@@ -5,7 +5,9 @@ periodic-axis bits u32, scheme string (u16 length + ASCII), partition
 start table flag u32 (0/1, then u64 count + starts), followed by N_f
 fixed 156-byte records sorted ascending by I_c: x, y, z as u32 and 18
 neighbor indices as u64. I_c is implicit: record i holds I_c = i + 1,
-so chunk reads seek straight to their record range.
+so chunk reads seek straight to their record range. Records that fail
+`check_records` raise DataError before a byte is written; the readers
+raise FormatError at the offset of a bad field, body size or neighbor.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import SparseRecords
-from .errors import ConsistencyError, FormatError
+from .adjacency import SparseRecords, check_records, first_bad_entry
+from .errors import FormatError, ListLbmError
 from .partition import PartitionAssignment, chunk_ranges, first_bad_start
 
 __all__ = [
     "RECORD_DTYPE",
     "SparseHeader",
+    "check_body_size",
     "header_nbytes",
     "read_chunk",
     "read_header",
@@ -67,6 +70,8 @@ class SparseHeader:
     def partition(self, parts: int | None = None) -> PartitionAssignment:
         """The one source of partition boundaries: `parts` equal chunks
         when given, else the file's start table, else one partition."""
+        if not self.n_fluid:
+            raise ListLbmError("domain has no fluid cells")
         if parts is None and self.part_starts is not None:
             bounds = np.array([*self.part_starts, self.n_fluid + 1], dtype=np.uint64)
             return PartitionAssignment(n_fluid=self.n_fluid, boundaries=bounds)
@@ -96,20 +101,8 @@ def _pack_header(header: SparseHeader) -> bytes:
 
 def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
     """Write records that are already sorted by I_c: record i must hold
-    I_c = i + 1.
-
-    All consistency checks run before any bytes are written.
-    """
-    if len(records) != header.n_fluid:
-        raise ConsistencyError(
-            f"header says {header.n_fluid} records, got {len(records)}"
-        )
-    if not np.array_equal(records.ic, np.arange(1, len(records) + 1, dtype=np.uint64)):
-        raise ConsistencyError("records must be in I_c order 1, 2, ..., N_f")
-    if len(records) and int(records.nbr.max()) > header.n_fluid:
-        raise ConsistencyError(
-            f"neighbor index {int(records.nbr.max())} exceeds N_f={header.n_fluid}"
-        )
+    I_c = i + 1. `check_records` runs before any bytes are written."""
+    check_records(records, header.n_fluid)
     arr = np.empty(len(records), dtype=RECORD_DTYPE)
     arr["x"] = records.coords[:, 0]
     arr["y"] = records.coords[:, 1]
@@ -183,9 +176,12 @@ def read_header(fh) -> SparseHeader:
     )
 
 
-def _check_body_size(path, header: SparseHeader, base: int) -> None:
-    size = os.stat(path).st_size
-    expect = base + RECORD_DTYPE.itemsize * header.n_fluid
+def check_body_size(fh, n_fluid: int) -> None:
+    """FormatError unless exactly N_f records follow the file position."""
+    base = fh.tell()
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(base)
+    expect = base + RECORD_DTYPE.itemsize * n_fluid
     if size < expect:
         missing_at = (size - base) // RECORD_DTYPE.itemsize + 1
         raise FormatError(
@@ -209,8 +205,9 @@ def _to_records(arr: np.ndarray, first_ic: int, n_fluid: int, base: int) -> Spar
     coords[:, 1] = arr["y"]
     coords[:, 2] = arr["z"]
     nbr = arr["nbr"].astype(np.uint64)  # detach from the read-only file buffer
-    if n and int(nbr.max()) > n_fluid:
-        row, col = divmod(int(np.argmax(nbr > n_fluid)), 18)
+    bad = first_bad_entry(nbr, n_fluid)
+    if bad is not None:
+        row, col = bad
         ic = first_ic + row
         raise FormatError(
             f"neighbor index {int(nbr[row, col])} of I_c={ic} exceeds N_f={n_fluid}",
@@ -225,7 +222,7 @@ def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
     with open(path, "rb") as fh:
         header = read_header(fh)
         base = fh.tell()
-        _check_body_size(path, header, base)
+        check_body_size(fh, header.n_fluid)
         arr = np.frombuffer(fh.read(), dtype=RECORD_DTYPE)
     return header, _to_records(arr, 1, header.n_fluid, base)
 
@@ -239,7 +236,7 @@ def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
         base = fh.tell()
         if not 1 <= lo <= hi <= header.n_fluid + 1:
             raise ValueError(f"record range [{lo}, {hi}) outside [1, {header.n_fluid + 1}]")
-        _check_body_size(path, header, base)
+        check_body_size(fh, header.n_fluid)
         fh.seek(base + RECORD_DTYPE.itemsize * (lo - 1))
         raw = fh.read(RECORD_DTYPE.itemsize * (hi - lo))
         arr = np.frombuffer(raw, dtype=RECORD_DTYPE)

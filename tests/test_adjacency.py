@@ -5,11 +5,19 @@ import pytest
 
 from listlbm import (
     STENCIL,
+    DataError,
     LexBlocked,
     Morton,
     ProtocolError,
+    Simulation,
+    SparseRecords,
+    TrtParams,
     VoxelGrid,
+    chunk_ranges,
+    make_channel,
+    partition_stats,
     preprocess_grid,
+    write_sparse,
 )
 from listlbm.adjacency import halo_exchange
 from listlbm.geometry import RankBox, decompose_ranks
@@ -189,3 +197,77 @@ class TestHaloExchange:
         parts = [field[:, :, b.lo[0]:b.hi[0]] for b in boxes]
         with pytest.raises(ProtocolError, match=re.escape(f"cell {cell} is {what}")):
             halo_exchange(grid, boxes, parts)
+
+
+def _drop_last(r):
+    return SparseRecords(r.coords[:-1], r.ic[:-1], r.nbr[:-1]), len(r)
+
+
+def _set_ic(r, at, value):
+    ic = r.ic.copy()
+    ic[at] = value
+    return SparseRecords(r.coords, ic, r.nbr), at + 1
+
+
+def _missing(r):
+    ic = r.ic.copy()
+    ic[4:] += 1
+    return SparseRecords(r.coords, ic, r.nbr), 5
+
+
+def _shuffled(r):
+    idx = np.arange(len(r))
+    idx[[6, 7]] = idx[[7, 6]]
+    return SparseRecords(r.coords[idx], r.ic[idx], r.nbr[idx]), 7
+
+
+def _set_nbr(r, at, i, value):
+    nbr = r.nbr.copy()
+    nbr[at, i] = value
+    return SparseRecords(r.coords, r.ic, nbr), at + 1
+
+
+# each fault maps the valid records to (faulty records, first failing I_c)
+RECORD_FAULTS = {
+    "count": _drop_last,
+    "duplicate": lambda r: _set_ic(r, 4, 4),
+    "missing": _missing,
+    "shuffled": _shuffled,
+    "above-N_f": lambda r: _set_nbr(r, 4, 7, len(r) + 1),
+    "one-way-link": lambda r: _set_nbr(r, 9, 0, 10),  # +x of I_c=10 points at itself
+}
+
+
+def _write(header, records, tmp_path):
+    path = tmp_path / "bad.sprs"
+    try:
+        write_sparse(path, records, header)
+    finally:
+        assert not path.exists()
+
+
+ENTRY_POINTS = {
+    "write_sparse": _write,
+    "partition_stats": lambda h, r, _: partition_stats(r, chunk_ranges(h.n_fluid, 3)),
+    "Simulation": lambda h, r, _: Simulation(h, r, nparts=2, params=TrtParams(tau_plus=0.8)),
+}
+
+
+class TestRecordValidator:
+    @pytest.fixture(scope="class")
+    def channel6_sparse(self):
+        return preprocess_grid(make_channel(6), LexBlocked(1), periodic=(True, False, False))
+
+    @pytest.mark.parametrize("fault,entry", [
+        (f, e) for f in RECORD_FAULTS for e in ENTRY_POINTS
+        if f != "one-way-link" or e == "Simulation"  # the one symmetry pass
+    ])
+    def test_each_rule_names_the_first_failing_cell(self, channel6_sparse, tmp_path,
+                                                    fault, entry):
+        """Every in-memory entry point raises DataError whose first I_c
+        is the first failing cell."""
+        header, records = channel6_sparse
+        bad, ic = RECORD_FAULTS[fault](records)
+        with pytest.raises(DataError) as info:
+            ENTRY_POINTS[entry](header, bad, tmp_path)
+        assert re.search(r"I_c=(\d+)", str(info.value)).group(1) == str(ic), info.value

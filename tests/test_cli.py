@@ -11,14 +11,17 @@ from listlbm import (
     LexBlocked,
     PartitionAssignment,
     SparseHeader,
+    VoxelGrid,
     chunk_ranges,
     make_channel,
     partition_stats,
     preprocess_grid,
     read_sparse,
+    save_voxels,
     write_sparse,
 )
 from listlbm.cli import main
+from listlbm.sparse_io import RECORD_DTYPE
 
 
 @pytest.fixture
@@ -199,6 +202,41 @@ class TestInfo:
             "X": big, "Y": big, "Z": big, "N_f": 2 ** 61, "table flag": 1, "count": count}))
         assert main(["info", "--in", str(bad)]) == 1
         assert "truncated start table" in error_only(capsys.readouterr().err)
+
+    def test_body_longer_than_fluid_count_exits_one(self, tmp_path, channel6_file, capsys):
+        raw = channel6_file.read_bytes()
+        fields = header_fields("lex:b=1")
+        n_fluid = int.from_bytes(raw[32:40], "little")
+        bad = tmp_path / "short.sprs"
+        bad.write_bytes(overwrite(raw, fields, {"N_f": n_fluid - 1}))
+        for argv in (["info"], ["analyze", "--out-prefix", str(tmp_path / "h")],
+                     ["solve", "--steps", "1"]):
+            assert main([argv[0], "--in", str(bad), *argv[1:]]) == 1
+            err = error_only(capsys.readouterr().err)
+            assert "trailing data: 156 bytes past the last record" in err, argv
+
+
+@pytest.fixture
+def empty_file(tmp_path):
+    """A sparse file of an all-solid 2x2x2 grid: N_f = 0."""
+    voxels = tmp_path / "solid.voxl"
+    save_voxels(voxels, VoxelGrid(np.zeros((2, 2, 2), dtype=bool)))
+    path = tmp_path / "solid.sprs"
+    assert main(["preprocess", "--in", str(voxels), "--out", str(path)]) == 0
+    return path
+
+
+class TestEmptyDomain:
+    def test_info_exits_zero(self, empty_file, capsys):
+        assert main(["info", "--in", str(empty_file)]) == 0
+        assert "fluid_cells=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("parts", [[], ["--parts", "2"]])
+    def test_partitioned_commands_exit_one(self, tmp_path, empty_file, capsys, parts):
+        for argv in (["analyze", "--out-prefix", str(tmp_path / "h")],
+                     ["solve", "--steps", "1"]):
+            assert main([argv[0], "--in", str(empty_file), *parts, *argv[1:]]) == 1
+            assert error_only(capsys.readouterr().err) == "error: domain has no fluid cells"
 
 
 class TestAnalyze:
@@ -392,6 +430,37 @@ class TestHeaderFuzz:
             code, err = run_captured([argv[0], "--in", str(path), *argv[1:]])
             assert (code, err) == (0, "") or (
                 code == 1 and re.fullmatch(r"error: \S.*\n", err)), (argv, code, err)
+
+
+class TestBodyFuzz:
+    SPECIAL = {"0": 0, "N_f": 80, "N_f+1": 81, "2^63": 2 ** 63, "2^64-1": 2 ** 64 - 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(record=st.integers(0, 79), direction=st.integers(0, 17),
+           value=st.sampled_from([*SPECIAL, "self"]) | st.integers(0, 2 ** 64 - 1))
+    @example(record=9, direction=0, value="self")
+    @example(record=0, direction=0, value="2^63")
+    def test_analyze_and_solve_agree(self, fuzz_bases, record, direction, value):
+        """One overwritten neighbour entry of the 80-cell file: each
+        command exits 0 quietly or 1 with one `error:` line, and analyze
+        and solve reach the same verdict."""
+        where, _, bases = fuzz_bases
+        raw = bytearray(bases["stamped"])
+        n_fluid = 80
+        if isinstance(value, str):
+            value = record + 1 if value == "self" else self.SPECIAL[value]
+        at = len(raw) - RECORD_DTYPE.itemsize * (n_fluid - record) + 12 + 8 * direction
+        raw[at : at + 8] = value.to_bytes(8, "little")
+        path = where / "body.sprs"
+        path.write_bytes(bytes(raw))
+        codes = {}
+        for argv in (["info"], ["analyze", "--out-prefix", str(where / "h")],
+                     ["solve", "--steps", "1"]):
+            code, err = run_captured([argv[0], "--in", str(path), *argv[1:]])
+            assert (code, err) == (0, "") or (
+                code == 1 and re.fullmatch(r"error: \S.*\n", err)), (argv, code, err)
+            codes[argv[0]] = code
+        assert codes["analyze"] == codes["solve"], codes
 
 
 class TestUsage:

@@ -8,7 +8,6 @@ from listlbm import (
     Morton,
     NotConvergedError,
     ParameterError,
-    ProtocolError,
     Simulation,
     SparseHeader,
     SparseRecords,
@@ -267,7 +266,7 @@ class TestLocalization:
         header, records = channel6_sparse
         idx = np.random.default_rng(0).permutation(len(records))
         shuffled = SparseRecords(records.coords[idx], records.ic[idx], records.nbr[idx])
-        with pytest.raises(ProtocolError, match="in order"):
+        with pytest.raises(DataError, match="in order"):
             Simulation(header, shuffled, nparts=2, params=TrtParams(tau_plus=0.8))
 
     def test_gather_orders_by_contiguous_index(self, channel6_sparse):

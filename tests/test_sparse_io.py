@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from listlbm import (
-    ConsistencyError,
+    DataError,
     FormatError,
     LexBlocked,
     Morton,
@@ -101,24 +101,24 @@ class TestWriteValidation:
     def test_duplicate_ic_rejected_before_write(self, tmp_path):
         header = SparseHeader((4, 1, 1), 3, "lex:b=1")
         path = tmp_path / "dup.sprs"
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DataError):
             write_sparse(path, self.make_records([1, 2, 2]), header)
         assert not path.exists()
 
     def test_missing_ic_rejected(self, tmp_path):
         header = SparseHeader((4, 1, 1), 3, "lex:b=1")
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DataError):
             write_sparse(tmp_path / "gap.sprs", self.make_records([1, 2, 4]), header)
 
     def test_count_mismatch_rejected(self, tmp_path):
         header = SparseHeader((4, 1, 1), 4, "lex:b=1")
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DataError):
             write_sparse(tmp_path / "n.sprs", self.make_records([1, 2, 3]), header)
 
     def test_unsorted_records_rejected_before_write(self, tmp_path):
         header = SparseHeader((4, 1, 1), 3, "lex:b=1")
         path = tmp_path / "shuffled.sprs"
-        with pytest.raises(ConsistencyError, match="order"):
+        with pytest.raises(DataError, match="order"):
             write_sparse(path, self.make_records([2, 1, 3]), header)
         assert not path.exists()
 
@@ -126,7 +126,7 @@ class TestWriteValidation:
         header = SparseHeader((4, 1, 1), 3, "lex:b=1")
         records = self.make_records([1, 2, 3])
         records.nbr[0, 0] = 9
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(DataError):
             write_sparse(tmp_path / "nbr.sprs", records, header)
 
 
