@@ -60,7 +60,7 @@ class SparseRecords:
     def __post_init__(self):
         n = self.ic.shape[0]
         if self.coords.shape != (n, 3) or self.nbr.shape != (n, 18):
-            raise ValueError(
+            raise DataError(
                 f"inconsistent record arrays: coords {self.coords.shape}, "
                 f"ic {self.ic.shape}, nbr {self.nbr.shape}"
             )

@@ -6,12 +6,13 @@ Single binary with subcommands::
     listlbm preprocess --in FILE [--scheme TEXT] [--ranks P] [--periodic AXES] --out FILE
     listlbm analyze    --in FILE [--parts N] --out-prefix PREFIX
     listlbm solve      --in FILE [--parts N] [--tau T] [--lambda L]
-                       [--force GX,GY,GZ] --steps K [--workers W] [--report FILE]
-    listlbm bench      (same as solve, plus --warmup K)
+                       [--force GX,GY,GZ] --steps K [--warmup K] [--workers W]
+                       [--report FILE]
     listlbm info       --in FILE
 
-Without --parts, analyze, solve and bench take the partitions of the
-file's start table, or one partition when the file has none.
+Without --parts, analyze and solve take the partitions of the file's
+start table, or one partition when the file has none. solve times its
+--steps after --warmup untimed ones and prints the FLUP/s.
 
 Exit status: 0 on success, 1 with a one-line diagnostic for domain errors,
 unwritable outputs and sizes too large to allocate, 2 for usage errors (unknown flags, conflicting
@@ -28,7 +29,7 @@ from .adjacency import check_links
 from .errors import ListLbmError, ParameterError
 from .geometry import load_voxels, make_channel, make_packing, save_voxels
 from .numbering import parse_scheme
-from .partition import emit_histograms, partition_stats
+from .partition import emit_histograms, histogram_paths, partition_stats
 from .pipeline import preprocess_to_file
 from .solver import Simulation, TrtParams, run_benchmark
 from .sparse_io import check_body_size, read_header, read_sparse
@@ -110,6 +111,7 @@ def _cmd_preprocess(args):
 
 
 def _cmd_analyze(args):
+    _distinct_paths(args.infile, *histogram_paths(args.out_prefix))
     header, records = read_sparse(args.infile)
     check_links(records.nbr.T)
     assignment = header.partition(args.parts)
@@ -122,7 +124,7 @@ def _cmd_analyze(args):
     return 0
 
 
-def _run_solver(args, warmup):
+def _cmd_solve(args):
     _distinct_paths(args.infile, args.report)
     header, records = read_sparse(args.infile)
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
@@ -133,7 +135,7 @@ def _run_solver(args, warmup):
     with open(args.report or os.devnull, "w") as fh:
         sim.init_equilibrium(1.0)
         try:
-            report = run_benchmark(sim, steps=args.steps, warmup=warmup)
+            report = run_benchmark(sim, steps=args.steps, warmup=args.warmup)
         except BaseException:
             fh.close()
             if args.report is not None:
@@ -146,14 +148,6 @@ def _run_solver(args, warmup):
     print(f"flup_count={report.flup_count} seconds={report.seconds:.3f}")
     print(f"flups={report.flups:.6e} gflops_est={report.gflops_est:.6f}")
     return 0
-
-
-def _cmd_solve(args):
-    return _run_solver(args, warmup=0)
-
-
-def _cmd_bench(args):
-    return _run_solver(args, warmup=args.warmup)
 
 
 def _cmd_info(args):
@@ -179,21 +173,6 @@ def _add_input_flags(sub):
     sub.add_argument("--parts", type=_positive_int, default=None,
                      help="equal-chunk partition count (default: the file's start "
                           "table, else 1)")
-
-
-def _add_solver_flags(sub):
-    _add_input_flags(sub)
-    sub.add_argument("--tau", type=float, default=0.8,
-                     help="even relaxation time tau+ (default 0.8)")
-    sub.add_argument("--lambda", dest="magic", type=float, default=3.0 / 16.0,
-                     help="magic parameter Lambda (default 3/16)")
-    sub.add_argument("--force", type=_force_triple, default=(0.0, 0.0, 0.0),
-                     metavar="GX,GY,GZ", help="body force per cell (default 0,0,0)")
-    sub.add_argument("--steps", type=_positive_int, required=True,
-                     help="number of time steps")
-    sub.add_argument("--workers", type=_positive_int, default=1,
-                     help="solver worker threads (default 1)")
-    sub.add_argument("--report", default=None, help="write a CSV benchmark report here")
 
 
 def _build_parser():
@@ -228,15 +207,22 @@ def _build_parser():
     ana.add_argument("--out-prefix", required=True, help="prefix for histogram CSV files")
     ana.set_defaults(handler=_cmd_analyze)
 
-    sol = commands.add_parser("solve", help="run the TRT solver")
-    _add_solver_flags(sol)
+    sol = commands.add_parser("solve", help="run the TRT solver and report FLUP/s")
+    _add_input_flags(sol)
+    sol.add_argument("--tau", type=float, default=0.8,
+                     help="even relaxation time tau+ (default 0.8)")
+    sol.add_argument("--lambda", dest="magic", type=float, default=3.0 / 16.0,
+                     help="magic parameter Lambda (default 3/16)")
+    sol.add_argument("--force", type=_force_triple, default=(0.0, 0.0, 0.0),
+                     metavar="GX,GY,GZ", help="body force per cell (default 0,0,0)")
+    sol.add_argument("--steps", type=_positive_int, required=True,
+                     help="number of timed steps")
+    sol.add_argument("--warmup", type=_nonnegative_int, default=0,
+                     help="untimed steps before the timed ones (default 0)")
+    sol.add_argument("--workers", type=_positive_int, default=1,
+                     help="solver worker threads (default 1)")
+    sol.add_argument("--report", default=None, help="write a CSV benchmark report here")
     sol.set_defaults(handler=_cmd_solve)
-
-    ben = commands.add_parser("bench", help="run the solver and report FLUP/s")
-    _add_solver_flags(ben)
-    ben.add_argument("--warmup", type=_nonnegative_int, default=0,
-                     help="untimed steps before measuring (default 0)")
-    ben.set_defaults(handler=_cmd_bench)
 
     inf = commands.add_parser("info", help="check a sparse domain file's size, print its header")
     inf.add_argument("--in", dest="infile", type=_input_path, required=True,

@@ -1,5 +1,11 @@
-"""Exception taxonomy shared by all listlbm modules. Bad sparse records
-raise DataError in memory and FormatError, at a byte offset, in a file."""
+"""Exception taxonomy shared by all listlbm modules.
+
+Every bad value a caller or a file can pass raises a ListLbmError
+subclass, so the CLI ends it in one `error:` line; TypeError is left
+for passing the wrong kind of object. Bad sparse records raise DataError
+in memory and FormatError, at a byte offset, in a file. Bad counts,
+ranges and header fields passed in memory raise ParameterError.
+"""
 
 
 class ListLbmError(Exception):
@@ -19,7 +25,8 @@ class DomainError(ListLbmError):
 
 
 class SchemeParseError(ListLbmError):
-    """A numbering-scheme string does not match the canonical grammar."""
+    """A numbering-scheme string or parameter does not match the
+    canonical grammar of `numbering.parse_scheme`."""
 
 
 class FormatError(ListLbmError):
@@ -41,12 +48,13 @@ class TooManyProcessesError(ListLbmError):
 
 
 class DataError(ListLbmError):
-    """In-memory sparse records break a record rule: their count, the I_c
-    order 1..N_f, the neighbor range or link symmetry."""
+    """In-memory sparse records break a record rule: their array shapes,
+    their count, the I_c order 1..N_f, the neighbor range or link symmetry."""
 
 
 class ParameterError(ListLbmError):
-    """A physical or numerical parameter is out of its valid range."""
+    """A physical or numerical parameter, a count, a record range or a
+    header field is out of its valid range."""
 
 
 class DivergenceError(ListLbmError):

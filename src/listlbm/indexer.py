@@ -73,7 +73,7 @@ def build_rank_tree(P: int) -> RankTree:
     """Group consecutive blocks of up to 8 ranks per level, smallest id
     becomes the sibling master, until a single node remains."""
     if P < 1:
-        raise ValueError(f"rank count must be >= 1, got {P}")
+        raise DecompositionError(f"rank count must be >= 1, got {P}")
     nodes = list(range(P))
     levels = []
     while len(nodes) > 1:

@@ -32,8 +32,8 @@ class LexBlocked:
     b: int
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"blocking factor must be >= 1, got {self.b}")
+        if not 1 <= self.b <= _MAX_B:
+            raise SchemeParseError(f"blocking factor must be in [1, 2^63-1], got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,16 @@ class Morton:
 
     def __post_init__(self):
         if self.g not in (1, 2):
-            raise ValueError(f"Morton bit-group width must be 1 or 2, got {self.g}")
+            raise SchemeParseError(f"Morton bit-group width must be 1 or 2, got {self.g}")
 
 
 NumberingScheme = LexBlocked | Morton
+
+# the largest b the int64 index arithmetic can hold
+_MAX_B = 2**63 - 1
+# kind -> (parameter name, scheme class, what the parameter is)
+_KINDS = {"lex": ("b", LexBlocked, "blocking factor"),
+          "morton": ("g", Morton, "bit-group width")}
 
 
 def scheme_text(scheme: NumberingScheme) -> str:
@@ -60,41 +66,28 @@ def scheme_text(scheme: NumberingScheme) -> str:
 
 
 def parse_scheme(text: str) -> NumberingScheme:
-    """Parse the canonical grammar ``lex:b=<int>`` | ``morton:g=<1|2>``."""
+    """Parse the canonical grammar ``lex:b=<int>`` | ``morton:g=<1|2>``:
+    exactly the texts `scheme_text` produces, so <int> is ASCII digits
+    without a leading zero."""
     kind, sep, arg = text.partition(":")
     if not sep:
         raise SchemeParseError(f"missing ':' separator in scheme {text!r}")
-    if kind == "lex":
-        key, val = _split_param(arg, text)
-        if key != "b":
-            raise SchemeParseError(f"expected parameter 'b' in {text!r}, got {key!r}")
-        try:
-            return LexBlocked(_parse_int(val, text))
-        except ValueError as exc:
-            raise SchemeParseError(f"bad blocking factor {val!r}: {exc}") from None
-    if kind == "morton":
-        key, val = _split_param(arg, text)
-        if key != "g":
-            raise SchemeParseError(f"expected parameter 'g' in {text!r}, got {key!r}")
-        try:
-            return Morton(_parse_int(val, text))
-        except ValueError as exc:
-            raise SchemeParseError(f"bad bit-group width {val!r}: {exc}") from None
-    raise SchemeParseError(f"unknown scheme kind {kind!r} in {text!r}")
-
-
-def _split_param(arg, text):
+    if kind not in _KINDS:
+        raise SchemeParseError(f"unknown scheme kind {kind!r} in {text!r}")
+    name, cls, what = _KINDS[kind]
     key, sep, val = arg.partition("=")
     if not sep:
         raise SchemeParseError(f"missing '=' in scheme parameter of {text!r}")
-    return key, val
-
-
-def _parse_int(val, text):
-    # canonical form only: bare decimal digits, no sign or whitespace
-    if not val.isdigit():
-        raise SchemeParseError(f"non-integer parameter {val!r} in {text!r}")
-    return int(val)
+    if key != name:
+        raise SchemeParseError(f"expected parameter {name!r} in {text!r}, got {key!r}")
+    if not (val.isascii() and val.isdigit()) or (val.startswith("0") and val != "0"):
+        raise SchemeParseError(f"non-canonical integer {val!r} in {text!r}")
+    if len(val) > len(str(_MAX_B)):  # also spares int() a huge digit string
+        raise SchemeParseError(f"bad {what} {val!r} in {text!r}: exceeds 2^63-1")
+    try:
+        return cls(int(val))
+    except SchemeParseError as exc:
+        raise SchemeParseError(f"bad {what} {val!r} in {text!r}: {exc}") from None
 
 
 def cell_index(scheme: NumberingScheme, x, y, z, dims) -> np.ndarray:

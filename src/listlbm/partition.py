@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import check_records
-from .errors import TooManyProcessesError
+from .errors import ParameterError, TooManyProcessesError
 
 __all__ = [
     "PartitionAssignment",
@@ -23,6 +23,7 @@ __all__ = [
     "chunk_ranges",
     "emit_histograms",
     "first_bad_start",
+    "histogram_paths",
     "partition_stats",
 ]
 
@@ -37,12 +38,12 @@ class PartitionAssignment:
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=np.uint64)
         if b.ndim != 1 or b.size < 2:
-            raise ValueError(f"need at least 2 boundaries, got shape {b.shape}")
+            raise ParameterError(f"need at least 2 boundaries, got shape {b.shape}")
         if b[-1] != self.n_fluid + 1:
-            raise ValueError(f"last boundary must be N_f+1={self.n_fluid + 1}, got {b[-1]}")
+            raise ParameterError(f"last boundary must be N_f+1={self.n_fluid + 1}, got {b[-1]}")
         bad = first_bad_start(b[:-1], self.n_fluid)
         if bad is not None:
-            raise ValueError(f"boundary #{bad[0]}: {bad[1]}")
+            raise ParameterError(f"boundary #{bad[0]}: {bad[1]}")
         object.__setattr__(self, "boundaries", b)
 
     @property
@@ -90,7 +91,7 @@ def first_bad_start(starts, n_fluid: int) -> tuple[int, str] | None:
 def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
     """Equal chunking: the first (N_f mod N) chunks are one cell larger."""
     if N < 1:
-        raise ValueError(f"partition count must be >= 1, got {N}")
+        raise ParameterError(f"partition count must be >= 1, got {N}")
     if N > n_fluid:
         raise TooManyProcessesError(
             f"{N} partitions requested but only {n_fluid} fluid cells exist"
@@ -153,6 +154,11 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     )
 
 
+def histogram_paths(prefix) -> tuple[str, str]:
+    """The two files `emit_histograms` writes for `prefix`."""
+    return f"{prefix}_neighbors.csv", f"{prefix}_remote_links.csv"
+
+
 def emit_histograms(stats: PartitionStats, prefix) -> tuple[str, str]:
     """Write two CSV histograms and return their paths.
 
@@ -160,8 +166,7 @@ def emit_histograms(stats: PartitionStats, prefix) -> tuple[str, str]:
     <prefix>_remote_links.csv uses 64 equal-width bins (all listed,
     labeled by lower edge).
     """
-    neighbors_path = f"{prefix}_neighbors.csv"
-    remote_path = f"{prefix}_remote_links.csv"
+    neighbors_path, remote_path = histogram_paths(prefix)
 
     values, counts = np.unique(stats.neighbor_count, return_counts=True)
     with open(neighbors_path, "w", encoding="ascii") as fh:

@@ -117,15 +117,25 @@ class LocalDomain:
         self.f_dst = np.zeros((19, nslots))
 
 
+def _equilibrium(rho, u) -> np.ndarray:
+    """(19, n) D3Q19 equilibrium of density rho (a scalar or length n)
+    and velocity rows u[0], u[1], u[2] of length n."""
+    cu = (
+        CF[:, 0, None] * u[0]
+        + CF[:, 1, None] * u[1]
+        + CF[:, 2, None] * u[2]
+    )
+    usq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    return W[:, None] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
+
+
 def init_equilibrium(domain: LocalDomain, rho0: float, u0=(0.0, 0.0, 0.0)) -> None:
     """Set every slot (owned and ghost) to the equilibrium of (rho0, u0)."""
     if not rho0 > 0.0:
         raise ParameterError(f"rho0 must be positive, got {rho0}")
-    u = np.asarray(u0, dtype=float)
-    cu = CF @ u
-    feq = W * rho0 * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * float(u @ u))
-    domain.f_src[:] = feq[:, None]
-    domain.f_dst[:] = feq[:, None]
+    feq = _equilibrium(rho0, np.asarray(u0, dtype=float)[:, None])
+    domain.f_src[:] = feq
+    domain.f_dst[:] = feq
 
 
 def _moments(f: np.ndarray):
@@ -146,14 +156,7 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> bool:
     n = domain.n_own
     f = domain.f_src.reshape(-1)[domain._pull_flat]
     rho, m = _moments(f)
-    u = m / rho
-    cu = (
-        CF[:, 0, None] * u[0]
-        + CF[:, 1, None] * u[1]
-        + CF[:, 2, None] * u[2]
-    )
-    usq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    feq = W[:, None] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
+    feq = _equilibrium(rho, m / rho)
     f_opp = f[OPP]
     feq_opp = feq[OPP]
     post = (

@@ -1,11 +1,12 @@
 """Binary sparse-representation file: write, whole and chunked read.
 
 Layout (little-endian): magic "SPRS", version u32, X/Y/Z u64, N_f u64,
-periodic-axis bits u32, scheme string (u16 length + ASCII), partition
-start table flag u32 (0/1, then u64 count + starts), followed by N_f
-fixed 156-byte records sorted ascending by I_c: x, y, z as u32 and 18
-neighbor indices as u64. I_c is implicit: record i holds I_c = i + 1,
-so chunk reads seek straight to their record range. Records that fail
+periodic-axis bits u32, scheme string (u16 length + text that
+`parse_scheme` accepts), partition start table flag u32 (0/1, then u64
+count + starts), followed by N_f fixed 156-byte records sorted ascending
+by I_c: x, y, z as u32 and 18 neighbor indices as u64. I_c is implicit:
+record i holds I_c = i + 1, so chunk reads seek straight to their record
+range. Records that fail
 `check_records` raise DataError before a byte is written; the readers
 raise FormatError at the offset of a bad field, body size or neighbor.
 """
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import SparseRecords, check_records, first_bad_entry
-from .errors import FormatError, ListLbmError
+from .errors import FormatError, ListLbmError, ParameterError, SchemeParseError
+from .numbering import parse_scheme
 from .partition import PartitionAssignment, chunk_ranges, first_bad_start
 
 __all__ = [
@@ -53,19 +55,14 @@ class SparseHeader:
     def __post_init__(self):
         X, Y, Z = self.dims
         if min(X, Y, Z) < 1:
-            raise ValueError(f"dims must be >= 1, got {self.dims}")
+            raise ParameterError(f"dims must be >= 1, got {self.dims}")
         if not 0 <= self.n_fluid <= X * Y * Z:
-            raise ValueError(f"fluid count {self.n_fluid} exceeds {X * Y * Z} cells")
-        try:
-            encoded = self.scheme_text.encode("ascii")
-        except UnicodeEncodeError:
-            raise ValueError(f"scheme text {self.scheme_text!r} is not ASCII") from None
-        if len(encoded) > 0xFFFF:
-            raise ValueError("scheme text too long")
+            raise ParameterError(f"fluid count {self.n_fluid} exceeds {X * Y * Z} cells")
+        parse_scheme(self.scheme_text)
         if self.part_starts is not None:
             bad = first_bad_start(self.part_starts, self.n_fluid)
             if bad is not None:
-                raise ValueError(f"partition start table entry #{bad[0]}: {bad[1]}")
+                raise ParameterError(f"partition start table entry #{bad[0]}: {bad[1]}")
 
     def partition(self, parts: int | None = None) -> PartitionAssignment:
         """The one source of partition boundaries: `parts` equal chunks
@@ -142,11 +139,13 @@ def read_header(fh) -> SparseHeader:
         )
     if pbits > 0b111:
         raise FormatError(f"invalid periodic flag bits {pbits:#x}", offset=40)
-    raw_scheme = _read_exact(fh, slen, "scheme string")
+    # latin-1 maps each byte to one character, so parse_scheme sees and
+    # rejects every non-ASCII byte
+    scheme_text = _read_exact(fh, slen, "scheme string").decode("latin-1")
     try:
-        scheme_text = raw_scheme.decode("ascii")
-    except UnicodeDecodeError:
-        raise FormatError("scheme string is not ASCII", offset=_FIXED.size) from None
+        parse_scheme(scheme_text)
+    except SchemeParseError as exc:
+        raise FormatError(f"scheme string: {exc}", offset=_FIXED.size) from None
     tpos = fh.tell()
     (tflag,) = struct.unpack("<I", _read_exact(fh, 4, "table flag"))
     if tflag not in (0, 1):
@@ -235,7 +234,7 @@ def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
         header = read_header(fh)
         base = fh.tell()
         if not 1 <= lo <= hi <= header.n_fluid + 1:
-            raise ValueError(f"record range [{lo}, {hi}) outside [1, {header.n_fluid + 1}]")
+            raise ParameterError(f"record range [{lo}, {hi}) outside [1, {header.n_fluid + 1}]")
         check_body_size(fh, header.n_fluid)
         fh.seek(base + RECORD_DTYPE.itemsize * (lo - 1))
         raw = fh.read(RECORD_DTYPE.itemsize * (hi - lo))

@@ -157,10 +157,13 @@ class TestPreprocess:
         assert code == 2
 
     def test_bad_scheme_exits_one(self, tmp_path, voxel_file, capsys):
-        code = main(["preprocess", "--in", str(voxel_file), "--scheme", "lex:b=0",
-                     "--out", str(tmp_path / "x.sprs")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "x.sprs"
+        for scheme in ("lex:b=0", "lex:b=007", "lex:b=99999999999999999999"):
+            code = main(["preprocess", "--in", str(voxel_file), "--scheme", scheme,
+                         "--out", str(out)])
+            assert code == 1
+            assert f"'{scheme}'" in error_only(capsys.readouterr().err)
+            assert not out.exists()
 
     def test_bad_periodic_axis_is_usage_error(self, tmp_path, voxel_file):
         code = main(["preprocess", "--in", str(voxel_file), "--periodic", "w",
@@ -202,6 +205,19 @@ class TestInfo:
             "X": big, "Y": big, "Z": big, "N_f": 2 ** 61, "table flag": 1, "count": count}))
         assert main(["info", "--in", str(bad)]) == 1
         assert "truncated start table" in error_only(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("scheme", ["lex:b=1\nfluid_cells=7", ""])
+    def test_non_canonical_scheme_exits_one(self, tmp_path, channel6_file, capsys, scheme):
+        raw = channel6_file.read_bytes()
+        text = scheme.encode("ascii")
+        bad = tmp_path / "scheme.sprs"
+        bad.write_bytes(raw[:44] + len(text).to_bytes(2, "little") + text
+                        + raw[46 + len("lex:b=1"):])
+        for argv in (["info"], ["analyze", "--out-prefix", str(tmp_path / "h")]):
+            assert main([argv[0], "--in", str(bad), *argv[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert "scheme string" in error_only(err) and "offset 46" in err, argv
+            assert out == ""
 
     def test_body_longer_than_fluid_count_exits_one(self, tmp_path, channel6_file, capsys):
         raw = channel6_file.read_bytes()
@@ -272,6 +288,15 @@ class TestAnalyze:
         assert code == 1
         assert "No such file or directory" in error_only(capsys.readouterr().err)
 
+    def test_histogram_naming_the_input_exits_one(self, tmp_path, sparse_file, capsys):
+        victim = tmp_path / "o_neighbors.csv"
+        victim.write_bytes(sparse_file.read_bytes())
+        code = main(["analyze", "--in", str(victim), "--out-prefix", str(tmp_path / "o")])
+        assert code == 1
+        assert "distinct" in error_only(capsys.readouterr().err)
+        assert victim.read_bytes() == sparse_file.read_bytes()
+        assert not (tmp_path / "o_remote_links.csv").exists()
+
     def test_split_selector_required(self, tmp_path, sparse_file, capsys):
         # without --parts or a start table the file is one partition
         code = main(["analyze", "--in", str(sparse_file),
@@ -321,14 +346,22 @@ class TestSolveAndBench:
         assert main(["solve", "--in", str(stamped_file), "--steps", "2"]) == 0
         assert "partitions=3\n" in capsys.readouterr().out
 
-    def test_bench_accepts_warmup(self, sparse_file, capsys):
-        code = main(["bench", "--in", str(sparse_file), "--steps", "5",
-                     "--warmup", "2"])
+    def test_warmup_steps_are_not_counted(self, tmp_path, sparse_file, channel6_file,
+                                          capsys):
+        report = tmp_path / "r.csv"
+        code = main(["solve", "--in", str(sparse_file), "--steps", "5",
+                     "--warmup", "2", "--report", str(report)])
         assert code == 0
         assert "flup_count=400" in capsys.readouterr().out
+        assert report.read_text().splitlines()[1].startswith("1,5,80,")
+        # the warmup steps do run: this force diverges at step 28
+        code = main(["solve", "--in", str(channel6_file), "--force", "0.5,0,0",
+                     "--warmup", "20", "--steps", "10"])
+        assert code == 1
+        assert "density not positive at step 28" in error_only(capsys.readouterr().err)
 
     def test_negative_warmup_is_usage_error(self, sparse_file):
-        code = main(["bench", "--in", str(sparse_file), "--steps", "2",
+        code = main(["solve", "--in", str(sparse_file), "--steps", "2",
                      "--warmup", "-3"])
         assert code == 2
 
@@ -405,11 +438,44 @@ def fuzz_bases(tmp_path_factory):
     return path.parent, fields, {"stamped": stamped, "promised": promised}
 
 
-def run_captured(argv):
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
+@pytest.fixture(scope="module")
+def voxel_base(tmp_path_factory):
+    """The d=6 channel voxel file to corrupt, and its directory."""
+    path = tmp_path_factory.mktemp("fuzz_voxl") / "base.voxl"
+    save_voxels(path, make_channel(6))
+    return path.parent, path.read_bytes()
+
+
+def verdicts(argvs):
+    """Run each argv: each must exit 0 with empty stderr or 1 with
+    exactly one `error: ` line. Returns the exit codes by command."""
+    codes = {}
+    for argv in argvs:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert (code, err) == (0, "") or (
+            code == 1 and re.fullmatch(r"error: \S.*\n", err)), (argv, code, err)
+        codes[argv[0]] = code
+    return codes
+
+
+def sparse_verdicts(path, where):
+    """`verdicts` of info, analyze and solve --steps 1 on the sparse file `path`."""
+    return verdicts([["info", "--in", str(path)],
+                     ["analyze", "--in", str(path), "--out-prefix", str(where / "h")],
+                     ["solve", "--in", str(path), "--steps", "1"]])
+
+
+def damaged(raw, at, mask, cut):
+    """Copy of the bytes `raw` cut off at offset `at`, or with the byte
+    there XORed with the nonzero `mask`."""
+    if cut:
+        return raw[:at]
+    out = bytearray(raw)
+    out[at] ^= mask
+    return bytes(out)
 
 
 class TestHeaderFuzz:
@@ -425,11 +491,7 @@ class TestHeaderFuzz:
         where, fields, bases = fuzz_bases
         path = where / "fuzzed.sprs"
         path.write_bytes(overwrite(bases[base], fields, {field: value}))
-        for argv in (["info"], ["analyze", "--out-prefix", str(where / "h")],
-                     ["solve", "--steps", "1"]):
-            code, err = run_captured([argv[0], "--in", str(path), *argv[1:]])
-            assert (code, err) == (0, "") or (
-                code == 1 and re.fullmatch(r"error: \S.*\n", err)), (argv, code, err)
+        sparse_verdicts(path, where)
 
 
 class TestBodyFuzz:
@@ -453,14 +515,42 @@ class TestBodyFuzz:
         raw[at : at + 8] = value.to_bytes(8, "little")
         path = where / "body.sprs"
         path.write_bytes(bytes(raw))
-        codes = {}
-        for argv in (["info"], ["analyze", "--out-prefix", str(where / "h")],
-                     ["solve", "--steps", "1"]):
-            code, err = run_captured([argv[0], "--in", str(path), *argv[1:]])
-            assert (code, err) == (0, "") or (
-                code == 1 and re.fullmatch(r"error: \S.*\n", err)), (argv, code, err)
-            codes[argv[0]] = code
+        codes = sparse_verdicts(path, where)
         assert codes["analyze"] == codes["solve"], codes
+
+
+class TestByteFuzz:
+    """One flipped byte, or a cut, anywhere in a file: header, scheme,
+    start table or body."""
+
+    # one of two offsets lands in the first 128 bytes: the 89-byte
+    # header of the stamped file and its first record, or the 32-byte
+    # voxel header and the start of the flags
+    @staticmethod
+    def offsets(size):
+        return st.integers(0, 127) | st.integers(0, size - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), mask=st.integers(1, 255), cut=st.booleans())
+    def test_sparse_file(self, fuzz_bases, data, mask, cut):
+        """Each of info, analyze and solve exits 0 quietly or 1 with one
+        `error:` line, and analyze and solve reach the same verdict."""
+        where, _, bases = fuzz_bases
+        raw = bases["stamped"]
+        path = where / "bytes.sprs"
+        path.write_bytes(damaged(raw, data.draw(self.offsets(len(raw))), mask, cut))
+        codes = sparse_verdicts(path, where)
+        assert codes["analyze"] == codes["solve"], codes
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), mask=st.integers(1, 255), cut=st.booleans())
+    def test_voxel_file(self, voxel_base, data, mask, cut):
+        """preprocess exits 0 quietly or 1 with one `error:` line."""
+        where, raw = voxel_base
+        path = where / "bytes.voxl"
+        path.write_bytes(damaged(raw, data.draw(self.offsets(len(raw))), mask, cut))
+        verdicts([["preprocess", "--in", str(path), "--periodic", "x",
+                   "--out", str(where / "bytes.sprs")]])
 
 
 class TestUsage:
@@ -468,7 +558,8 @@ class TestUsage:
         assert main([]) == 2
 
     def test_unknown_command(self):
-        assert main(["frobnicate"]) == 2
+        for command in ("frobnicate", "bench"):
+            assert main([command]) == 2
 
     def test_unknown_flag(self, voxel_file, tmp_path):
         code = main(["preprocess", "--in", str(voxel_file),

@@ -31,6 +31,7 @@ class TestSchemeText:
         ("lex:b=100", LexBlocked(100)),
         ("morton:g=1", Morton(1)),
         ("morton:g=2", Morton(2)),
+        ("lex:b=9223372036854775807", LexBlocked(2**63 - 1)),
     ])
     def test_round_trip(self, text, scheme):
         assert parse_scheme(text) == scheme
@@ -40,7 +41,10 @@ class TestSchemeText:
     @pytest.mark.parametrize("bad", [
         "", "lex", "lex:b=0", "lex:b=-3", "lex:b=x", "lex:c=1",
         "morton:g=0", "morton:g=3", "morton:g=", "hilbert:b=1",
-        "lex:b=1 ", "LEX:b=1",
+        "lex:b=1 ", "LEX:b=1", "lex:b=007", "lex:b=9223372036854775808",
+        "lex:b=99999999999999999999",
+        "lex:b=\u0661",  # ARABIC-INDIC DIGIT ONE: str.isdigit() accepts it
+        pytest.param("lex:b=" + "9" * 5000, id="lex:b=9x5000"),  # past int()'s digit limit
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(SchemeParseError):
@@ -53,9 +57,9 @@ class TestSchemeText:
             parse_scheme("hilbert:b=1")
 
     def test_constructor_validates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemeParseError):
             LexBlocked(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemeParseError):
             Morton(3)
 
 

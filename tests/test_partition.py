@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from listlbm import (
     DataError,
     LexBlocked,
+    ParameterError,
     PartitionAssignment,
     PartitionStats,
     TooManyProcessesError,
@@ -38,7 +39,7 @@ class TestChunkRanges:
             chunk_ranges(80, 4000)
 
     def test_nonpositive_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             chunk_ranges(10, 0)
 
     def test_owner_lookup(self):
@@ -89,9 +90,9 @@ class TestFirstBadStart:
         assert first_bad_start(starts, 10) == (1, f"start {2**64 - 1} exceeds N_f=10")
 
     def test_assignment_shares_the_rules(self):
-        with pytest.raises(ValueError, match="does not increase"):
+        with pytest.raises(ParameterError, match="does not increase"):
             PartitionAssignment(n_fluid=10, boundaries=np.array([1, 5, 5, 11]))
-        with pytest.raises(ValueError, match="N_f\\+1=11"):
+        with pytest.raises(ParameterError, match="N_f\\+1=11"):
             PartitionAssignment(n_fluid=10, boundaries=np.array([1, 5, 10]))
 
 

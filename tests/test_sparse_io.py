@@ -6,6 +6,8 @@ from listlbm import (
     FormatError,
     LexBlocked,
     Morton,
+    ParameterError,
+    SchemeParseError,
     SparseHeader,
     TooManyProcessesError,
     VoxelGrid,
@@ -40,15 +42,15 @@ class TestHeader:
         assert header_nbytes(with_table) == header_nbytes(base) + 8 + 3 * 8
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             SparseHeader((0, 4, 4), 0, "lex:b=1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             SparseHeader((2, 2, 2), 9, "lex:b=1")  # more fluid than cells
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             SparseHeader((4, 4, 4), 10, "lex:b=1", part_starts=(2, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             SparseHeader((4, 4, 4), 10, "lex:b=1", part_starts=(1, 5, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemeParseError):
             SparseHeader((4, 4, 4), 10, "schéma")  # non-ASCII
 
     def test_header_round_trip_with_options(self, tmp_path):
@@ -177,7 +179,7 @@ class TestChunkedReads:
         cut.write_bytes(path.read_bytes()[:-10])
         for lo, hi in [(0, 3), (3, 2), (1, 82), (82, 82)]:
             for source in (path, cut):  # the range is checked before any record
-                with pytest.raises(ValueError, match=r"outside \[1, 81\]"):
+                with pytest.raises(ParameterError, match=r"outside \[1, 81\]"):
                     read_chunk(source, lo, hi)
 
 
