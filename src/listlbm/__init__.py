@@ -39,7 +39,7 @@ from .indexer import (
     octree_reduce,
     serial_oracle,
 )
-from .numbering import LexBlocked, Morton, cell_index, index_of, parse_scheme, scheme_text
+from .numbering import LexBlocked, Morton, cell_index, parse_scheme, scheme_text
 from .partition import (
     PartitionAssignment,
     PartitionStats,
@@ -47,7 +47,7 @@ from .partition import (
     emit_histograms,
     partition_stats,
 )
-from .pipeline import contiguous_index_field, preprocess_grid, preprocess_to_file
+from .pipeline import preprocess_grid
 from .solver import (
     BenchReport,
     Simulation,
@@ -90,12 +90,10 @@ __all__ = [
     "build_rank_tree",
     "cell_index",
     "chunk_ranges",
-    "contiguous_index_field",
     "decompose_ranks",
     "emit_histograms",
     "find_runs",
     "halo_exchange",
-    "index_of",
     "load_voxels",
     "make_channel",
     "make_packing",
@@ -104,7 +102,6 @@ __all__ = [
     "partition_stats",
     "poiseuille_error",
     "preprocess_grid",
-    "preprocess_to_file",
     "read_chunk",
     "read_header",
     "read_sparse",

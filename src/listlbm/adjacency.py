@@ -74,13 +74,8 @@ class SparseRecords:
 
     @classmethod
     def concat(cls, batches) -> "SparseRecords":
+        """The records of one or more batches, concatenated in order."""
         batches = list(batches)
-        if not batches:
-            return cls(
-                np.empty((0, 3), np.uint32),
-                np.empty(0, np.uint64),
-                np.empty((0, 18), np.uint64),
-            )
         return cls(
             np.concatenate([b.coords for b in batches]),
             np.concatenate([b.ic for b in batches]),
@@ -114,6 +109,23 @@ def _first_cell(mask: np.ndarray, gx, gy, gz) -> tuple[int, int, int]:
     return int(gx[ix]), int(gy[iy]), int(gz[iz])
 
 
+def _padded_axis(lo: int, hi: int, n: int, periodic: bool) -> np.ndarray:
+    """Global coordinates of the padded positions lo - 1 .. hi on an axis
+    of n cells: wrapped when periodic, -1 beyond a non-periodic end."""
+    g = np.arange(lo - 1, hi + 1)
+    if periodic:
+        g %= n
+    else:
+        g[(g < 0) | (g >= n)] = -1
+    return g
+
+
+def _stencil_offsets(py: int, px: int) -> np.ndarray:
+    """Flat offset of each stencil direction in a (z, y, x) array whose
+    rows hold px cells and whose planes hold py rows."""
+    return STENCIL @ np.array((1, px, px * py))
+
+
 def halo_exchange(
     grid: VoxelGrid,
     boxes: list[RankBox],
@@ -141,16 +153,8 @@ def halo_exchange(
     hi = np.array([b.hi for b in boxes])
     views = []
     for b in boxes:
-        # Padded axes as global coordinates: wrapped on periodic axes,
-        # -1 beyond a non-periodic end (no box holds -1).
-        axes = []
-        for a in range(3):
-            g = np.arange(b.lo[a] - 1, b.hi[a] + 1)
-            if periodic[a]:
-                g %= dims[a]
-            else:
-                g[(g < 0) | (g >= dims[a])] = -1
-            axes.append(g)
+        # -1 marks a position beyond a non-periodic end; no box holds it
+        axes = [_padded_axis(b.lo[a], b.hi[a], dims[a], periodic[a]) for a in range(3)]
         gx, gy, gz = axes
         # holds[a][q, k]: box q holds padded position k on axis a.
         holds = [(lo[:, a, None] <= g) & (g < hi[:, a, None]) for a, g in enumerate(axes)]
@@ -194,10 +198,9 @@ def build_adjacency(halo: HaloView) -> SparseRecords:
     coords[:, 2] = zz + z0
     flat = halo.ic.reshape(-1)
     at = ((zz + 1) * py + yy + 1) * px + xx + 1
-    off = STENCIL @ np.array((1, px, px * py))
     nbr = np.empty((n, 18), dtype=np.uint64)
-    for i in range(18):
-        nbr[:, i] = flat[at + off[i]]
+    for i, off in enumerate(_stencil_offsets(py, px)):
+        nbr[:, i] = flat[at + off]
     return SparseRecords(coords=coords, ic=flat[at], nbr=nbr)
 
 
@@ -225,16 +228,50 @@ def check_records(records: SparseRecords, n_fluid: int) -> None:
         raise DataError(f"link {i} of I_c={a + 1} to {records.nbr[a, i]} is outside 1..{n}")
 
 
-def check_links(by_dir: np.ndarray) -> None:
-    """Raise DataError unless every link a -> b in direction i of the
-    (18, N_f) adjacency has its link back b -> a in direction i ^ 1.
-    Entries must already be 0 or in 1..N_f (`check_records`). Rows are
-    scanned as contiguous int64."""
-    by_dir = np.ascontiguousarray(by_dir, dtype=np.int64)
-    for i in range(18):
-        row = by_dir[i]
-        linked = np.flatnonzero(row)
-        bad = np.flatnonzero(by_dir[i ^ 1, row[linked] - 1] != linked + 1)
-        if bad.size:
-            a = int(linked[bad[0]])
-            raise DataError(f"link {i} of I_c={a + 1} to {row[a]} has no link back")
+def check_links(by_dir: np.ndarray, coords: np.ndarray, dims, periodic) -> None:
+    """Raise DataError unless every record's cell lies inside `dims`, no
+    two records share a cell, and each entry of the (18, N_f) adjacency
+    `by_dir` is the I_c at coords + c_i, wrapped on the periodic axes,
+    or 0 where no record lies; links are then symmetric. Entries must
+    already be 0 or in 1..N_f (`check_records`). The lookup field spans
+    only the records' box, so inflated header dims cost no memory."""
+    c = np.ascontiguousarray(coords.T, dtype=np.int64)  # rows x, y, z
+    X, Y, Z = dims
+    outside = (c < 0).any(axis=0) | (c[0] >= X) | (c[1] >= Y) | (c[2] >= Z)
+    if outside.any():
+        a = int(np.argmax(outside))
+        cell = tuple(c[:, a].tolist())
+        raise DataError(f"I_c={a + 1} lies at {cell}, outside dims {(X, Y, Z)}")
+    # I_c field over the box [0, hi) padded by one cell, like a rank's halo
+    hi = c.max(axis=1, initial=0) + 1
+    px, py, pz = hi + 2
+    x, y, z = c
+    at = ((z + 1) * py + y + 1) * px + x + 1
+    ic = np.arange(1, len(at) + 1, dtype=by_dir.dtype)
+    field = np.zeros(pz * py * px, dtype=by_dir.dtype)
+    field[at] = ic
+    held = field[at]
+    shared = held != ic
+    if shared.any():
+        a = int(np.argmax(shared))
+        cell = tuple(c[:, a].tolist())
+        a, b = sorted((a + 1, int(held[a])))
+        raise DataError(f"I_c={a} and I_c={b} share the cell {cell}")
+    # a pad cell copies the cell it wraps onto, or the zero pad at index 0;
+    # an axis longer than hi + 1 (a header allows 2^64 - 1) wraps no
+    # further cell into the box
+    index = []
+    for n, h, p in zip(dims, hi.tolist(), periodic):
+        g = _padded_axis(0, h, min(n, h + 1), p)
+        index.append(np.where(g < h, g + 1, 0))
+    field = field.reshape(pz, py, px)[np.ix_(index[2], index[1], index[0])].reshape(-1)
+    for i, off in enumerate(_stencil_offsets(py, px)):
+        want = field[at + off]
+        wrong = by_dir[i] != want
+        if wrong.any():
+            a = int(np.argmax(wrong))
+            there = f"I_c={want[a]}" if want[a] else "no record"
+            raise DataError(
+                f"link {i} of I_c={a + 1} at {tuple(c[:, a].tolist())} to {by_dir[i, a]} "
+                f"does not match its stencil neighbour, which holds {there}"
+            )

@@ -30,9 +30,9 @@ from .errors import ListLbmError, ParameterError
 from .geometry import load_voxels, make_channel, make_packing, save_voxels
 from .numbering import parse_scheme
 from .partition import emit_histograms, histogram_paths, partition_stats
-from .pipeline import preprocess_to_file
+from .pipeline import preprocess_grid
 from .solver import Simulation, TrtParams, run_benchmark
-from .sparse_io import check_body_size, read_header, read_sparse
+from .sparse_io import check_body_size, read_header, read_sparse, write_sparse
 
 
 def _distinct_paths(*paths):
@@ -104,8 +104,8 @@ def _cmd_preprocess(args):
     _distinct_paths(args.infile, args.out)
     grid = load_voxels(args.infile)
     scheme = parse_scheme(args.scheme)
-    header = preprocess_to_file(grid, scheme, args.out,
-                                nranks=args.ranks, periodic=args.periodic)
+    header, records = preprocess_grid(grid, scheme, nranks=args.ranks, periodic=args.periodic)
+    write_sparse(args.out, records, header)
     print(f"wrote {args.out}: fluid_cells={header.n_fluid} scheme={args.scheme}")
     return 0
 
@@ -113,7 +113,7 @@ def _cmd_preprocess(args):
 def _cmd_analyze(args):
     _distinct_paths(args.infile, *histogram_paths(args.out_prefix))
     header, records = read_sparse(args.infile)
-    check_links(records.nbr.T)
+    check_links(records.nbr.T, records.coords, header.dims, header.periodic)
     assignment = header.partition(args.parts)
     stats = partition_stats(records, assignment)
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")

@@ -21,7 +21,7 @@ class DecompositionError(ListLbmError):
 
 
 class DomainError(ListLbmError):
-    """A coordinate lies outside the bounding box."""
+    """A bounding box is too large for the numbering scheme's codes."""
 
 
 class SchemeParseError(ListLbmError):
@@ -49,7 +49,8 @@ class TooManyProcessesError(ListLbmError):
 
 class DataError(ListLbmError):
     """In-memory sparse records break a record rule: their array shapes,
-    their count, the I_c order 1..N_f, the neighbor range or link symmetry."""
+    their count, the I_c order 1..N_f, the neighbor range, or cells and
+    links that disagree with the coordinates."""
 
 
 class ParameterError(ListLbmError):

@@ -55,10 +55,6 @@ class VoxelGrid:
         return (X, Y, Z)
 
     @property
-    def cell_count(self) -> int:
-        return self.flags.size
-
-    @property
     def fluid_count(self) -> int:
         return int(np.count_nonzero(self.flags))
 
@@ -90,11 +86,6 @@ class RankBox:
     @property
     def extent(self) -> tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
-
-    @property
-    def volume(self) -> int:
-        ex, ey, ez = self.extent
-        return ex * ey * ez
 
 
 def make_channel(d: int) -> VoxelGrid:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DecompositionError, ProtocolError
 from .geometry import RankBox, VoxelGrid
-from .numbering import LexBlocked, Morton, NumberingScheme, cell_index
+from .numbering import LexBlocked, NumberingScheme, cell_index
 
 __all__ = [
     "RUN_DTYPE",
@@ -64,10 +64,6 @@ class RankTree:
     def root(self) -> int:
         return 0
 
-    @property
-    def height(self) -> int:
-        return len(self.levels)
-
 
 def build_rank_tree(P: int) -> RankTree:
     """Group consecutive blocks of up to 8 ranks per level, smallest id
@@ -93,8 +89,6 @@ class CellOrder:
 
     def __init__(self, dims, scheme: NumberingScheme):
         X, Y, Z = (int(d) for d in dims)
-        self.dims = (X, Y, Z)
-        self.scheme = scheme
         self.ncells = X * Y * Z
         if isinstance(scheme, LexBlocked):
             self.codes_sorted = None
@@ -144,20 +138,19 @@ def find_runs(
     grid: VoxelGrid,
     scheme: NumberingScheme,
     box: RankBox,
-    all_boxes=None,
-    order: CellOrder | None = None,
+    all_boxes,
+    order: CellOrder,
 ) -> np.ndarray:
     """Summarize the box's cells as a RUN_DTYPE table sorted by incell.
 
     The outcell is the existing cell with the smallest index greater
     than the run; it always lies on another rank (otherwise the run
     would extend). SENTINEL_END marks the run containing the globally
-    last cell.
+    last cell. `box` must be one of `all_boxes`, and `order` is the
+    `CellOrder` of the grid under `scheme`, built once for all boxes.
     """
-    if all_boxes is not None and all(b != box for b in all_boxes):
+    if box not in all_boxes:
         raise DecompositionError(f"box of rank {box.rank} not in the decomposition")
-    if order is None:
-        order = CellOrder(grid.dims, scheme)
     codes_s, flags_s, _, _ = _box_sorted_cells(grid, scheme, box)
     pos = order.position_of(codes_s)
     starts, ends = _run_bounds(pos)
@@ -298,7 +291,7 @@ def assign_contiguous(
     scheme: NumberingScheme,
     box: RankBox,
     runs: np.ndarray,
-    order: CellOrder | None = None,
+    order: CellOrder,
 ) -> np.ndarray:
     """Contiguous indices of the box's cells, shaped like the box region.
 
@@ -306,8 +299,6 @@ def assign_contiguous(
     the run's start in increasing index order; solid cells receive 0.
     Returned array is indexed [z - lo_z, y - lo_y, x - lo_x].
     """
-    if order is None:
-        order = CellOrder(grid.dims, scheme)
     codes_s, flags_s, sortidx, shape = _box_sorted_cells(grid, scheme, box)
     starts, _ = _run_bounds(order.position_of(codes_s))
     runs = runs[np.argsort(runs["incell"], kind="stable")]

@@ -19,7 +19,6 @@ __all__ = [
     "Morton",
     "NumberingScheme",
     "cell_index",
-    "index_of",
     "parse_scheme",
     "scheme_text",
 ]
@@ -65,29 +64,36 @@ def scheme_text(scheme: NumberingScheme) -> str:
     raise TypeError(f"not a numbering scheme: {scheme!r}")
 
 
+def _shown(text: str) -> str:
+    """repr of `text` cut to its first 40 characters, so an error
+    message stays short however long the text is."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 def parse_scheme(text: str) -> NumberingScheme:
     """Parse the canonical grammar ``lex:b=<int>`` | ``morton:g=<1|2>``:
     exactly the texts `scheme_text` produces, so <int> is ASCII digits
     without a leading zero."""
     kind, sep, arg = text.partition(":")
+    shown = _shown(text)
     if not sep:
-        raise SchemeParseError(f"missing ':' separator in scheme {text!r}")
+        raise SchemeParseError(f"missing ':' separator in scheme {shown}")
     if kind not in _KINDS:
-        raise SchemeParseError(f"unknown scheme kind {kind!r} in {text!r}")
+        raise SchemeParseError(f"unknown scheme kind {_shown(kind)} in {shown}")
     name, cls, what = _KINDS[kind]
     key, sep, val = arg.partition("=")
     if not sep:
-        raise SchemeParseError(f"missing '=' in scheme parameter of {text!r}")
+        raise SchemeParseError(f"missing '=' in scheme parameter of {shown}")
     if key != name:
-        raise SchemeParseError(f"expected parameter {name!r} in {text!r}, got {key!r}")
+        raise SchemeParseError(f"expected parameter {name!r} in {shown}, got {_shown(key)}")
     if not (val.isascii() and val.isdigit()) or (val.startswith("0") and val != "0"):
-        raise SchemeParseError(f"non-canonical integer {val!r} in {text!r}")
+        raise SchemeParseError(f"non-canonical integer {_shown(val)} in {shown}")
     if len(val) > len(str(_MAX_B)):  # also spares int() a huge digit string
-        raise SchemeParseError(f"bad {what} {val!r} in {text!r}: exceeds 2^63-1")
+        raise SchemeParseError(f"bad {what} {_shown(val)} in {shown}: exceeds 2^63-1")
     try:
         return cls(int(val))
     except SchemeParseError as exc:
-        raise SchemeParseError(f"bad {what} {val!r} in {text!r}: {exc}") from None
+        raise SchemeParseError(f"bad {what} {val!r} in {shown}: {exc}") from None
 
 
 def cell_index(scheme: NumberingScheme, x, y, z, dims) -> np.ndarray:
@@ -101,15 +107,6 @@ def cell_index(scheme: NumberingScheme, x, y, z, dims) -> np.ndarray:
     if isinstance(scheme, Morton):
         return _morton_index(scheme.g, x, y, z, dims)
     raise TypeError(f"not a numbering scheme: {scheme!r}")
-
-
-def index_of(scheme: NumberingScheme, coord, dims) -> int:
-    """Index of a single cell, with bounds checking."""
-    x, y, z = coord
-    X, Y, Z = dims
-    if not (0 <= x < X and 0 <= y < Y and 0 <= z < Z):
-        raise DomainError(f"coordinate {coord} outside dims {tuple(dims)}")
-    return int(cell_index(scheme, x, y, z, dims))
 
 
 def _lex_blocked_index(b, x, y, z, dims):

@@ -26,7 +26,6 @@ __all__ = [
     "LocalDomain",
     "Simulation",
     "TrtParams",
-    "init_equilibrium",
     "macroscopic",
     "poiseuille_error",
     "run_benchmark",
@@ -89,10 +88,9 @@ class LocalDomain:
     stencil direction i, 0 for a solid one.
     """
 
-    def __init__(self, coords, by_dir: np.ndarray, lo: int, hi: int, part: int):
+    def __init__(self, by_dir: np.ndarray, lo: int, hi: int, part: int):
         self.part = part
         self.n_own = hi - lo
-        self.coords = coords
 
         # population p at a cell pulls from the neighbor opposite to its
         # direction of travel; nbr 0 turns into a bounce-back self-pull
@@ -129,15 +127,6 @@ def _equilibrium(rho, u) -> np.ndarray:
     return W[:, None] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 
 
-def init_equilibrium(domain: LocalDomain, rho0: float, u0=(0.0, 0.0, 0.0)) -> None:
-    """Set every slot (owned and ghost) to the equilibrium of (rho0, u0)."""
-    if not rho0 > 0.0:
-        raise ParameterError(f"rho0 must be positive, got {rho0}")
-    feq = _equilibrium(rho0, np.asarray(u0, dtype=float)[:, None])
-    domain.f_src[:] = feq
-    domain.f_dst[:] = feq
-
-
 def _moments(f: np.ndarray):
     """Density and raw momentum with a partition-size-independent
     summation order."""
@@ -172,10 +161,10 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> bool:
     return bool(rho.min() > 0.0)
 
 
-def macroscopic(domain: LocalDomain, params: TrtParams):
-    """Per-cell density and velocity, with the half-force correction
-    u = (sum c_i f_i + g/2) / rho."""
-    f = domain.f_src[:, : domain.n_own]
+def macroscopic(f: np.ndarray, params: TrtParams):
+    """Per-cell density and velocity of a (19, n) population array, such
+    as `Simulation.gather_state()`, with the half-force correction
+    u = (sum c_i f_i + g/2) / rho; u is shaped (n, 3)."""
     rho, m = _moments(f)
     g = np.asarray(params.force, dtype=float)
     u = (m + 0.5 * g[:, None]) / rho
@@ -189,9 +178,10 @@ class Simulation:
     or with None the file's start table or one partition. `records` must
     be sorted by I_c, as `preprocess_grid` and `read_sparse` return them;
     each partition takes its slice. Records that fail `check_records` or
-    `check_links` raise DataError. Workers only ever write their own
-    arrays; the ghost exchange runs at a barrier between steps, so
-    results do not depend on scheduling.
+    `check_links` raise DataError. `coords` is the records' (N_f, 3)
+    array of cell coordinates in I_c order. Workers only ever write
+    their own arrays; the ghost exchange runs at a barrier between
+    steps, so results do not depend on scheduling.
     """
 
     def __init__(self, header, records, nparts: int | None, params: TrtParams,
@@ -202,10 +192,11 @@ class Simulation:
         self.workers = workers
         check_records(records, header.n_fluid)
         by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
-        check_links(by_dir)
+        check_links(by_dir, records.coords, header.dims, header.periodic)
+        self.coords = records.coords
         bounds = [int(b) for b in self.assignment.boundaries]
         self.domains = [
-            LocalDomain(records.coords[lo - 1 : hi - 1], by_dir, lo, hi, p)
+            LocalDomain(by_dir, lo, hi, p)
             for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
         # exchange plan (q, p, ghost slots of q, own slots of p): each
@@ -226,9 +217,13 @@ class Simulation:
         return len(self.domains)
 
     def init_equilibrium(self, rho0: float = 1.0, u0=(0.0, 0.0, 0.0)) -> None:
+        """Set every slot, owned and ghost, to the equilibrium of (rho0, u0)."""
+        if not rho0 > 0.0:
+            raise ParameterError(f"rho0 must be positive, got {rho0}")
+        feq = _equilibrium(rho0, np.asarray(u0, dtype=float)[:, None])
         for d in self.domains:
-            init_equilibrium(d, rho0, u0)
-        self._exchange()
+            d.f_src[:] = feq
+            d.f_dst[:] = feq
 
     def _exchange(self):
         for q, p, dst, src in self._plan:
@@ -267,19 +262,6 @@ class Simulation:
     def gather_state(self) -> np.ndarray:
         """(19, N_f) population state assembled in I_c order."""
         return np.concatenate([d.f_src[:, : d.n_own] for d in self.domains], axis=1)
-
-    def gather_coords(self) -> np.ndarray:
-        return np.concatenate([d.coords for d in self.domains], axis=0)
-
-    def macroscopic_all(self):
-        """(rho, u) over all fluid cells in I_c order."""
-        parts = [macroscopic(d, self.params) for d in self.domains]
-        rho = np.concatenate([p[0] for p in parts])
-        u = np.concatenate([p[1] for p in parts], axis=0)
-        return rho, u
-
-    def total_mass(self) -> float:
-        return float(sum(d.f_src[:, : d.n_own].sum() for d in self.domains))
 
 
 @dataclass(frozen=True)
@@ -335,8 +317,8 @@ def run_benchmark(sim: Simulation, steps: int, warmup: int = 0) -> BenchReport:
 
 def _ux_profile(sim: Simulation):
     """Mean u_x per y row over all fluid cells, rows sorted ascending."""
-    _, u = sim.macroscopic_all()
-    ys = sim.gather_coords()[:, 1].astype(np.int64)
+    _, u = macroscopic(sim.gather_state(), sim.params)
+    ys = sim.coords[:, 1].astype(np.int64)
     rows = np.unique(ys)
     sums = np.bincount(ys, weights=u[:, 0], minlength=int(rows.max()) + 1)
     counts = np.bincount(ys, minlength=int(rows.max()) + 1)

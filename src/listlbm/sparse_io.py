@@ -29,7 +29,6 @@ __all__ = [
     "RECORD_DTYPE",
     "SparseHeader",
     "check_body_size",
-    "header_nbytes",
     "read_chunk",
     "read_header",
     "read_sparse",
@@ -73,13 +72,6 @@ class SparseHeader:
             bounds = np.array([*self.part_starts, self.n_fluid + 1], dtype=np.uint64)
             return PartitionAssignment(n_fluid=self.n_fluid, boundaries=bounds)
         return chunk_ranges(self.n_fluid, 1 if parts is None else parts)
-
-
-def header_nbytes(header: SparseHeader) -> int:
-    n = _FIXED.size + len(header.scheme_text.encode("ascii")) + 4
-    if header.part_starts is not None:
-        n += 8 + 8 * len(header.part_starts)
-    return n
 
 
 def _pack_header(header: SparseHeader) -> bytes:
@@ -195,35 +187,11 @@ def check_body_size(fh, n_fluid: int) -> None:
         )
 
 
-def _to_records(arr: np.ndarray, first_ic: int, n_fluid: int, base: int) -> SparseRecords:
-    """Records from raw rows starting at I_c = first_ic; `base` is the
-    byte offset of the first record in the file."""
-    n = arr.shape[0]
-    coords = np.empty((n, 3), dtype=np.uint32)
-    coords[:, 0] = arr["x"]
-    coords[:, 1] = arr["y"]
-    coords[:, 2] = arr["z"]
-    nbr = arr["nbr"].astype(np.uint64)  # detach from the read-only file buffer
-    bad = first_bad_entry(nbr, n_fluid)
-    if bad is not None:
-        row, col = bad
-        ic = first_ic + row
-        raise FormatError(
-            f"neighbor index {int(nbr[row, col])} of I_c={ic} exceeds N_f={n_fluid}",
-            offset=base + RECORD_DTYPE.itemsize * (ic - 1) + 12 + 8 * col,
-        )
-    ic = np.arange(first_ic, first_ic + n, dtype=np.uint64)
-    return SparseRecords(coords=coords, ic=ic, nbr=nbr)
-
-
 def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
-    """Read the whole file."""
+    """Read the whole file: `read_chunk` of the records I_c in [1, N_f + 1)."""
     with open(path, "rb") as fh:
-        header = read_header(fh)
-        base = fh.tell()
-        check_body_size(fh, header.n_fluid)
-        arr = np.frombuffer(fh.read(), dtype=RECORD_DTYPE)
-    return header, _to_records(arr, 1, header.n_fluid, base)
+        n_fluid = read_header(fh).n_fluid
+    return read_chunk(path, 1, n_fluid + 1)
 
 
 def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
@@ -233,10 +201,24 @@ def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
     with open(path, "rb") as fh:
         header = read_header(fh)
         base = fh.tell()
-        if not 1 <= lo <= hi <= header.n_fluid + 1:
-            raise ParameterError(f"record range [{lo}, {hi}) outside [1, {header.n_fluid + 1}]")
-        check_body_size(fh, header.n_fluid)
+        n_fluid = header.n_fluid
+        if not 1 <= lo <= hi <= n_fluid + 1:
+            raise ParameterError(f"record range [{lo}, {hi}) outside [1, {n_fluid + 1}]")
+        check_body_size(fh, n_fluid)
         fh.seek(base + RECORD_DTYPE.itemsize * (lo - 1))
-        raw = fh.read(RECORD_DTYPE.itemsize * (hi - lo))
-        arr = np.frombuffer(raw, dtype=RECORD_DTYPE)
-    return header, _to_records(arr, lo, header.n_fluid, base)
+        arr = np.frombuffer(fh.read(RECORD_DTYPE.itemsize * (hi - lo)), dtype=RECORD_DTYPE)
+    coords = np.empty((arr.shape[0], 3), dtype=np.uint32)
+    coords[:, 0] = arr["x"]
+    coords[:, 1] = arr["y"]
+    coords[:, 2] = arr["z"]
+    nbr = arr["nbr"].astype(np.uint64)  # detach from the read-only file buffer
+    bad = first_bad_entry(nbr, n_fluid)
+    if bad is not None:
+        row, col = bad
+        ic = lo + row
+        raise FormatError(
+            f"neighbor index {int(nbr[row, col])} of I_c={ic} exceeds N_f={n_fluid}",
+            offset=base + RECORD_DTYPE.itemsize * (ic - 1) + 12 + 8 * col,
+        )
+    ic = np.arange(lo, hi, dtype=np.uint64)
+    return header, SparseRecords(coords=coords, ic=ic, nbr=nbr)

@@ -22,11 +22,12 @@ from listlbm import (
     partition_stats,
     poiseuille_error,
     preprocess_grid,
-    preprocess_to_file,
     run_benchmark,
     serial_oracle,
+    write_sparse,
 )
-from listlbm.pipeline import contiguous_index_field
+from listlbm.solver import macroscopic
+from conftest import ic_field
 
 MATRIX_SCHEMES = [LexBlocked(1), LexBlocked(4), LexBlocked(100), Morton(1), Morton(2)]
 MATRIX_RANKS = [1, 2, 3, 7, 8, 13]
@@ -59,7 +60,7 @@ def test_criterion_1_distributed_index_equals_serial_oracle(matrix_grids):
             for scheme in MATRIX_SCHEMES:
                 expected = serial_oracle(grid, scheme)
                 for P in MATRIX_RANKS:
-                    got = contiguous_index_field(grid, scheme, nranks=P)
+                    got = ic_field(grid, scheme, nranks=P)
                     assert np.array_equal(got, expected), \
                         f"mismatch for {gname}, {scheme}, P={P}"
                     checked += 1
@@ -75,8 +76,9 @@ def test_criterion_2_rank_count_keeps_files_byte_identical(matrix_grids, tmp_pat
             for scheme in MATRIX_SCHEMES:
                 a = tmp_path / "p1.sprs"
                 b = tmp_path / "p8.sprs"
-                preprocess_to_file(grid, scheme, a, nranks=1)
-                preprocess_to_file(grid, scheme, b, nranks=8)
+                for path, P in ((a, 1), (b, 8)):
+                    header, records = preprocess_grid(grid, scheme, nranks=P)
+                    write_sparse(path, records, header)
                 assert a.read_bytes() == b.read_bytes(), \
                     f"file differs for {gname}, {scheme}"
                 checked += 1
@@ -134,21 +136,21 @@ def test_criterion_5_poiseuille_profile_and_mass():
         sim = Simulation(*sparse, nparts=4, params=params)
         sim.init_equilibrium(1.0)
 
-        rows = sim.gather_coords()[:, 1].astype(np.int64)
+        rows = sim.coords[:, 1].astype(np.int64)
         counts = np.bincount(rows, minlength=Y)[1:Y - 1]
 
         def profile():
-            _, u = sim.macroscopic_all()
+            _, u = macroscopic(sim.gather_state(), params)
             return np.bincount(rows, weights=u[:, 0], minlength=Y)[1:Y - 1] / counts
 
-        mass = sim.total_mass()
+        mass = sim.gather_state().sum()
         worst_drift = 0.0
         previous = None
         converged = False
         while sim.step_count < 100_000:
             for _ in range(100):
                 sim.step()
-                new_mass = sim.total_mass()
+                new_mass = sim.gather_state().sum()
                 worst_drift = max(worst_drift, abs(new_mass - mass) / mass)
                 mass = new_mass
             current = profile()

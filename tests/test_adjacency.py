@@ -17,11 +17,11 @@ from listlbm import (
     make_channel,
     partition_stats,
     preprocess_grid,
+    serial_oracle,
     write_sparse,
 )
 from listlbm.adjacency import halo_exchange
 from listlbm.geometry import RankBox, decompose_ranks
-from listlbm.pipeline import contiguous_index_field
 from conftest import ALL_SCHEMES, SCHEME_IDS, random_grid
 
 
@@ -142,7 +142,7 @@ class TestHaloExchange:
     def test_single_rank_nonperiodic_halo_is_empty(self):
         grid = VoxelGrid(np.ones((4, 4, 4), dtype=bool))
         boxes = decompose_ranks(grid.dims, 1)
-        ic = contiguous_index_field(grid, LexBlocked(1))
+        ic = serial_oracle(grid, LexBlocked(1))
         (view,) = halo_exchange(grid, boxes, [ic])
         assert not view.ic[0, :, :].any() and not view.ic[-1, :, :].any()
         assert not view.ic[:, 0, :].any() and not view.ic[:, -1, :].any()
@@ -152,7 +152,7 @@ class TestHaloExchange:
     def test_interior_rank_sees_all_neighbors(self):
         grid = VoxelGrid(np.ones((6, 6, 6), dtype=bool))
         boxes = decompose_ranks(grid.dims, 27)  # 3x3x3 rank grid
-        field = contiguous_index_field(grid, LexBlocked(1))
+        field = serial_oracle(grid, LexBlocked(1))
         parts = [field[b.lo[2]:b.hi[2], b.lo[1]:b.hi[1], b.lo[0]:b.hi[0]]
                  for b in boxes]
         views = halo_exchange(grid, boxes, parts)
@@ -166,7 +166,7 @@ class TestHaloExchange:
     def test_periodic_halo_wraps(self):
         grid = VoxelGrid(np.ones((1, 1, 4), dtype=bool))
         boxes = decompose_ranks(grid.dims, 2)
-        field = contiguous_index_field(grid, LexBlocked(1))
+        field = serial_oracle(grid, LexBlocked(1))
         parts = [field[:, :, b.lo[0]:b.hi[0]] for b in boxes]
         views = halo_exchange(grid, boxes, parts, periodic=(True, False, False))
         # rank 1 owns x in [2,4); with wrap its +x halo cell is x=0 (Ic 1)
@@ -192,7 +192,7 @@ class TestHaloExchange:
     ], ids=["overlap", "gap"])
     def test_coverage_fault_names_the_cell(self, first_hi, cell, what):
         grid = VoxelGrid(np.ones((1, 1, 6), dtype=bool))
-        field = contiguous_index_field(grid, LexBlocked(1))
+        field = serial_oracle(grid, LexBlocked(1))
         boxes = [RankBox(0, (0, 0, 0), (first_hi, 1, 1)), RankBox(1, (3, 0, 0), (6, 1, 1))]
         parts = [field[:, :, b.lo[0]:b.hi[0]] for b in boxes]
         with pytest.raises(ProtocolError, match=re.escape(f"cell {cell} is {what}")):
@@ -227,6 +227,19 @@ def _set_nbr(r, at, i, value):
     return SparseRecords(r.coords, r.ic, nbr), at + 1
 
 
+def _zero_pair(r):
+    # I_c=10 and its +x neighbour I_c=11 forget each other
+    nbr = r.nbr.copy()
+    nbr[9, 0] = nbr[10, 1] = 0
+    return SparseRecords(r.coords, r.ic, nbr), 10
+
+
+def _set_coord(r, at, axis, value):
+    coords = r.coords.copy()
+    coords[at, axis] = value
+    return SparseRecords(coords, r.ic, r.nbr), at + 1
+
+
 # each fault maps the valid records to (faulty records, first failing I_c)
 RECORD_FAULTS = {
     "count": _drop_last,
@@ -235,7 +248,12 @@ RECORD_FAULTS = {
     "shuffled": _shuffled,
     "above-N_f": lambda r: _set_nbr(r, 4, 7, len(r) + 1),
     "one-way-link": lambda r: _set_nbr(r, 9, 0, 10),  # +x of I_c=10 points at itself
+    "zeroed-pair": _zero_pair,
+    "outside-dims": lambda r: _set_coord(r, 0, 0, 2 ** 31),
+    "shared-cell": lambda r: _set_coord(r, 4, 0, int(r.coords[5, 0])),  # I_c=5 onto I_c=6
 }
+# checked by `check_links` alone, which only Simulation runs
+LINK_FAULTS = ("one-way-link", "zeroed-pair", "outside-dims", "shared-cell")
 
 
 def _write(header, records, tmp_path):
@@ -260,7 +278,7 @@ class TestRecordValidator:
 
     @pytest.mark.parametrize("fault,entry", [
         (f, e) for f in RECORD_FAULTS for e in ENTRY_POINTS
-        if f != "one-way-link" or e == "Simulation"  # the one symmetry pass
+        if f not in LINK_FAULTS or e == "Simulation"
     ])
     def test_each_rule_names_the_first_failing_cell(self, channel6_sparse, tmp_path,
                                                     fault, entry):

@@ -21,7 +21,8 @@ from listlbm import (
     write_sparse,
 )
 from listlbm.cli import main
-from listlbm.sparse_io import RECORD_DTYPE
+from listlbm.sparse_io import RECORD_DTYPE, read_header
+from conftest import first_record_offset
 
 
 @pytest.fixture
@@ -68,6 +69,13 @@ def header_fields(scheme_text):
             "table flag": (flag, 4), "count": (flag + 4, 8), "start": (flag + 20, 8)}
 
 
+def with_scheme(raw, text):
+    """Copy of the bytes `raw` of a `lex:b=1` file with the scheme text
+    replaced by the string `text`."""
+    text = text.encode("ascii")
+    return raw[:44] + len(text).to_bytes(2, "little") + text + raw[46 + len("lex:b=1"):]
+
+
 def overwrite(raw, fields, values):
     """Copy of the file bytes `raw` with the named header fields set."""
     out = bytearray(raw)
@@ -77,18 +85,23 @@ def overwrite(raw, fields, values):
     return bytes(out)
 
 
-def self_linked_copy(path, tmp_path):
-    """Copy of the sparse file `path` whose I_c=10 names itself as +x
-    neighbour, a link with no link back."""
-    from listlbm.sparse_io import RECORD_DTYPE, header_nbytes, read_header
-    with open(path, "rb") as fh:
-        header = read_header(fh)
+def patched_copy(path, tmp_path, patches):
+    """Copy of the sparse file `path` with each (I_c, field byte offset
+    in the record, width, value) of `patches` written in."""
     raw = bytearray(path.read_bytes())
-    at = header_nbytes(header) + 9 * RECORD_DTYPE.itemsize + 12  # +x of I_c=10
-    raw[at : at + 8] = (10).to_bytes(8, "little")
+    base = first_record_offset(path)
+    for ic, at, width, value in patches:
+        at += base + (ic - 1) * RECORD_DTYPE.itemsize
+        raw[at : at + width] = value.to_bytes(width, "little")
     bad = tmp_path / "bad.sprs"
     bad.write_bytes(bytes(raw))
     return bad
+
+
+def self_linked_copy(path, tmp_path):
+    """Copy of the sparse file `path` whose I_c=10 names itself as +x
+    neighbour, a link that does not match the coordinates."""
+    return patched_copy(path, tmp_path, [(10, 12, 8, 10)])
 
 
 def error_only(stderr):
@@ -208,16 +221,19 @@ class TestInfo:
 
     @pytest.mark.parametrize("scheme", ["lex:b=1\nfluid_cells=7", ""])
     def test_non_canonical_scheme_exits_one(self, tmp_path, channel6_file, capsys, scheme):
-        raw = channel6_file.read_bytes()
-        text = scheme.encode("ascii")
         bad = tmp_path / "scheme.sprs"
-        bad.write_bytes(raw[:44] + len(text).to_bytes(2, "little") + text
-                        + raw[46 + len("lex:b=1"):])
+        bad.write_bytes(with_scheme(channel6_file.read_bytes(), scheme))
         for argv in (["info"], ["analyze", "--out-prefix", str(tmp_path / "h")]):
             assert main([argv[0], "--in", str(bad), *argv[1:]]) == 1
             out, err = capsys.readouterr()
             assert "scheme string" in error_only(err) and "offset 46" in err, argv
             assert out == ""
+
+    def test_long_scheme_is_cut_in_the_error(self, tmp_path, channel6_file, capsys):
+        bad = tmp_path / "long.sprs"
+        bad.write_bytes(with_scheme(channel6_file.read_bytes(), "lex:b=" + "1" * 65000))
+        assert main(["info", "--in", str(bad)]) == 1
+        assert len(error_only(capsys.readouterr().err)) <= 200
 
     def test_body_longer_than_fluid_count_exits_one(self, tmp_path, channel6_file, capsys):
         raw = channel6_file.read_bytes()
@@ -279,7 +295,8 @@ class TestAnalyze:
                      "--out-prefix", str(tmp_path / "o")])
         assert code == 1
         out, err = capsys.readouterr()
-        assert "link 0 of I_c=10 to 10 has no link back" in error_only(err)
+        assert re.search(r"link 0 of I_c=10 at \(\d+, \d+, \d+\) to 10 does not match",
+                         error_only(err))
         assert "total_remote_links" not in out
 
     def test_missing_output_directory_exits_one(self, tmp_path, sparse_file, capsys):
@@ -329,6 +346,32 @@ class TestAnalyze:
         assert f"total_remote_links={expect}\n" in out
 
 
+class TestRecordCoordinates:
+    """Records whose coordinates disagree with their links pass `info`,
+    which reads no record, but `analyze` and `solve` name the I_c."""
+
+    @staticmethod
+    def flipped_x(path, tmp_path):
+        x = int(read_sparse(path)[1].coords[0, 0])
+        return patched_copy(path, tmp_path, [(1, 0, 4, x ^ 2 ** 31)]), 1
+
+    @staticmethod
+    def zeroed_pair(path, tmp_path):
+        b = int(read_sparse(path)[1].nbr[9, 0])  # the +x neighbour of I_c=10
+        return patched_copy(path, tmp_path, [(10, 12, 8, 0), (b, 12 + 8, 8, 0)]), 10
+
+    @pytest.mark.parametrize("fault", ["flipped_x", "zeroed_pair"])
+    def test_analyze_and_solve_exit_one(self, tmp_path, stamped_file, capsys, fault):
+        bad, ic = getattr(self, fault)(stamped_file, tmp_path)
+        assert main(["info", "--in", str(bad)]) == 0
+        capsys.readouterr()
+        for argv in (["analyze", "--out-prefix", str(tmp_path / "h")], ["solve", "--steps", "1"]):
+            assert main([argv[0], "--in", str(bad), *argv[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert f"I_c={ic} " in error_only(err), argv
+            assert out == ""
+
+
 class TestSolveAndBench:
     def test_solve_writes_report(self, tmp_path, sparse_file, capsys):
         report = tmp_path / "r.csv"
@@ -366,11 +409,10 @@ class TestSolveAndBench:
         assert code == 2
 
     def test_neighbor_above_fluid_count_exits_one(self, tmp_path, sparse_file, capsys):
-        from listlbm.sparse_io import header_nbytes, read_header
         with open(sparse_file, "rb") as fh:
             header = read_header(fh)
+            at = fh.tell() + 12  # record I_c=1, first neighbor
         raw = bytearray(sparse_file.read_bytes())
-        at = header_nbytes(header) + 12  # record I_c=1, first neighbor
         raw[at : at + 8] = (header.n_fluid + 5).to_bytes(8, "little")
         bad = tmp_path / "bad.sprs"
         bad.write_bytes(bytes(raw))
@@ -402,7 +444,8 @@ class TestSolveAndBench:
     def test_one_way_link_exits_one(self, tmp_path, sparse_file, capsys):
         bad = self_linked_copy(sparse_file, tmp_path)
         assert main(["solve", "--in", str(bad), "--parts", "3", "--steps", "1"]) == 1
-        assert "link 0 of I_c=10 to 10 has no link back" in error_only(capsys.readouterr().err)
+        assert re.search(r"link 0 of I_c=10 at \(\d+, \d+, \d+\) to 10 does not match",
+                         error_only(capsys.readouterr().err))
 
     def test_divergent_run_exits_one(self, tmp_path, channel6_file, capsys):
         report = tmp_path / "r.csv"

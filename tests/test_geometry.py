@@ -20,7 +20,7 @@ class TestChannel:
         grid = make_channel(4)
         assert grid.dims == (20, 4, 4)
         assert grid.fluid_count == 80
-        assert grid.cell_count == 320
+        assert grid.flags.size == 320
 
     def test_d3_single_interior_line(self):
         assert make_channel(3).fluid_count == 15
@@ -36,7 +36,7 @@ class TestChannel:
 
     def test_large_duct_is_nearly_all_fluid(self):
         grid = make_channel(100)
-        frac = grid.fluid_count / grid.cell_count
+        frac = grid.fluid_count / grid.flags.size
         assert abs(frac - (98 / 100) ** 2) < 1e-12
 
     @pytest.mark.parametrize("d", [0, 1, 2])
@@ -54,7 +54,7 @@ class TestPacking:
 
     def test_fluid_fraction_in_band(self):
         grid = make_packing(24, 1)
-        frac = grid.fluid_count / grid.cell_count
+        frac = grid.fluid_count / grid.flags.size
         assert 0.15 < frac < 0.60
 
     def test_dims_and_corner(self):
@@ -101,7 +101,7 @@ class TestDecompose:
         for b in boxes:
             paint[b.lo[2]:b.hi[2], b.lo[1]:b.hi[1], b.lo[0]:b.hi[0]] += 1
         assert (paint == 1).all()
-        assert sum(b.volume for b in boxes) == 360
+        assert sum(np.prod(b.extent) for b in boxes) == 360
 
     def test_prime_count_exceeding_every_axis_rejected(self):
         with pytest.raises(DecompositionError):
@@ -114,7 +114,6 @@ class TestDecompose:
     def test_rank_box_extent(self):
         box = RankBox(0, (1, 2, 3), (4, 4, 5))
         assert box.extent == (3, 2, 2)
-        assert box.volume == 12
 
 
 class TestVoxelFile:
@@ -172,7 +171,7 @@ class TestVoxelGrid:
         flags[0, 1, 2] = True
         grid = VoxelGrid(flags)
         assert grid.dims == (4, 3, 2)
-        assert grid.cell_count == 24
+        assert grid.flags.size == 24
         assert grid.fluid_count == 1
 
     def test_equality_is_by_value(self):

@@ -17,9 +17,8 @@ from listlbm import (
     octree_reduce,
     serial_oracle,
 )
-from listlbm.indexer import _merge_runs, assign_contiguous
-from listlbm.pipeline import contiguous_index_field
-from conftest import ALL_SCHEMES, SCHEME_IDS, random_grid
+from listlbm.indexer import CellOrder, _merge_runs, assign_contiguous
+from conftest import ALL_SCHEMES, SCHEME_IDS, ic_field, random_grid
 
 
 def line_grid(flags_x):
@@ -38,6 +37,15 @@ TWO_RANK_LINE = [
 ]
 
 
+def runs_of(grid, scheme, box, boxes=None):
+    """find_runs of `box` in the decomposition `boxes` (default: `box` alone)."""
+    return find_runs(grid, scheme, box, boxes or [box], CellOrder(grid.dims, scheme))
+
+
+def contiguous(grid, scheme, box, runs):
+    return assign_contiguous(grid, scheme, box, runs, CellOrder(grid.dims, scheme))
+
+
 class TestRunTable:
     def test_sentinel_value(self):
         assert SENTINEL_END == 2 ** 64 - 1
@@ -51,19 +59,19 @@ class TestRunTable:
 class TestRankTree:
     def test_single_rank(self):
         tree = build_rank_tree(1)
-        assert tree.height == 0
+        assert tree.levels == ()
         assert tree.root == 0
 
     def test_one_full_group(self):
         tree = build_rank_tree(8)
-        assert tree.height == 1
+        assert len(tree.levels) == 1
         ((master, members),) = tree.levels[0]
         assert master == 0
         assert members == tuple(range(8))
 
     def test_thirteen_ranks(self):
         tree = build_rank_tree(13)
-        assert tree.height == 2
+        assert len(tree.levels) == 2
         level1 = tree.levels[0]
         assert level1 == ((0, tuple(range(8))), (8, tuple(range(8, 13))))
         assert tree.levels[1] == ((0, (0, 8)),)
@@ -72,28 +80,28 @@ class TestRankTree:
 class TestFindRuns:
     def test_two_rank_line_all_fluid(self):
         grid = line_grid([1, 1, 1, 1])
-        runs0 = find_runs(grid, LexBlocked(1), TWO_RANK_LINE[0])
-        runs1 = find_runs(grid, LexBlocked(1), TWO_RANK_LINE[1])
+        runs0 = runs_of(grid, LexBlocked(1), TWO_RANK_LINE[0], TWO_RANK_LINE)
+        runs1 = runs_of(grid, LexBlocked(1), TWO_RANK_LINE[1], TWO_RANK_LINE)
         assert np.array_equal(runs0, table((0, 2, 2, 0)))
         assert np.array_equal(runs1, table((2, SENTINEL_END, 2, 1)))
 
     def test_single_rank_single_run(self, channel4):
         (box,) = decompose_ranks(channel4.dims, 1)
-        (run,) = find_runs(channel4, LexBlocked(1), box)
+        (run,) = runs_of(channel4, LexBlocked(1), box)
         assert run["incell"] == 0
         assert run["outcell"] == SENTINEL_END
         assert run["fluid"] == channel4.fluid_count
 
     def test_solid_cells_extend_runs_but_not_counts(self):
         grid = line_grid([1, 0, 1, 1])
-        runs0 = find_runs(grid, LexBlocked(1), TWO_RANK_LINE[0])
+        runs0 = runs_of(grid, LexBlocked(1), TWO_RANK_LINE[0], TWO_RANK_LINE)
         assert np.array_equal(runs0, table((0, 2, 1, 0)))
 
     def test_morton_gaps_split_nothing_spurious(self):
         # a rank owning one full z-slab of a pow2 cube stays contiguous
         grid = VoxelGrid(np.ones((2, 2, 2), dtype=bool))
         box = RankBox(0, (0, 0, 0), (2, 2, 1))
-        (run,) = find_runs(grid, Morton(1), box)
+        (run,) = runs_of(grid, Morton(1), box)
         assert run["incell"] == 0
         assert run["fluid"] == 4
 
@@ -144,7 +152,7 @@ class TestOctreeReduce:
         grid = random_grid(5, (16, 8, 7))
         boxes = decompose_ranks(grid.dims, 13)
         tree = build_rank_tree(13)
-        lists = [find_runs(grid, Morton(2), b, all_boxes=boxes) for b in boxes]
+        lists = [runs_of(grid, Morton(2), b, boxes) for b in boxes]
         base = octree_reduce(lists, tree)
         for seed in (0, 1, 2):
             shuffled = octree_reduce(lists, tree, rng=np.random.default_rng(seed))
@@ -155,7 +163,7 @@ class TestOctreeReduce:
         grid = random_grid(8, (8, 8, 8))
         boxes = decompose_ranks(grid.dims, 64)
         tree = build_rank_tree(64)
-        lists = [find_runs(grid, Morton(2), b, all_boxes=boxes) for b in boxes]
+        lists = [runs_of(grid, Morton(2), b, boxes) for b in boxes]
         base = octree_reduce(lists, tree)
         with caplog.at_level(logging.DEBUG, logger="listlbm.indexer"):
             traced = octree_reduce(lists, tree)
@@ -175,22 +183,22 @@ class TestAssignContiguous:
     def test_all_fluid_line(self):
         grid = line_grid([1, 1, 1, 1])
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
-        icis = octree_reduce([find_runs(grid, LexBlocked(1), box)], build_rank_tree(1))[0]
-        field = assign_contiguous(grid, LexBlocked(1), box, icis)
+        icis = octree_reduce([runs_of(grid, LexBlocked(1), box)], build_rank_tree(1))[0]
+        field = contiguous(grid, LexBlocked(1), box, icis)
         assert field.tolist() == [[[1, 2, 3, 4]]]
 
     def test_solid_cells_get_zero(self):
         grid = line_grid([1, 0, 1, 1])
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
-        icis = octree_reduce([find_runs(grid, LexBlocked(1), box)], build_rank_tree(1))[0]
-        field = assign_contiguous(grid, LexBlocked(1), box, icis)
+        icis = octree_reduce([runs_of(grid, LexBlocked(1), box)], build_rank_tree(1))[0]
+        field = contiguous(grid, LexBlocked(1), box, icis)
         assert field.tolist() == [[[1, 0, 2, 3]]]
 
     def test_unset_start_rejected(self):
         grid = line_grid([1, 1, 1, 1])
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
         with pytest.raises(ProtocolError, match="no start"):
-            assign_contiguous(grid, LexBlocked(1), box, table((0, SENTINEL_END, 4, 0)))
+            contiguous(grid, LexBlocked(1), box, table((0, SENTINEL_END, 4, 0)))
 
     @pytest.mark.parametrize("rows,match", [
         ([(0, 2, 2, 0, 1), (2, SENTINEL_END, 2, 0, 3)], "has 1 runs"),
@@ -201,7 +209,7 @@ class TestAssignContiguous:
         grid = line_grid([1, 1, 1, 1])
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
         with pytest.raises(ProtocolError, match=match):
-            assign_contiguous(grid, LexBlocked(1), box, np.array(rows, dtype=RUN_DTYPE))
+            contiguous(grid, LexBlocked(1), box, np.array(rows, dtype=RUN_DTYPE))
 
 
 class TestSerialOracle:
@@ -245,12 +253,10 @@ class TestSerialOracle:
 @pytest.mark.parametrize("P", [1, 3, 5, 8, 64, 100])
 def test_distributed_matches_oracle(scheme, P):
     grid = random_grid(8, (8, 8, 8))
-    assert np.array_equal(contiguous_index_field(grid, scheme, nranks=P),
-                          serial_oracle(grid, scheme))
+    assert np.array_equal(ic_field(grid, scheme, nranks=P), serial_oracle(grid, scheme))
 
 
 def test_root_fluid_total_matches_grid(channel6):
     boxes = decompose_ranks(channel6.dims, 7)
-    total = sum(int(find_runs(channel6, LexBlocked(4), b, all_boxes=boxes)["fluid"].sum())
-                for b in boxes)
+    total = sum(int(runs_of(channel6, LexBlocked(4), b, boxes)["fluid"].sum()) for b in boxes)
     assert total == channel6.fluid_count

@@ -9,7 +9,6 @@ from listlbm import (
     Morton,
     SchemeParseError,
     cell_index,
-    index_of,
     parse_scheme,
     scheme_text,
 )
@@ -65,26 +64,26 @@ class TestSchemeText:
 
 class TestWorkedValues:
     def test_plain_row_major(self):
-        assert index_of(LexBlocked(1), (1, 2, 3), (4, 4, 4)) == 1 + 2 * 4 + 3 * 16
+        assert int(cell_index(LexBlocked(1), 1, 2, 3, (4, 4, 4))) == 1 + 2 * 4 + 3 * 16
 
     def test_morton_single_bit(self):
-        assert index_of(Morton(1), (2, 3, 1), (4, 4, 4)) == 30
+        assert int(cell_index(Morton(1), 2, 3, 1, (4, 4, 4))) == 30
 
     def test_morton_two_bit_groups(self):
-        assert index_of(Morton(2), (5, 2, 7), (8, 8, 8)) == 1145
+        assert int(cell_index(Morton(2), 5, 2, 7, (8, 8, 8))) == 1145
 
     def test_blocked_traversal_order(self):
         # b=2 on a 4x2x1 domain: two 2x2 blocks, x fastest inside a block
         dims = (4, 2, 1)
         order = sorted(
             ((x, y) for x in range(4) for y in range(2)),
-            key=lambda c: index_of(LexBlocked(2), (c[0], c[1], 0), dims),
+            key=lambda c: int(cell_index(LexBlocked(2), c[0], c[1], 0, dims)),
         )
         assert order == [(0, 0), (1, 0), (0, 1), (1, 1),
                          (2, 0), (3, 0), (2, 1), (3, 1)]
         assert_gapless = all_indices(LexBlocked(2), dims).ravel()
         assert sorted(assert_gapless) == list(range(8))
-        assert index_of(LexBlocked(2), (2, 1, 0), dims) == 6
+        assert int(cell_index(LexBlocked(2), 2, 1, 0, dims)) == 6
 
 
 class TestLexProperties:
@@ -137,7 +136,7 @@ class TestMortonProperties:
         rng = np.random.default_rng(7)
         for _ in range(200):
             x, y, z = (int(v) for v in rng.integers(0, 16, size=3))
-            assert index_of(Morton(g), (x, y, z), dims) == classic_interleave(x, y, z, g)
+            assert int(cell_index(Morton(g), x, y, z, dims)) == classic_interleave(x, y, z, g)
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("dims", [(8, 8, 8), (5, 7, 3), (32, 2, 9)])
@@ -149,10 +148,10 @@ class TestMortonProperties:
             x = int(rng.integers(0, X))
             y = int(rng.integers(0, Y))
             z = int(rng.integers(0, Z))
-            combined = index_of(scheme, (x, y, z), dims)
-            parts = (index_of(scheme, (x, 0, 0), dims)
-                     | index_of(scheme, (0, y, 0), dims)
-                     | index_of(scheme, (0, 0, z), dims))
+            combined = int(cell_index(scheme, x, y, z, dims))
+            parts = (int(cell_index(scheme, x, 0, 0, dims))
+                     | int(cell_index(scheme, 0, y, 0, dims))
+                     | int(cell_index(scheme, 0, 0, z, dims)))
             assert combined == parts
 
     def test_pow2_cube_is_bijective(self):
@@ -166,7 +165,7 @@ class TestMortonProperties:
 
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
-            index_of(Morton(2), (0, 0, 0), (2 ** 22, 1, 1))
+            int(cell_index(Morton(2), 0, 0, 0, (2 ** 22, 1, 1)))
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=SCHEME_IDS)
@@ -174,12 +173,6 @@ class TestMortonProperties:
 def test_injective_over_all_cells(scheme, dims):
     idx = all_indices(scheme, dims).ravel()
     assert np.unique(idx).size == idx.size
-
-
-@pytest.mark.parametrize("coord", [(-1, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)])
-def test_index_of_rejects_out_of_bounds(coord):
-    with pytest.raises(DomainError):
-        index_of(LexBlocked(1), coord, (4, 4, 4))
 
 
 scheme_strategy = st.one_of(

@@ -16,12 +16,11 @@ from listlbm import (
     make_channel,
     poiseuille_error,
     preprocess_grid,
-    preprocess_to_file,
     read_sparse,
     run_benchmark,
     write_sparse,
 )
-from listlbm.solver import C19, W, init_equilibrium, macroscopic
+from listlbm.solver import C19, W, macroscopic
 
 
 @pytest.fixture(scope="module")
@@ -72,23 +71,21 @@ class TestEquilibrium:
         sim = make_sim(channel6_sparse)
         f = sim.gather_state()
         assert np.allclose(f, W[:, None], atol=1e-16)
-        rho, u = sim.macroscopic_all()
+        rho, u = macroscopic(f, sim.params)
         assert np.abs(rho - 1.0).max() < 1e-14
         assert np.abs(u).max() < 1e-15
 
     def test_momentum_identity(self, channel6_sparse):
         sim = make_sim(channel6_sparse)
-        domain = sim.domains[0]
-        init_equilibrium(domain, 1.0, (0.01, 0.0, 0.0))
-        rho, u = macroscopic(domain, sim.params)
+        sim.init_equilibrium(1.0, (0.01, 0.0, 0.0))
+        rho, u = macroscopic(sim.gather_state(), sim.params)
         assert np.abs(u[:, 0] - 0.01).max() < 1e-14
         assert np.abs(rho - 1.0).max() < 1e-14
 
     def test_scaled_density(self, channel6_sparse):
         sim = make_sim(channel6_sparse)
-        domain = sim.domains[0]
-        init_equilibrium(domain, 1.2, (0.0, 0.0, 0.0))
-        rho, _ = macroscopic(domain, sim.params)
+        sim.init_equilibrium(1.2, (0.0, 0.0, 0.0))
+        rho, _ = macroscopic(sim.gather_state(), sim.params)
         assert np.abs(rho - 1.2).max() < 1e-14
 
     def test_rejects_nonpositive_density(self, channel6_sparse):
@@ -129,9 +126,9 @@ class TestStep:
             domain.f_src[:, :domain.n_own] += 0.01 * rng.random((19, domain.n_own))
         sim._exchange()
         for _ in range(5):
-            before = sim.total_mass()
+            before = sim.gather_state().sum()
             sim.step()
-            assert abs(sim.total_mass() - before) / before < 1e-12
+            assert abs(sim.gather_state().sum() - before) / before < 1e-12
 
     def test_forcing_adds_momentum_per_step(self):
         grid = VoxelGrid(np.ones((4, 4, 4), dtype=bool))
@@ -156,9 +153,9 @@ class TestStep:
         sparse = preprocess_grid(grid, LexBlocked(1), periodic=(True, True, True))
         g = 1e-5
         sim = make_sim(sparse, tau_plus=0.9, force=(g, 0.0, 0.0))
-        _, u0 = sim.macroscopic_all()
+        _, u0 = macroscopic(sim.gather_state(), sim.params)
         sim.step()
-        _, u1 = sim.macroscopic_all()
+        _, u1 = macroscopic(sim.gather_state(), sim.params)
         assert u1[:, 0].mean() - u0[:, 0].mean() == pytest.approx(g, rel=1e-10)
 
     def test_nan_raises_named_step(self, channel6_sparse):
@@ -212,8 +209,8 @@ class TestPartitionInvariance:
             sparse = preprocess_grid(grid, scheme, periodic=(True, False, False))
             sim = make_sim(sparse, nparts=3, tau_plus=0.8, force=(1e-6, 0.0, 0.0))
             sim.run(60)
-            coords = sim.gather_coords()
-            _, u = sim.macroscopic_all()
+            coords = sim.coords
+            _, u = macroscopic(sim.gather_state(), sim.params)
             order = np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))
             fields[str(scheme)] = u[order]
         values = list(fields.values())
@@ -251,7 +248,7 @@ class TestLocalization:
         nbr = records.nbr.copy()
         nbr[9, 0] = 10  # +x of I_c=10 points at itself
         bad = SparseRecords(records.coords, records.ic, nbr)
-        with pytest.raises(DataError, match="link 0 of I_c=10 to 10 has no link back"):
+        with pytest.raises(DataError, match=r"link 0 of I_c=10 at \(9, 1, 1\) to 10 does not"):
             Simulation(header, bad, nparts=nparts, params=TrtParams(tau_plus=0.8))
 
     def test_neighbor_above_fluid_count_rejected(self, channel6_sparse):
@@ -273,7 +270,7 @@ class TestLocalization:
         sim = make_sim(channel6_sparse, nparts=8)
         header, records = channel6_sparse
         assert sim.gather_state().shape == (19, header.n_fluid)
-        assert np.array_equal(sim.gather_coords(), records.sorted_by_ic().coords)
+        assert np.array_equal(sim.coords, records.sorted_by_ic().coords)
 
 
 class TestBenchmark:

@@ -12,14 +12,19 @@ from listlbm import (
     TooManyProcessesError,
     VoxelGrid,
     preprocess_grid,
-    preprocess_to_file,
     read_chunk,
-    read_header,
     read_sparse,
     write_sparse,
 )
 from listlbm.adjacency import SparseRecords
-from listlbm.sparse_io import RECORD_DTYPE, header_nbytes
+from listlbm.sparse_io import RECORD_DTYPE
+from conftest import first_record_offset
+
+
+def write_domain(grid, scheme, path, periodic=(False, False, False)):
+    header, records = preprocess_grid(grid, scheme, periodic=periodic)
+    write_sparse(path, records, header)
+    return header
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +32,7 @@ def channel_file(tmp_path_factory):
     from listlbm import make_channel
     path = tmp_path_factory.mktemp("sprs") / "c4.sprs"
     grid = make_channel(4)
-    header = preprocess_to_file(grid, LexBlocked(4), path, periodic=(True, False, False))
+    header = write_domain(grid, LexBlocked(4), path, periodic=(True, False, False))
     return path, header
 
 
@@ -35,11 +40,16 @@ class TestHeader:
     def test_record_size_is_fixed(self):
         assert RECORD_DTYPE.itemsize == 156
 
-    def test_nbytes_counts_scheme_and_table(self):
-        base = SparseHeader((4, 4, 4), 10, "lex:b=1")
-        assert header_nbytes(base) == 46 + len("lex:b=1") + 4
-        with_table = SparseHeader((4, 4, 4), 10, "lex:b=1", part_starts=(1, 5, 8))
-        assert header_nbytes(with_table) == header_nbytes(base) + 8 + 3 * 8
+    def test_nbytes_counts_scheme_and_table(self, tmp_path):
+        grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
+        header, records = preprocess_grid(grid, LexBlocked(1))
+        with_table = SparseHeader(header.dims, header.n_fluid, header.scheme_text,
+                                  part_starts=(1, 5, 8))
+        offsets = []
+        for h in (header, with_table):
+            write_sparse(tmp_path / "t.sprs", records, h)
+            offsets.append(first_record_offset(tmp_path / "t.sprs"))
+        assert offsets == [46 + len("lex:b=1") + 4, 46 + len("lex:b=1") + 4 + 8 + 3 * 8]
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ParameterError):
@@ -77,8 +87,8 @@ class TestRoundTrip:
     def test_empty_domain_is_header_only(self, tmp_path):
         grid = VoxelGrid(np.zeros((2, 2, 2), dtype=bool))
         path = tmp_path / "empty.sprs"
-        header = preprocess_to_file(grid, LexBlocked(1), path)
-        assert path.stat().st_size == header_nbytes(header)
+        header = write_domain(grid, LexBlocked(1), path)
+        assert path.stat().st_size == first_record_offset(path)
         got, records = read_sparse(path)
         assert got.n_fluid == 0
         assert len(records) == 0
@@ -86,8 +96,8 @@ class TestRoundTrip:
     def test_write_is_deterministic(self, tmp_path, channel4):
         a = tmp_path / "a.sprs"
         b = tmp_path / "b.sprs"
-        preprocess_to_file(channel4, Morton(2), a)
-        preprocess_to_file(channel4, Morton(2), b)
+        write_domain(channel4, Morton(2), a)
+        write_domain(channel4, Morton(2), b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -141,7 +151,7 @@ class TestChunkedReads:
     def test_first_chunk_of_ten_by_three(self, tmp_path):
         grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
         path = tmp_path / "line.sprs"
-        header = preprocess_to_file(grid, LexBlocked(1), path)
+        header = write_domain(grid, LexBlocked(1), path)
         lo, hi = ranges(header.partition(3))[0]
         _, records = read_chunk(path, lo, hi)
         assert records.ic.tolist() == [1, 2, 3, 4]
@@ -257,8 +267,7 @@ class TestFormatErrors:
 
     def test_neighbor_above_fluid_count(self, channel_file, tmp_path):
         path, header = channel_file
-        base = header_nbytes(header)
-        at = base + 156 * 4 + 12 + 8 * 2  # I_c=5, direction 2
+        at = first_record_offset(path) + 156 * 4 + 12 + 8 * 2  # I_c=5, direction 2
 
         def mutate(raw):
             raw[at : at + 8] = (header.n_fluid + 5).to_bytes(8, "little")
@@ -281,7 +290,7 @@ def table_file(tmp_path_factory):
                            part_starts=(1, 4, 8))
     path = tmp_path_factory.mktemp("table") / "line.sprs"
     write_sparse(path, records, stamped)
-    first_start = header_nbytes(header) - 4 + 12  # flag u32, count u64
+    first_start = first_record_offset(path) - 8 * 3  # three u64 starts
     return path, first_start
 
 
@@ -307,7 +316,7 @@ class TestStartTableErrors:
     @pytest.mark.parametrize("count", [2 ** 60, 2 ** 37])
     def test_count_beyond_file_names_table_offset(self, channel_file, tmp_path, count):
         path, header = channel_file
-        flag = header_nbytes(header) - 4
+        flag = first_record_offset(path) - 4
 
         def mutate(raw):
             for at in (8, 16, 24):
