@@ -8,7 +8,9 @@ by no rank or by two is a ProtocolError naming the cell. Neighbor
 entries store the contiguous index of the fluid neighbor, or 0 when the
 neighbor is solid or outside the domain. `check_records` and
 `check_links` raise DataError naming the first I_c that breaks a record
-rule; the file readers share `first_bad_entry` for the range rule.
+rule (`check_links` also checks the records against their header's
+dims, periodic axes and scheme); the file readers share
+`first_bad_entry` for the range rule.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import DataError, ProtocolError
 from .geometry import RankBox, VoxelGrid
+from .numbering import cell_index, parse_scheme
 
 __all__ = [
     "STENCIL", "HaloView", "SparseRecords", "build_adjacency", "check_links", "check_records",
@@ -228,13 +231,17 @@ def check_records(records: SparseRecords, n_fluid: int) -> None:
         raise DataError(f"link {i} of I_c={a + 1} to {records.nbr[a, i]} is outside 1..{n}")
 
 
-def check_links(by_dir: np.ndarray, coords: np.ndarray, dims, periodic) -> None:
-    """Raise DataError unless every record's cell lies inside `dims`, no
-    two records share a cell, and each entry of the (18, N_f) adjacency
-    `by_dir` is the I_c at coords + c_i, wrapped on the periodic axes,
-    or 0 where no record lies; links are then symmetric. Entries must
-    already be 0 or in 1..N_f (`check_records`). The lookup field spans
-    only the records' box, so inflated header dims cost no memory."""
+def check_links(by_dir: np.ndarray, coords: np.ndarray, header) -> None:
+    """Raise DataError unless every record's cell lies inside the
+    header's dims, no two records share a cell, each entry of the
+    (18, N_f) adjacency `by_dir` is the I_c at coords + c_i, wrapped on
+    the header's periodic axes, or 0 where no record lies (so links are
+    symmetric), and the header's scheme numbers the cells in I_c order.
+    Entries must already be 0 or in 1..N_f (`check_records`). The lookup
+    field spans only the records' box, so inflated header dims cost no
+    memory; dims too large for the scheme's 64-bit codes raise
+    DomainError."""
+    dims, periodic = header.dims, header.periodic
     c = np.ascontiguousarray(coords.T, dtype=np.int64)  # rows x, y, z
     X, Y, Z = dims
     outside = (c < 0).any(axis=0) | (c[0] >= X) | (c[1] >= Y) | (c[2] >= Z)
@@ -275,3 +282,11 @@ def check_links(by_dir: np.ndarray, coords: np.ndarray, dims, periodic) -> None:
                 f"link {i} of I_c={a + 1} at {tuple(c[:, a].tolist())} to {by_dir[i, a]} "
                 f"does not match its stencil neighbour, which holds {there}"
             )
+    codes = cell_index(parse_scheme(header.scheme_text), x, y, z, dims)
+    early = codes[1:] <= codes[:-1]
+    if early.any():
+        a = int(np.argmax(early)) + 1
+        raise DataError(
+            f"I_c={a + 1} at {tuple(c[:, a].tolist())} comes before I_c={a} at "
+            f"{tuple(c[:, a - 1].tolist())} under the header's scheme {header.scheme_text}"
+        )

@@ -59,11 +59,15 @@ class ParameterError(ListLbmError):
 
 
 class DivergenceError(ListLbmError):
-    """A solver step met a cell whose density is not positive (or NaN)."""
+    """A solver step met a cell whose density is not positive (or NaN):
+    the step, the smallest such I_c and its (x, y, z)."""
 
-    def __init__(self, step):
-        super().__init__(f"density not positive at step {step}: the run diverged")
+    def __init__(self, step, ic, cell):
+        super().__init__(
+            f"density not positive at step {step} at I_c={ic} {cell}: the run diverged")
         self.step = step
+        self.ic = ic
+        self.cell = cell
 
 
 class NotConvergedError(ListLbmError):

@@ -114,6 +114,8 @@ def _lex_blocked_index(b, x, y, z, dims):
     # (z//b, y//b, x//b, z%b, y%b, x%b); partial blocks at the domain
     # edges keep their truncated extents so the index stays gapless.
     X, Y, Z = (int(d) for d in dims)
+    if X * Y * Z >= 2**63:
+        raise DomainError(f"dims {(X, Y, Z)} overflow 64-bit lex codes")
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)

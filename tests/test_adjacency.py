@@ -10,6 +10,7 @@ from listlbm import (
     Morton,
     ProtocolError,
     Simulation,
+    SparseHeader,
     SparseRecords,
     TrtParams,
     VoxelGrid,
@@ -289,3 +290,39 @@ class TestRecordValidator:
         with pytest.raises(DataError) as info:
             ENTRY_POINTS[entry](header, bad, tmp_path)
         assert re.search(r"I_c=(\d+)", str(info.value)).group(1) == str(ic), info.value
+
+
+class TestSchemeOrder:
+    """`check_links` also requires the header's scheme to number the
+    cells in I_c order. On a 4x2x1 box, lex:b=1 and morton:g=2 visit
+    (0,0) (1,0) (2,0) (3,0) (0,1) ..., and lex:b=2 and morton:g=1 visit
+    (0,0) (1,0) (0,1) (1,1) (2,0) ..."""
+
+    ROWS = r"I_c=5 at \(0, 1, 0\) comes before I_c=4 at \(3, 0, 0\)"
+    SQUARES = r"I_c=5 at \(2, 0, 0\) comes before I_c=4 at \(1, 1, 0\)"
+
+    @staticmethod
+    def simulate(records_scheme, header_scheme):
+        grid = VoxelGrid(np.ones((1, 2, 4), dtype=bool))
+        header, records = preprocess_grid(grid, records_scheme)
+        relabeled = SparseHeader(header.dims, header.n_fluid, header_scheme, header.periodic)
+        return Simulation(relabeled, records, nparts=2, params=TrtParams(tau_plus=0.8))
+
+    @pytest.mark.parametrize("records_scheme,header_scheme,message", [
+        (LexBlocked(1), "lex:b=2", ROWS),
+        (LexBlocked(1), "morton:g=1", ROWS),
+        (LexBlocked(2), "lex:b=1", SQUARES),
+        (LexBlocked(2), "morton:g=2", SQUARES),
+    ], ids=["lex:b=1-as-lex:b=2", "lex:b=1-as-morton:g=1", "lex:b=2-as-lex:b=1",
+            "lex:b=2-as-morton:g=2"])
+    def test_other_order_names_the_first_cell_out_of_it(self, records_scheme, header_scheme,
+                                                        message):
+        with pytest.raises(DataError, match=message):
+            self.simulate(records_scheme, header_scheme)
+
+    @pytest.mark.parametrize("records_scheme,header_scheme", [
+        (LexBlocked(1), "morton:g=2"),
+        (LexBlocked(2), "morton:g=1"),
+    ], ids=["lex:b=1-as-morton:g=2", "lex:b=2-as-morton:g=1"])
+    def test_another_scheme_of_the_same_order_passes(self, records_scheme, header_scheme):
+        self.simulate(records_scheme, header_scheme)

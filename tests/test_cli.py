@@ -8,9 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listlbm import (
+    DivergenceError,
     LexBlocked,
     PartitionAssignment,
+    Simulation,
     SparseHeader,
+    TrtParams,
     VoxelGrid,
     chunk_ranges,
     make_channel,
@@ -372,6 +375,28 @@ class TestRecordCoordinates:
             assert out == ""
 
 
+class TestSchemeOrder:
+    def test_other_scheme_digit_fails_analyze_and_solve(self, tmp_path, stamped_file, capsys):
+        """`lex:b=5` is a valid scheme, but not the order of the stamped
+        `lex:b=4` records: info, which reads no record, exits 0, while
+        analyze and solve name the first I_c out of order."""
+        raw = bytearray(stamped_file.read_bytes())
+        at = 46 + len("lex:b=")
+        assert raw[46:at + 1] == b"lex:b=4"
+        raw[at] = ord("5")
+        bad = tmp_path / "b5.sprs"
+        bad.write_bytes(bytes(raw))
+        assert main(["info", "--in", str(bad)]) == 0
+        assert "scheme=lex:b=5\n" in capsys.readouterr().out
+        for argv in (["analyze", "--out-prefix", str(tmp_path / "h")], ["solve", "--steps", "1"]):
+            assert main([argv[0], "--in", str(bad), *argv[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert re.fullmatch(r"error: I_c=\d+ at \(\d+, \d+, \d+\) comes before I_c=\d+ "
+                                r"at \(\d+, \d+, \d+\) under the header's scheme lex:b=5",
+                                error_only(err)), argv
+            assert out == ""
+
+
 class TestSolveAndBench:
     def test_solve_writes_report(self, tmp_path, sparse_file, capsys):
         report = tmp_path / "r.csv"
@@ -456,6 +481,22 @@ class TestSolveAndBench:
         assert "density not positive at step 28" in error_only(err)
         assert "flups" not in out
         assert not report.exists()
+
+    def test_divergence_names_its_cell(self, channel6_file, capsys):
+        """The one `error:` line gives the step, the smallest failing I_c
+        and its coordinates, as the library reports them."""
+        header, records = read_sparse(channel6_file)
+        sim = Simulation(header, records, None, TrtParams(tau_plus=0.8, force=(0.5, 0.0, 0.0)))
+        sim.init_equilibrium(1.0)
+        with pytest.raises(DivergenceError) as info:
+            sim.run(200)
+        code = main(["solve", "--in", str(channel6_file), "--force", "0.5,0,0", "--steps", "200"])
+        assert code == 1
+        line = error_only(capsys.readouterr().err)
+        assert line == f"error: {info.value}"
+        x, y, z = records.coords[info.value.ic - 1]
+        assert line == (f"error: density not positive at step 28 at I_c={info.value.ic} "
+                        f"({x}, {y}, {z}): the run diverged")
 
     @pytest.mark.parametrize("flags", [["--force", "inf,0,0"], ["--tau", "inf"]])
     def test_non_finite_parameter_exits_one(self, sparse_file, capsys, flags):

@@ -113,6 +113,15 @@ class TestLexProperties:
         idx = np.sort(all_indices(LexBlocked(b), dims).ravel())
         assert np.array_equal(idx, np.arange(idx.size))
 
+    def test_overflow_guard(self):
+        """A box of 2^63 or more cells has codes past int64; one cell
+        fewer still numbers its last cell."""
+        with pytest.raises(DomainError, match="overflow"):
+            cell_index(LexBlocked(4), 0, 0, 0, (2 ** 21, 2 ** 21, 2 ** 21))
+        dims = (2 ** 21, 2 ** 21, 2 ** 21 - 1)
+        last = int(cell_index(LexBlocked(1), *(n - 1 for n in dims), dims))
+        assert last == 2 ** 63 - 2 ** 42 - 1
+
 
 def classic_interleave(x, y, z, g):
     """Reference group interleave built digit by digit."""

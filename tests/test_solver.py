@@ -20,6 +20,7 @@ from listlbm import (
     run_benchmark,
     write_sparse,
 )
+from listlbm import solver
 from listlbm.solver import C19, W, macroscopic
 
 
@@ -162,8 +163,76 @@ class TestStep:
         sim = make_sim(channel6_sparse)
         sim.run(2)
         sim.domains[0].f_src[4, 7] = np.nan
-        with pytest.raises(DivergenceError, match="step 3"):
+        # population 4 of I_c=8 streams along c_4 = STENCIL[3] into that
+        # neighbour, or bounces back into I_c=8 when the neighbour is solid
+        _, records = channel6_sparse
+        ic = int(records.nbr[7, 3]) or 8
+        x, y, z = records.coords[ic - 1]
+        with pytest.raises(DivergenceError, match=rf"step 3 at I_c={ic} \({x}, {y}, {z}\): "):
             sim.step()
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_divergence_names_the_smallest_failing_cell(self, channel6_sparse, monkeypatch,
+                                                         workers):
+        """Cells that fail in a later block, a later partition or by
+        density <= 0 instead of NaN do not hide the smallest I_c."""
+        monkeypatch.setattr(solver, "_BLOCK", 10)
+        sim = make_sim(channel6_sparse, nparts=3, workers=workers)
+        _, mid, last = sim.domains
+        # population 0 stays in its cell, so each write spoils one density
+        last.f_src[0, 3] = np.nan
+        mid.f_src[0, 31] = np.nan
+        mid.f_src[0, 25] = -1.0
+        ic = mid.lo + 25
+        x, y, z = sim.coords[ic - 1]
+        want = rf"step 1 at I_c={ic} \({x}, {y}, {z}\): "
+        with pytest.raises(DivergenceError, match=want) as info:
+            sim.step()
+        assert (info.value.step, info.value.ic, info.value.cell) == (1, ic, (x, y, z))
+
+
+class TestBlockedKernel:
+    """The step evaluated over column blocks of `_BLOCK` owned cells
+    equals the same expression over the whole (19, N_f) array, bit for
+    bit, at any block size and partition count."""
+
+    PARAMS = TrtParams(tau_plus=0.8, force=(1e-5, -2e-6, 3e-6))
+    STEPS = 3
+
+    @staticmethod
+    def states(sparse, nparts, steps):
+        sim = Simulation(*sparse, nparts, TestBlockedKernel.PARAMS)
+        sim.init_equilibrium(1.0, (0.05, -0.02, 0.03))
+        out = []
+        for _ in range(steps):
+            sim.step()
+            out.append(sim.gather_state().view(np.uint64))
+        return out
+
+    @pytest.fixture(scope="class")
+    def packing24_sparse(self, packing24):
+        return preprocess_grid(packing24, LexBlocked(1), periodic=(True, False, False))
+
+    @pytest.fixture(scope="class")
+    def whole_array(self, packing24_sparse):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_BLOCK", packing24_sparse[0].n_fluid)
+            return self.states(packing24_sparse, 1, self.STEPS)
+
+    # N_f = 37,327: 1000, 4096 and 5000 leave a partial last block; 7
+    # partitions hold one full block and a partial one each, 16 hold
+    # less than one block each
+    @pytest.mark.parametrize("block,nparts", [
+        (1, 1), (1000, 1), (4096, 1), (5000, 1), (4096, 7), (4096, 16),
+    ])
+    def test_equals_whole_array(self, packing24_sparse, whole_array, monkeypatch,
+                                block, nparts):
+        assert packing24_sparse[0].n_fluid == 37327
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        # a block of one cell makes N_f blocks, about 4 s a step
+        steps = 1 if block == 1 else self.STEPS
+        for got, want in zip(self.states(packing24_sparse, nparts, steps), whole_array):
+            assert np.array_equal(got, want)
 
 
 class TestPartitionInvariance:
