@@ -407,8 +407,10 @@ class TestSolveAndBench:
         out = capsys.readouterr().out
         assert "flup_count=800" in out
         lines = report.read_text().splitlines()
-        assert lines[0] == "partitions,steps,fluid_cells,seconds,flups,gflops_est"
+        assert lines[0] == ("partitions,steps,fluid_cells,seconds,flups,gflops_est,"
+                            "part,owned_cells,ghost_cells,compute_s,exchange_s")
         assert lines[1].startswith("2,10,80,")
+        assert [line.split(",")[6] for line in lines[1:]] == ["0", "1"]
 
     def test_partition_count_of_start_table(self, stamped_file, capsys):
         assert main(["solve", "--in", str(stamped_file), "--steps", "2"]) == 0

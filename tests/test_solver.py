@@ -21,7 +21,7 @@ from listlbm import (
     write_sparse,
 )
 from listlbm import solver
-from listlbm.solver import C19, W, macroscopic
+from listlbm.solver import C19, OPP, W, macroscopic
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +235,81 @@ class TestBlockedKernel:
             assert np.array_equal(got, want)
 
 
+_CF = C19.astype(float)
+
+
+def reference_equilibrium(rho, u):
+    """(19, n) D3Q19 equilibrium, every row from the full formula."""
+    cu = _CF[:, 0, None] * u[0] + _CF[:, 1, None] * u[1] + _CF[:, 2, None] * u[2]
+    usq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    return W[:, None] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
+
+
+def reference_step(state, nbr, params):
+    """One pull + TRT + forcing step of a (19, N_f) state in I_c order,
+    written as the whole-array expression over all 19 rows: population
+    p pulls from the neighbour in direction OPP[p], or bounces back from
+    the cell's own OPP[p] where that entry is 0."""
+    cells = np.arange(state.shape[1])
+    f = np.empty_like(state)
+    f[0] = state[0]
+    for p in range(1, 19):
+        src = nbr[:, OPP[p] - 1].astype(np.int64) - 1
+        wall = src < 0
+        f[p] = np.where(wall, state[OPP[p]], state[p, np.where(wall, cells, src)])
+    # the density adds rows in population order and each momentum
+    # component is (sum of its c = +1 rows) - (sum of its c = -1 rows)
+    rho = f[0].copy()
+    for p in range(1, 19):
+        rho += f[p]
+    m = np.stack([f[C19[:, a] == 1].sum(axis=0) - f[C19[:, a] == -1].sum(axis=0)
+                  for a in range(3)])
+    feq = reference_equilibrium(rho, m / rho)
+    f_opp = f[OPP]
+    feq_opp = feq[OPP]
+    post = (
+        f
+        - (0.5 * params.omega_plus) * ((f + f_opp) - (feq + feq_opp))
+        - (0.5 * params.omega_minus) * ((f - f_opp) - (feq - feq_opp))
+    )
+    return post + (3.0 * W * (_CF @ np.asarray(params.force)))[:, None] * rho
+
+
+class TestPairForm:
+    """The kernel works on the 9 opposite pairs f[1::2], f[2::2]; it must
+    agree with the 19-row TRT expression written independently above,
+    bit for bit: each pair's equilibrium rounds as the full formula, and
+    a tail's update is exactly its head's with the odd terms negated."""
+
+    def test_pair_layout(self):
+        # a reorder of STENCIL must fail here, not change the physics
+        assert OPP[1::2].tolist() == list(range(2, 19, 2))
+        assert OPP[2::2].tolist() == list(range(1, 18, 2))
+        assert np.array_equal(C19[2::2], -C19[1::2])
+        u = np.random.default_rng(7).standard_normal((3, 5))
+        assert np.array_equal(solver._pair_cu(u), C19[1::2] @ u)
+
+    @pytest.mark.parametrize("nparts", [1, 3])
+    def test_step_matches_whole_array_formula(self, channel6_sparse, monkeypatch, nparts):
+        header, records = channel6_sparse
+        assert (records.nbr == 0).any()  # bounce-back links take part
+        monkeypatch.setattr(solver, "_BLOCK", 16)
+        params = TrtParams(tau_plus=0.8, force=(1e-5, -2e-6, 3e-6))
+        assert params.omega_plus != params.omega_minus
+        # far from equilibrium in both halves, so omega+ and omega- both act
+        rng = np.random.default_rng(11)
+        n = header.n_fluid
+        state = reference_equilibrium(1.0 + 0.1 * rng.random(n), 0.05 * rng.standard_normal((3, n)))
+        state *= 1.0 + 0.2 * (rng.random((19, n)) - 0.5)
+        sim = Simulation(header, records, nparts, params)
+        for d in sim.domains:
+            d.f_src[:, :d.n_own] = state[:, d.lo - 1 : d.lo - 1 + d.n_own]
+        sim._exchange()
+        sim.step()
+        want = reference_step(state, records.nbr, params)
+        assert np.array_equal(sim.gather_state(), want)
+
+
 class TestPartitionInvariance:
     def test_state_identical_across_partition_counts(self, channel6_sparse):
         states = {}
@@ -360,9 +435,26 @@ class TestBenchmark:
     def test_csv_layout(self, channel6_sparse):
         report = run_benchmark(make_sim(channel6_sparse), steps=3)
         lines = report.csv().splitlines()
-        assert lines[0] == "partitions,steps,fluid_cells,seconds,flups,gflops_est"
+        assert lines[0] == ("partitions,steps,fluid_cells,seconds,flups,gflops_est,"
+                            "part,owned_cells,ghost_cells,compute_s,exchange_s")
         assert len(lines) == 2
         assert lines[1].startswith("1,3,")
+
+    def test_csv_has_one_row_per_partition(self, channel6_sparse):
+        sim = make_sim(channel6_sparse, nparts=3)
+        report = run_benchmark(sim, steps=4)
+        header, *rows = report.csv().splitlines()
+        assert len(rows) == 3
+        run = rows[0].split(",")[:6]
+        for p, (row, d) in enumerate(zip(rows, sim.domains)):
+            cols = dict(zip(header.split(","), row.split(",")))
+            assert row.split(",")[:6] == run
+            assert (int(cols["part"]), int(cols["owned_cells"]), int(cols["ghost_cells"])) == (
+                p, d.n_own, d.n_ghost)
+            assert float(cols["compute_s"]) == pytest.approx(sim.compute_seconds[p], abs=1e-6)
+            assert float(cols["exchange_s"]) == pytest.approx(sim.exchange_seconds[p], abs=1e-6)
+            assert float(cols["compute_s"]) > 0.0
+        assert sum(d.n_own for d in sim.domains) == channel6_sparse[0].n_fluid
 
     def test_rejects_zero_steps(self, channel6_sparse):
         with pytest.raises(ParameterError):
