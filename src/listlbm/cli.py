@@ -6,7 +6,7 @@ Single binary with subcommands::
     listlbm preprocess --in FILE [--scheme TEXT] [--ranks P] [--periodic AXES] --out FILE
     listlbm analyze    --in FILE [--parts N] --out-prefix PREFIX
     listlbm solve      --in FILE [--parts N] [--tau T] [--lambda L]
-                       [--force GX,GY,GZ] --steps K [--warmup K] [--workers W]
+                       [--force GX,GY,GZ] --steps K [--warmup K]
                        [--report FILE]
     listlbm info       --in FILE
 
@@ -128,8 +128,7 @@ def _cmd_solve(args):
     _distinct_paths(args.infile, args.report)
     header, records = read_sparse(args.infile)
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
-    sim = Simulation(header, records, nparts=args.parts, params=params,
-                     workers=args.workers)
+    sim = Simulation(header, records, nparts=args.parts, params=params)
     # open the report before stepping, so a bad path costs no run, and
     # delete it again if stepping fails, so no empty report is left
     with open(args.report or os.devnull, "w") as fh:
@@ -219,8 +218,6 @@ def _build_parser():
                      help="number of timed steps")
     sol.add_argument("--warmup", type=_nonnegative_int, default=0,
                      help="untimed steps before the timed ones (default 0)")
-    sol.add_argument("--workers", type=_positive_int, default=1,
-                     help="solver worker threads (default 1)")
     sol.add_argument("--report", default=None, help="write a CSV benchmark report here")
     sol.set_defaults(handler=_cmd_solve)
 

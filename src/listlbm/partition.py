@@ -6,6 +6,12 @@ one cell) or the start table of a sparse file, chosen in one place by
 `SparseHeader.partition`. Quality metrics count, per partition, the
 distinct neighbor partitions and the directed PDF links crossing
 partition boundaries.
+
+`partition_stats` takes every link's target partition from one gather
+of an owner table of N_f + 1 entries and counts distinct partition pairs
+by sorting the crossing links' pair ids, so its memory is O(links + N)
+for any N up to N_f. It builds no dense N x N matrix: that would take
+8 N^2 bytes, 80 GB at N = 10^5, which `analyze --parts` accepts.
 """
 
 from __future__ import annotations
@@ -53,13 +59,6 @@ class PartitionAssignment:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.boundaries).astype(np.int64)
-
-    def owner_of(self, ic) -> np.ndarray:
-        """Partition id of each contiguous index (vectorized)."""
-        return (
-            np.searchsorted(self.boundaries, np.asarray(ic, dtype=np.uint64), "right")
-            - 1
-        )
 
     def __eq__(self, other):
         if not isinstance(other, PartitionAssignment):
@@ -134,19 +133,28 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     links to solid cells (nbr 0) and links staying inside a partition
     (including periodic wraps onto the same partition) do not count.
     The records pass `check_records` first; link symmetry is not checked.
+
+    `lut[i]` is the partition of I_c = i (-1 at i = 0, the solid link)
+    in the smallest signed type that holds -1..N-1; record a holds
+    I_c = a + 1, so its own partition is `lut[a + 1]`.
     """
     check_records(records, assignment.n_fluid)
     N = assignment.N
-    nbr = records.nbr
-    owner = assignment.owner_of(records.ic)
-
-    valid = nbr != 0
-    src = np.broadcast_to(owner[:, None], nbr.shape)[valid]
-    dst = assignment.owner_of(nbr[valid])
-    cross = src != dst
-    remote_links = np.bincount(src[cross], minlength=N).astype(np.int64)
-    pair_ids = np.unique(src[cross].astype(np.int64) * N + dst[cross])
-    neighbor_count = np.bincount(pair_ids // N, minlength=N).astype(np.int64)
+    lut = np.empty(assignment.n_fluid + 1, dtype=np.min_scalar_type(-N))
+    lut[0] = -1
+    lut[1:] = np.repeat(np.arange(N, dtype=lut.dtype), assignment.sizes)
+    # entries are 0..N_f after check_records, so the int64 view is exact;
+    # gathering by uint64 indices, or from an int64 table, is about 2x slower
+    dst = lut[records.nbr.view(np.int64)]
+    own = lut[1:, None]
+    cross = (dst != own) & (dst >= 0)
+    src = np.broadcast_to(own, dst.shape)[cross].astype(np.int64)
+    remote_links = np.bincount(src, minlength=N)
+    pair_ids = src * N + dst[cross]
+    pair_ids.sort()
+    first = np.ones(pair_ids.size, dtype=bool)
+    first[1:] = pair_ids[1:] != pair_ids[:-1]
+    neighbor_count = np.bincount(pair_ids[first] // N, minlength=N)
     return PartitionStats(
         fluid_cells=assignment.sizes,
         neighbor_count=neighbor_count,

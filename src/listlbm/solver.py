@@ -24,13 +24,12 @@ Every operation is column by column and the moment sums add
 populations in one fixed order, so the state is bitwise the same for
 any block size. Once per step each partition copies the full 19
 populations of its ghosts from their owners; results are bit-identical
-for any partition count and any worker scheduling.
+for any partition count.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,17 +252,13 @@ class Simulation:
     be sorted by I_c, as `preprocess_grid` and `read_sparse` return them;
     each partition takes its slice. Records that fail `check_records` or
     `check_links` raise DataError. `coords` is the records' (N_f, 3)
-    array of cell coordinates in I_c order. Workers only ever write
-    their own arrays; the ghost exchange runs at a barrier between
-    steps, so results do not depend on scheduling.
+    array of cell coordinates in I_c order.
     """
 
-    def __init__(self, header, records, nparts: int | None, params: TrtParams,
-                 workers: int | None = None):
+    def __init__(self, header, records, nparts: int | None, params: TrtParams):
         self.header = header
         self.params = params
         self.assignment = header.partition(nparts)
-        self.workers = workers
         check_records(records, header.n_fluid)
         by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
         check_links(by_dir, records.coords, header)
@@ -307,22 +302,16 @@ class Simulation:
             self.domains[q].f_src[:, dst] = self.domains[p].f_src[:, src]
             self.exchange_seconds[q] += time.perf_counter() - t0
 
-    def _compute_one(self, d: LocalDomain) -> int | None:
-        t0 = time.perf_counter()
-        bad = _collide_stream(d, self.params)
-        self.compute_seconds[d.part] += time.perf_counter() - t0
-        return bad
-
     def step(self) -> None:
         """One stream-collide-exchange cycle for all partitions.
 
         Raises DivergenceError naming the smallest I_c whose density is
         not positive (or is NaN)."""
-        if self.workers and self.workers > 1 and len(self.domains) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                bad = list(pool.map(self._compute_one, self.domains))
-        else:
-            bad = [self._compute_one(d) for d in self.domains]
+        bad = []
+        for d in self.domains:
+            t0 = time.perf_counter()
+            bad.append(_collide_stream(d, self.params))
+            self.compute_seconds[d.part] += time.perf_counter() - t0
         for d, k in zip(self.domains, bad):
             if k is not None:
                 ic = d.lo + k

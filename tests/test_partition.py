@@ -1,4 +1,6 @@
+import bisect
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from listlbm import (
     DataError,
     LexBlocked,
+    Morton,
     ParameterError,
     PartitionAssignment,
     PartitionStats,
@@ -42,12 +45,6 @@ class TestChunkRanges:
         with pytest.raises(ParameterError):
             chunk_ranges(10, 0)
 
-    def test_owner_lookup(self):
-        assignment = chunk_ranges(10, 3)  # ranges [1,5) [5,8) [8,11)
-        ic = np.array([1, 4, 5, 7, 8, 10], dtype=np.uint64)
-        assert assignment.owner_of(ic).tolist() == [0, 0, 1, 1, 2, 2]
-        assert assignment.owner_of(np.array([0], dtype=np.uint64)).tolist() == [-1]
-
     def test_matches_linear_scan(self):
         for n_fluid in range(1, 41):
             for N in range(1, n_fluid + 1):
@@ -65,8 +62,7 @@ class TestChunkRanges:
         sizes = assignment.sizes
         assert sizes.sum() == n_fluid
         assert sizes.max() - sizes.min() <= 1
-        ic = np.asarray(assignment.boundaries[:-1], dtype=np.uint64)
-        assert assignment.owner_of(ic).tolist() == list(range(N))
+        assert sizes.min() >= 1
 
 
 class TestFirstBadStart:
@@ -131,15 +127,15 @@ class TestPartitionStats:
         header, records = preprocess_grid(grid, LexBlocked(1), periodic=(True, True, False))
         assignment = chunk_ranges(header.n_fluid, 5)
         stats = partition_stats(records, assignment)
-        # oracle: count directed crossing links per (src, dst) pair
-        src = np.repeat(assignment.owner_of(records.ic), 18)
-        dst_ic = records.nbr.ravel()
-        valid = dst_ic > 0
-        dst = assignment.owner_of(dst_ic[valid])
-        src = src[valid]
-        cross = src != dst
+        # oracle: directed links from p's records into q's [lo, hi),
+        # counted by plain comparison
+        b = assignment.boundaries.astype(np.int64)
         pair = np.zeros((5, 5), dtype=np.int64)
-        np.add.at(pair, (src[cross], dst[cross]), 1)
+        for p in range(5):
+            ent = records.nbr[b[p] - 1 : b[p + 1] - 1].astype(np.int64)
+            for q in range(5):
+                if q != p:
+                    pair[p, q] = ((ent >= b[q]) & (ent < b[q + 1])).sum()
         assert np.array_equal(pair, pair.T)
         assert stats.total_remote_links == pair.sum()
         assert stats.remote_links.tolist() == pair.sum(axis=1).tolist()
@@ -155,6 +151,69 @@ class TestPartitionStats:
         records.nbr[0, 5] = 99
         with pytest.raises(DataError):
             partition_stats(records, chunk_ranges(4, 2))
+
+
+def brute_force_stats(records, bounds):
+    """Per-link Python oracle: the partition of I_c = i is the p with
+    bounds[p] <= i < bounds[p + 1]; entry 0 is a solid link."""
+    N = len(bounds) - 1
+    remote = [0] * N
+    pairs = set()
+    for a, row in enumerate(records.nbr.tolist()):
+        p = bisect.bisect_right(bounds, a + 1) - 1
+        for i in row:
+            if i == 0:
+                continue
+            q = bisect.bisect_right(bounds, i) - 1
+            if q != p:
+                remote[p] += 1
+                pairs.add((p, q))
+    neighbors = [0] * N
+    for p, _ in pairs:
+        neighbors[p] += 1
+    return [b - a for a, b in zip(bounds[:-1], bounds[1:])], neighbors, remote
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("periodic", [False, True], ids=["walled", "periodic-x"])
+    @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=str)
+    @settings(max_examples=15, deadline=None)
+    @given(st.tuples(*[st.integers(1, 7)] * 3), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+    def test_every_field_equals_the_oracle(self, scheme, periodic, shape, density, seed):
+        flags = np.random.default_rng(seed).random(shape) < density
+        flags.flat[0] = True
+        grid = VoxelGrid(flags)
+        header, records = preprocess_grid(grid, scheme, periodic=(periodic, False, False))
+        n_fluid = header.n_fluid
+        for N in sorted({1, min(2, n_fluid), min(7, n_fluid), n_fluid}):
+            assignment = chunk_ranges(n_fluid, N)
+            stats = partition_stats(records, assignment)
+            want = brute_force_stats(records, assignment.boundaries.tolist())
+            for field, values in zip(("fluid_cells", "neighbor_count", "remote_links"), want):
+                got = getattr(stats, field)
+                assert got.dtype == np.int64, (N, field)
+                assert got.tolist() == values, (N, field)
+
+    def test_one_cell_per_partition_stays_linear_in_memory(self):
+        """At N = N_f a dense N x N pair matrix would take 8 N_f^2 bytes,
+        about 70 times the record array here; the call must stay within
+        a few times the records' own size."""
+        flags = np.random.default_rng(11).random((12, 12, 12)) < 0.7
+        header, records = preprocess_grid(VoxelGrid(flags), Morton(2),
+                                          periodic=(True, False, False))
+        n_fluid = header.n_fluid
+        assert 8 * n_fluid**2 > 32 * records.nbr.nbytes
+        assignment = chunk_ranges(n_fluid, n_fluid)
+        tracemalloc.start()
+        try:
+            stats = partition_stats(records, assignment)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * records.nbr.nbytes
+        want = brute_force_stats(records, assignment.boundaries.tolist())
+        assert stats.neighbor_count.tolist() == want[1]
+        assert stats.remote_links.tolist() == want[2]
 
 
 def read_hist(path):

@@ -29,10 +29,10 @@ def channel6_sparse():
     return preprocess_grid(make_channel(6), LexBlocked(1), periodic=(True, False, False))
 
 
-def make_sim(sparse, nparts=1, workers=None, **kw):
+def make_sim(sparse, nparts=1, **kw):
     header, records = sparse
     params = TrtParams(**kw) if kw else TrtParams(tau_plus=0.8)
-    sim = Simulation(header, records, nparts=nparts, params=params, workers=workers)
+    sim = Simulation(header, records, nparts=nparts, params=params)
     sim.init_equilibrium(1.0)
     return sim
 
@@ -171,13 +171,11 @@ class TestStep:
         with pytest.raises(DivergenceError, match=rf"step 3 at I_c={ic} \({x}, {y}, {z}\): "):
             sim.step()
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_divergence_names_the_smallest_failing_cell(self, channel6_sparse, monkeypatch,
-                                                         workers):
+    def test_divergence_names_the_smallest_failing_cell(self, channel6_sparse, monkeypatch):
         """Cells that fail in a later block, a later partition or by
         density <= 0 instead of NaN do not hide the smallest I_c."""
         monkeypatch.setattr(solver, "_BLOCK", 10)
-        sim = make_sim(channel6_sparse, nparts=3, workers=workers)
+        sim = make_sim(channel6_sparse, nparts=3)
         _, mid, last = sim.domains
         # population 0 stays in its cell, so each write spoils one density
         last.f_src[0, 3] = np.nan
@@ -337,14 +335,6 @@ class TestPartitionInvariance:
         assert [n for n, _ in states] == [3, 1, 1]
         assert np.array_equal(states[0][1], states[1][1])
         assert np.array_equal(states[0][1], states[2][1])
-
-    def test_worker_threads_do_not_change_state(self, channel6_sparse):
-        serial = make_sim(channel6_sparse, nparts=8, tau_plus=0.8, force=(1e-6, 0.0, 0.0))
-        threaded = make_sim(channel6_sparse, nparts=8, workers=4,
-                            tau_plus=0.8, force=(1e-6, 0.0, 0.0))
-        serial.run(40)
-        threaded.run(40)
-        assert np.array_equal(serial.gather_state(), threaded.gather_state())
 
     def test_numbering_scheme_does_not_change_physics(self):
         grid = make_channel(6)
