@@ -3,8 +3,8 @@
 Turns voxel geometries into compact fluid-only simulation domains: cells are
 numbered by a configurable space-filling scheme, reduced to a contiguous
 index by a distributed octree pass, stored with explicit D3Q19 adjacency in
-a chunkable binary format, partitioned, analyzed, and run through a TRT
-collision kernel with indirect addressing.
+a fixed-record binary format, cut into equal chunks, analyzed, and run
+through a TRT collision kernel with indirect addressing.
 """
 
 from .adjacency import STENCIL, SparseRecords, build_adjacency, halo_exchange
@@ -55,7 +55,7 @@ from .solver import (
     poiseuille_error,
     run_benchmark,
 )
-from .sparse_io import SparseHeader, read_chunk, read_header, read_sparse, write_sparse
+from .sparse_io import SparseHeader, read_header, read_sparse, write_sparse
 
 __version__ = "0.1.0"
 
@@ -102,7 +102,6 @@ __all__ = [
     "partition_stats",
     "poiseuille_error",
     "preprocess_grid",
-    "read_chunk",
     "read_header",
     "read_sparse",
     "run_benchmark",

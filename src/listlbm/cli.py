@@ -10,9 +10,9 @@ Single binary with subcommands::
                        [--report FILE]
     listlbm info       --in FILE
 
-Without --parts, analyze and solve take the partitions of the file's
-start table, or one partition when the file has none. solve times its
---steps after --warmup untimed ones and prints the FLUP/s.
+analyze and solve cut the fluid cell list into --parts equal chunks
+(default 1). solve times its --steps after --warmup untimed ones and
+prints the FLUP/s.
 
 Exit status: 0 on success, 1 with a one-line diagnostic for domain errors,
 unwritable outputs and sizes too large to allocate, 2 for usage errors (unknown flags, conflicting
@@ -29,7 +29,7 @@ from .adjacency import check_links
 from .errors import ListLbmError, ParameterError
 from .geometry import load_voxels, make_channel, make_packing, save_voxels
 from .numbering import parse_scheme
-from .partition import emit_histograms, histogram_paths, partition_stats
+from .partition import chunk_ranges, emit_histograms, histogram_paths, partition_stats
 from .pipeline import preprocess_grid
 from .solver import Simulation, TrtParams, run_benchmark
 from .sparse_io import check_body_size, read_header, read_sparse, write_sparse
@@ -114,7 +114,7 @@ def _cmd_analyze(args):
     _distinct_paths(args.infile, *histogram_paths(args.out_prefix))
     header, records = read_sparse(args.infile)
     check_links(records.nbr.T, records.coords, header)
-    assignment = header.partition(args.parts)
+    assignment = chunk_ranges(header.n_fluid, args.parts)
     stats = partition_stats(records, assignment)
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")
     print(f"total_remote_links={stats.total_remote_links}")
@@ -159,19 +159,14 @@ def _cmd_info(args):
     print(f"scheme={header.scheme_text}")
     axes = ",".join(a for a, p in zip("xyz", header.periodic) if p)
     print(f"periodic={axes or 'none'}")
-    if header.part_starts is None:
-        print("partition_table=absent")
-    else:
-        print(f"partition_table={len(header.part_starts)} parts")
     return 0
 
 
 def _add_input_flags(sub):
     sub.add_argument("--in", dest="infile", type=_input_path, required=True,
                      help="sparse domain file")
-    sub.add_argument("--parts", type=_positive_int, default=None,
-                     help="equal-chunk partition count (default: the file's start "
-                          "table, else 1)")
+    sub.add_argument("--parts", type=_positive_int, default=1,
+                     help="equal-chunk partition count (default 1)")
 
 
 def _build_parser():

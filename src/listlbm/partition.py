@@ -1,11 +1,10 @@
 """Partitioning of the 1-D fluid cell list and partition-quality metrics.
 
-A partitioning is a list of start indices cutting the contiguous index
-range [1, N_f] into ranges: N equal chunks (the trailing ones smaller by
-one cell) or the start table of a sparse file, chosen in one place by
-`SparseHeader.partition`. Quality metrics count, per partition, the
-distinct neighbor partitions and the directed PDF links crossing
-partition boundaries.
+A partitioning cuts the contiguous index range [1, N_f] into N equal
+chunks, the trailing ones smaller by one cell; `chunk_ranges` is the one
+place that computes the boundaries. Quality metrics count, per
+partition, the distinct neighbor partitions and the directed PDF links
+crossing partition boundaries.
 
 `partition_stats` takes every link's target partition from one gather
 of an owner table of N_f + 1 entries and counts distinct partition pairs
@@ -21,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import check_records
-from .errors import ParameterError, TooManyProcessesError
+from .errors import ListLbmError, ParameterError, TooManyProcessesError
 
 __all__ = [
     "PartitionAssignment",
     "PartitionStats",
     "chunk_ranges",
     "emit_histograms",
-    "first_bad_start",
     "histogram_paths",
     "partition_stats",
 ]
@@ -36,21 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PartitionAssignment:
-    """Boundaries of N contiguous index ranges covering [1, N_f]."""
+    """Boundaries of N contiguous index ranges covering [1, N_f], as
+    `chunk_ranges` builds them."""
 
     n_fluid: int
     boundaries: np.ndarray  # (N + 1,) uint64; first 1, last N_f + 1
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=np.uint64)
-        if b.ndim != 1 or b.size < 2:
-            raise ParameterError(f"need at least 2 boundaries, got shape {b.shape}")
-        if b[-1] != self.n_fluid + 1:
-            raise ParameterError(f"last boundary must be N_f+1={self.n_fluid + 1}, got {b[-1]}")
-        bad = first_bad_start(b[:-1], self.n_fluid)
-        if bad is not None:
-            raise ParameterError(f"boundary #{bad[0]}: {bad[1]}")
-        object.__setattr__(self, "boundaries", b)
 
     @property
     def N(self) -> int:
@@ -60,35 +48,11 @@ class PartitionAssignment:
     def sizes(self) -> np.ndarray:
         return np.diff(self.boundaries).astype(np.int64)
 
-    def __eq__(self, other):
-        if not isinstance(other, PartitionAssignment):
-            return NotImplemented
-        return self.n_fluid == other.n_fluid and np.array_equal(
-            self.boundaries, other.boundaries
-        )
-
-
-def first_bad_start(starts, n_fluid: int) -> tuple[int, str] | None:
-    """Index and reason of the first entry that breaks the partition
-    start rules (begins at 1, increases strictly, stays <= N_f), or None
-    when the list obeys them all."""
-    s = np.asarray(starts)
-    if s.size == 0:
-        return 0, "start list is empty"
-    drop = np.concatenate([[s[0] != 1], s[1:] <= s[:-1]])
-    bad = np.flatnonzero(drop | (s > n_fluid))
-    if not bad.size:
-        return None
-    k = int(bad[0])
-    if k == 0 and drop[0]:
-        return 0, f"first start must be 1, got {s[0]}"
-    if drop[k]:
-        return k, f"start {s[k]} does not increase past {s[k - 1]}"
-    return k, f"start {s[k]} exceeds N_f={n_fluid}"
-
 
 def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
     """Equal chunking: the first (N_f mod N) chunks are one cell larger."""
+    if not n_fluid:
+        raise ListLbmError("domain has no fluid cells")
     if N < 1:
         raise ParameterError(f"partition count must be >= 1, got {N}")
     if N > n_fluid:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .adjacency import STENCIL, check_links, check_records
 from .errors import DivergenceError, NotConvergedError, ParameterError
+from .partition import chunk_ranges
 
 __all__ = [
     "BenchReport",
@@ -247,18 +248,18 @@ def macroscopic(f: np.ndarray, params: TrtParams):
 class Simulation:
     """Coordinator for N partitions stepping in lockstep.
 
-    The partitions are `header.partition(nparts)`: `nparts` equal chunks,
-    or with None the file's start table or one partition. `records` must
-    be sorted by I_c, as `preprocess_grid` and `read_sparse` return them;
-    each partition takes its slice. Records that fail `check_records` or
+    The partitions are `chunk_ranges(header.n_fluid, nparts)`: `nparts`
+    equal chunks of the fluid cell list. `records` must be sorted by
+    I_c, as `preprocess_grid` and `read_sparse` return them; each
+    partition takes its slice. Records that fail `check_records` or
     `check_links` raise DataError. `coords` is the records' (N_f, 3)
     array of cell coordinates in I_c order.
     """
 
-    def __init__(self, header, records, nparts: int | None, params: TrtParams):
+    def __init__(self, header, records, nparts: int, params: TrtParams):
         self.header = header
         self.params = params
-        self.assignment = header.partition(nparts)
+        self.assignment = chunk_ranges(header.n_fluid, nparts)
         check_records(records, header.n_fluid)
         by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
         check_links(by_dir, records.coords, header)

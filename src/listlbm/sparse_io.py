@@ -1,19 +1,17 @@
-"""Binary sparse-representation file: write, whole and chunked read.
+"""Binary sparse-representation file: write and read.
 
 Layout (little-endian): magic "SPRS", version u32, X/Y/Z u64, N_f u64,
 periodic-axis bits u32, scheme string (u16 length + text that
-`parse_scheme` accepts), partition start table flag u32 (0/1, then u64
-count + starts), followed by N_f fixed 156-byte records sorted ascending
-by I_c: x, y, z as u32 and 18 neighbor indices as u64. I_c is implicit:
-record i holds I_c = i + 1, so chunk reads seek straight to their record
-range. Records that fail
+`parse_scheme` accepts), table flag u32 (always 0), followed by N_f
+fixed 156-byte records sorted ascending by I_c: x, y, z as u32 and 18
+neighbor indices as u64. I_c is implicit: record i holds I_c = i + 1.
+Partitions are not stored: `chunk_ranges` cuts the list. Records that fail
 `check_records` raise DataError before a byte is written; the readers
 raise FormatError at the offset of a bad field, body size or neighbor.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -21,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import SparseRecords, check_records, first_bad_entry
-from .errors import FormatError, ListLbmError, ParameterError, SchemeParseError
+from .errors import FormatError, ParameterError, SchemeParseError
 from .numbering import parse_scheme
-from .partition import PartitionAssignment, chunk_ranges, first_bad_start
 
 __all__ = [
     "RECORD_DTYPE",
     "SparseHeader",
     "check_body_size",
-    "read_chunk",
     "read_header",
     "read_sparse",
     "write_sparse",
@@ -49,7 +45,6 @@ class SparseHeader:
     n_fluid: int
     scheme_text: str
     periodic: tuple[bool, bool, bool] = (False, False, False)
-    part_starts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         X, Y, Z = self.dims
@@ -58,20 +53,6 @@ class SparseHeader:
         if not 0 <= self.n_fluid <= X * Y * Z:
             raise ParameterError(f"fluid count {self.n_fluid} exceeds {X * Y * Z} cells")
         parse_scheme(self.scheme_text)
-        if self.part_starts is not None:
-            bad = first_bad_start(self.part_starts, self.n_fluid)
-            if bad is not None:
-                raise ParameterError(f"partition start table entry #{bad[0]}: {bad[1]}")
-
-    def partition(self, parts: int | None = None) -> PartitionAssignment:
-        """The one source of partition boundaries: `parts` equal chunks
-        when given, else the file's start table, else one partition."""
-        if not self.n_fluid:
-            raise ListLbmError("domain has no fluid cells")
-        if parts is None and self.part_starts is not None:
-            bounds = np.array([*self.part_starts, self.n_fluid + 1], dtype=np.uint64)
-            return PartitionAssignment(n_fluid=self.n_fluid, boundaries=bounds)
-        return chunk_ranges(self.n_fluid, 1 if parts is None else parts)
 
 
 def _pack_header(header: SparseHeader) -> bytes:
@@ -80,11 +61,7 @@ def _pack_header(header: SparseHeader) -> bytes:
     pbits = sum(1 << i for i, p in enumerate(header.periodic) if p)
     out = [_FIXED.pack(SPARSE_MAGIC, SPARSE_VERSION, X, Y, Z, header.n_fluid, pbits, len(scheme))]
     out.append(scheme)
-    if header.part_starts is None:
-        out.append(struct.pack("<I", 0))
-    else:
-        out.append(struct.pack("<IQ", 1, len(header.part_starts)))
-        out.append(np.asarray(header.part_starts, dtype="<u8").tobytes())
+    out.append(struct.pack("<I", 0))  # table flag
     return b"".join(out)
 
 
@@ -140,30 +117,14 @@ def read_header(fh) -> SparseHeader:
         raise FormatError(f"scheme string: {exc}", offset=_FIXED.size) from None
     tpos = fh.tell()
     (tflag,) = struct.unpack("<I", _read_exact(fh, 4, "table flag"))
-    if tflag not in (0, 1):
-        raise FormatError(f"table flag must be 0 or 1, got {tflag}", offset=tpos)
-    part_starts = None
-    if tflag:
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "table count"))
-        if count < 1 or count > n_fluid:
-            raise FormatError(
-                f"table count {count} outside [1, {n_fluid}]", offset=tpos + 4
-            )
-        raw = _read_exact(fh, 8 * count, "start table")
-        starts = np.frombuffer(raw, dtype="<u8")
-        bad = first_bad_start(starts, n_fluid)
-        if bad is not None:
-            raise FormatError(
-                f"partition start #{bad[0]}: {bad[1]}", offset=tpos + 12 + 8 * bad[0]
-            )
-        part_starts = tuple(int(s) for s in starts)
+    if tflag != 0:
+        raise FormatError(f"table flag must be 0, got {tflag}", offset=tpos)
     periodic = tuple(bool(pbits >> i & 1) for i in range(3))
     return SparseHeader(
         dims=(X, Y, Z),
         n_fluid=n_fluid,
         scheme_text=scheme_text,
         periodic=periodic,
-        part_starts=part_starts,
     )
 
 
@@ -188,25 +149,13 @@ def check_body_size(fh, n_fluid: int) -> None:
 
 
 def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
-    """Read the whole file: `read_chunk` of the records I_c in [1, N_f + 1)."""
-    with open(path, "rb") as fh:
-        n_fluid = read_header(fh).n_fluid
-    return read_chunk(path, 1, n_fluid + 1)
-
-
-def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
-    """Read only the records I_c in [lo, hi), e.g. one range of
-    `header.partition(...)`; the range must lie in [1, N_f + 1]."""
-    lo, hi = operator.index(lo), operator.index(hi)
+    """Read the header and all N_f records."""
     with open(path, "rb") as fh:
         header = read_header(fh)
         base = fh.tell()
         n_fluid = header.n_fluid
-        if not 1 <= lo <= hi <= n_fluid + 1:
-            raise ParameterError(f"record range [{lo}, {hi}) outside [1, {n_fluid + 1}]")
         check_body_size(fh, n_fluid)
-        fh.seek(base + RECORD_DTYPE.itemsize * (lo - 1))
-        arr = np.frombuffer(fh.read(RECORD_DTYPE.itemsize * (hi - lo)), dtype=RECORD_DTYPE)
+        arr = np.frombuffer(fh.read(RECORD_DTYPE.itemsize * n_fluid), dtype=RECORD_DTYPE)
     coords = np.empty((arr.shape[0], 3), dtype=np.uint32)
     coords[:, 0] = arr["x"]
     coords[:, 1] = arr["y"]
@@ -215,10 +164,9 @@ def read_chunk(path, lo: int, hi: int) -> tuple[SparseHeader, SparseRecords]:
     bad = first_bad_entry(nbr, n_fluid)
     if bad is not None:
         row, col = bad
-        ic = lo + row
         raise FormatError(
-            f"neighbor index {int(nbr[row, col])} of I_c={ic} exceeds N_f={n_fluid}",
-            offset=base + RECORD_DTYPE.itemsize * (ic - 1) + 12 + 8 * col,
+            f"neighbor index {int(nbr[row, col])} of I_c={row + 1} exceeds N_f={n_fluid}",
+            offset=base + RECORD_DTYPE.itemsize * row + 12 + 8 * col,
         )
-    ic = np.arange(lo, hi, dtype=np.uint64)
+    ic = np.arange(1, n_fluid + 1, dtype=np.uint64)
     return header, SparseRecords(coords=coords, ic=ic, nbr=nbr)

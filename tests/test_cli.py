@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 from listlbm import (
     DivergenceError,
     LexBlocked,
-    PartitionAssignment,
     Simulation,
-    SparseHeader,
     TrtParams,
     VoxelGrid,
-    chunk_ranges,
     make_channel,
-    partition_stats,
     preprocess_grid,
     read_sparse,
     save_voxels,
@@ -54,21 +50,11 @@ def channel6_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def stamped_file(tmp_path, sparse_file):
-    """The 80-cell channel with the unequal start table (1, 11, 50)."""
-    header, records = read_sparse(sparse_file)
-    path = tmp_path / "stamped.sprs"
-    write_sparse(path, records, SparseHeader(header.dims, header.n_fluid, header.scheme_text,
-                                             header.periodic, part_starts=(1, 11, 50)))
-    return path
-
-
 def library_divergence(path):
     """The DivergenceError of a library run of `path` with the CLI's
     defaults at force 0.5 along x, which diverges within 30 steps."""
     header, records = read_sparse(path)
-    sim = Simulation(header, records, None, TrtParams(tau_plus=0.8, force=(0.5, 0.0, 0.0)))
+    sim = Simulation(header, records, 1, TrtParams(tau_plus=0.8, force=(0.5, 0.0, 0.0)))
     sim.init_equilibrium(1.0)
     with pytest.raises(DivergenceError) as info:
         sim.run(200)
@@ -76,11 +62,11 @@ def library_divergence(path):
 
 
 def header_fields(scheme_text):
-    """Byte offset and width of each integer field of a header with a
-    start table: the fixed fields take 46 bytes, then the scheme text."""
+    """Byte offset and width of each integer field of a header: the fixed
+    fields take 46 bytes, then the scheme text and the table flag."""
     flag = 46 + len(scheme_text)
     return {"X": (8, 8), "Y": (16, 8), "Z": (24, 8), "N_f": (32, 8), "periodic": (40, 4),
-            "table flag": (flag, 4), "count": (flag + 4, 8), "start": (flag + 20, 8)}
+            "table flag": (flag, 4)}
 
 
 def with_scheme(raw, text):
@@ -217,21 +203,23 @@ class TestInfo:
         assert "fluid_cells=80" in out
         assert "scheme=lex:b=4" in out
         assert "periodic=x" in out
-        assert "partition_table=absent" in out
 
     def test_wrong_file_type_exits_one(self, voxel_file, capsys):
         assert main(["info", "--in", str(voxel_file)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("count", [2 ** 60, 2 ** 37])
-    def test_start_table_beyond_file_exits_one(self, tmp_path, channel6_file, capsys, count):
-        # the channel has no table, so the count lands on the first record
-        big = 2 ** 21
-        bad = tmp_path / "big.sprs"
-        bad.write_bytes(overwrite(channel6_file.read_bytes(), header_fields("lex:b=1"), {
-            "X": big, "Y": big, "Z": big, "N_f": 2 ** 61, "table flag": 1, "count": count}))
-        assert main(["info", "--in", str(bad)]) == 1
-        assert "truncated start table" in error_only(capsys.readouterr().err)
+    @pytest.mark.parametrize("flag", [1, 2 ** 32 - 1])
+    def test_nonzero_table_flag_exits_one(self, tmp_path, channel6_file, capsys, flag):
+        bad = tmp_path / "flag.sprs"
+        bad.write_bytes(overwrite(channel6_file.read_bytes(), header_fields("lex:b=1"),
+                                  {"table flag": flag}))
+        for argv in (["info"], ["analyze", "--out-prefix", str(tmp_path / "h")],
+                     ["solve", "--steps", "1"]):
+            assert main([argv[0], "--in", str(bad), *argv[1:]]) == 1
+            out, err = capsys.readouterr()
+            assert error_only(err) == (f"error: table flag must be 0, got {flag} "
+                                       f"(at byte offset {46 + len('lex:b=1')})"), argv
+            assert out == ""
 
     @pytest.mark.parametrize("scheme", ["lex:b=1\nfluid_cells=7", ""])
     def test_non_canonical_scheme_exits_one(self, tmp_path, channel6_file, capsys, scheme):
@@ -329,35 +317,13 @@ class TestAnalyze:
         assert not (tmp_path / "o_remote_links.csv").exists()
 
     def test_split_selector_required(self, tmp_path, sparse_file, capsys):
-        # without --parts or a start table the file is one partition
+        # without --parts the file is one partition
         code = main(["analyze", "--in", str(sparse_file),
                      "--out-prefix", str(tmp_path / "h")])
         assert code == 0
         out = capsys.readouterr().out
         assert "partitions=1 " in out
         assert "total_remote_links=0" in out
-
-    def test_start_table_is_the_default(self, tmp_path, stamped_file, capsys):
-        header, records = read_sparse(stamped_file)
-        table = PartitionAssignment(header.n_fluid, np.array([1, 11, 50, 81]))
-        expect = partition_stats(records, table).total_remote_links
-        assert expect != partition_stats(records, chunk_ranges(80, 3)).total_remote_links
-        code = main(["analyze", "--in", str(stamped_file),
-                     "--out-prefix", str(tmp_path / "h")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "partitions=3 " in out
-        assert f"total_remote_links={expect}\n" in out
-
-    def test_parts_override_start_table(self, tmp_path, stamped_file, capsys):
-        _, records = read_sparse(stamped_file)
-        expect = partition_stats(records, chunk_ranges(80, 4)).total_remote_links
-        code = main(["analyze", "--in", str(stamped_file), "--parts", "4",
-                     "--out-prefix", str(tmp_path / "h")])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "partitions=4 " in out
-        assert f"total_remote_links={expect}\n" in out
 
 
 class TestRecordCoordinates:
@@ -375,8 +341,8 @@ class TestRecordCoordinates:
         return patched_copy(path, tmp_path, [(10, 12, 8, 0), (b, 12 + 8, 8, 0)]), 10
 
     @pytest.mark.parametrize("fault", ["flipped_x", "zeroed_pair"])
-    def test_analyze_and_solve_exit_one(self, tmp_path, stamped_file, capsys, fault):
-        bad, ic = getattr(self, fault)(stamped_file, tmp_path)
+    def test_analyze_and_solve_exit_one(self, tmp_path, sparse_file, capsys, fault):
+        bad, ic = getattr(self, fault)(sparse_file, tmp_path)
         assert main(["info", "--in", str(bad)]) == 0
         capsys.readouterr()
         for argv in (["analyze", "--out-prefix", str(tmp_path / "h")], ["solve", "--steps", "1"]):
@@ -387,11 +353,11 @@ class TestRecordCoordinates:
 
 
 class TestSchemeOrder:
-    def test_other_scheme_digit_fails_analyze_and_solve(self, tmp_path, stamped_file, capsys):
-        """`lex:b=5` is a valid scheme, but not the order of the stamped
+    def test_other_scheme_digit_fails_analyze_and_solve(self, tmp_path, sparse_file, capsys):
+        """`lex:b=5` is a valid scheme, but not the order of the file's
         `lex:b=4` records: info, which reads no record, exits 0, while
         analyze and solve name the first I_c out of order."""
-        raw = bytearray(stamped_file.read_bytes())
+        raw = bytearray(sparse_file.read_bytes())
         at = 46 + len("lex:b=")
         assert raw[46:at + 1] == b"lex:b=4"
         raw[at] = ord("5")
@@ -422,10 +388,6 @@ class TestSolveAndBench:
                             "part,owned_cells,ghost_cells,compute_s,exchange_s")
         assert lines[1].startswith("2,10,80,")
         assert [line.split(",")[6] for line in lines[1:]] == ["0", "1"]
-
-    def test_partition_count_of_start_table(self, stamped_file, capsys):
-        assert main(["solve", "--in", str(stamped_file), "--steps", "2"]) == 0
-        assert "partitions=3\n" in capsys.readouterr().out
 
     def test_warmup_steps_are_not_counted(self, tmp_path, sparse_file, channel6_file,
                                           capsys):
@@ -520,14 +482,13 @@ class TestSolveAndBench:
 
 @pytest.fixture(scope="module")
 def fuzz_bases(tmp_path_factory):
-    """Two stamped files to corrupt: the 80-cell channel with the start
-    table (1, 11, 50), and the same bytes under a header promising
-    N_f = 2^61 cells in a 2^21-cube, far more than the file holds."""
+    """Two files to corrupt: the 80-cell channel as written ("stamped"),
+    and the same bytes under a header promising N_f = 2^61 cells in a
+    2^21-cube, far more than the file holds."""
     header, records = preprocess_grid(make_channel(4), LexBlocked(4),
                                       periodic=(True, False, False))
     path = tmp_path_factory.mktemp("fuzz") / "base.sprs"
-    write_sparse(path, records, SparseHeader(header.dims, header.n_fluid, header.scheme_text,
-                                             header.periodic, part_starts=(1, 11, 50)))
+    write_sparse(path, records, header)
     fields = header_fields(header.scheme_text)
     stamped = path.read_bytes()
     big = 2 ** 21
@@ -580,8 +541,8 @@ class TestHeaderFuzz:
     @given(base=st.sampled_from(["stamped", "promised"]),
            field=st.sampled_from(list(header_fields("lex:b=4"))),
            value=st.integers(0, 2 ** 64 - 1))
-    @example(base="promised", field="count", value=2 ** 60)
-    @example(base="promised", field="count", value=2 ** 37)
+    @example(base="promised", field="table flag", value=1)
+    @example(base="promised", field="table flag", value=2 ** 32 - 1)
     def test_every_command_ends_in_a_verdict(self, fuzz_bases, base, field, value):
         """One overwritten header field never crashes a command: each
         exits 0 quietly or 1 with exactly one `error:` line."""
@@ -618,9 +579,9 @@ class TestBodyFuzz:
 
 class TestByteFuzz:
     """One flipped byte, or a cut, anywhere in a file: header, scheme,
-    start table or body."""
+    table flag or body."""
 
-    # one of two offsets lands in the first 128 bytes: the 89-byte
+    # one of two offsets lands in the first 128 bytes: the 57-byte
     # header of the stamped file and its first record, or the 32-byte
     # voxel header and the start of the flags
     @staticmethod

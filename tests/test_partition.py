@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from listlbm import (
     DataError,
     LexBlocked,
+    ListLbmError,
     Morton,
     ParameterError,
-    PartitionAssignment,
     PartitionStats,
     TooManyProcessesError,
     VoxelGrid,
@@ -21,7 +21,6 @@ from listlbm import (
     partition_stats,
     preprocess_grid,
 )
-from listlbm.partition import first_bad_start
 
 
 class TestChunkRanges:
@@ -45,6 +44,10 @@ class TestChunkRanges:
         with pytest.raises(ParameterError):
             chunk_ranges(10, 0)
 
+    def test_empty_domain(self):
+        with pytest.raises(ListLbmError, match="^domain has no fluid cells$"):
+            chunk_ranges(0, 1)
+
     def test_matches_linear_scan(self):
         for n_fluid in range(1, 41):
             for N in range(1, n_fluid + 1):
@@ -63,33 +66,6 @@ class TestChunkRanges:
         assert sizes.sum() == n_fluid
         assert sizes.max() - sizes.min() <= 1
         assert sizes.min() >= 1
-
-
-class TestFirstBadStart:
-    @pytest.mark.parametrize("starts,expect", [
-        ([1], None),
-        ([1, 5, 10], None),
-        ([], 0),
-        ([2, 5], 0),
-        ([0, 5], 0),
-        ([1, 5, 5], 2),
-        ([1, 7, 3], 2),
-        ([1, 11], 1),
-        ([1, 11, 3], 1),  # the first breach wins, whatever rule it breaks
-    ])
-    def test_index_of_first_breach(self, starts, expect):
-        bad = first_bad_start(starts, 10)
-        assert (None if bad is None else bad[0]) == expect
-
-    def test_reads_unsigned_file_values(self):
-        starts = np.array([1, 2**64 - 1], dtype=np.uint64)
-        assert first_bad_start(starts, 10) == (1, f"start {2**64 - 1} exceeds N_f=10")
-
-    def test_assignment_shares_the_rules(self):
-        with pytest.raises(ParameterError, match="does not increase"):
-            PartitionAssignment(n_fluid=10, boundaries=np.array([1, 5, 5, 11]))
-        with pytest.raises(ParameterError, match="N_f\\+1=11"):
-            PartitionAssignment(n_fluid=10, boundaries=np.array([1, 5, 10]))
 
 
 def stats_for(flags_zyx, N, periodic=(False, False, False), scheme=LexBlocked(1)):

@@ -9,16 +9,13 @@ from listlbm import (
     NotConvergedError,
     ParameterError,
     Simulation,
-    SparseHeader,
     SparseRecords,
     TrtParams,
     VoxelGrid,
     make_channel,
     poiseuille_error,
     preprocess_grid,
-    read_sparse,
     run_benchmark,
-    write_sparse,
 )
 from listlbm import solver
 from listlbm.solver import C19, OPP, W, macroscopic
@@ -318,23 +315,6 @@ class TestPartitionInvariance:
             states[nparts] = sim.gather_state()
         for nparts in (2, 3, 8):
             assert np.abs(states[nparts] - states[1]).max() <= 1e-13
-
-    def test_start_table_is_the_default_partition(self, channel6_sparse, tmp_path):
-        header, records = channel6_sparse
-        path = tmp_path / "stamped.sprs"
-        write_sparse(path, records, SparseHeader(header.dims, header.n_fluid, header.scheme_text,
-                                                 header.periodic, part_starts=(1, 11, 50)))
-        stamped = read_sparse(path)
-        params = TrtParams(tau_plus=0.8, force=(1e-5, 0.0, 0.0))
-        states = []
-        for sparse, nparts in ((stamped, None), (channel6_sparse, None), (stamped, 1)):
-            sim = Simulation(*sparse, nparts, params)
-            sim.init_equilibrium(1.0, (0.05, -0.02, 0.03))
-            sim.run(3)
-            states.append((sim.nparts, sim.gather_state()))
-        assert [n for n, _ in states] == [3, 1, 1]
-        assert np.array_equal(states[0][1], states[1][1])
-        assert np.array_equal(states[0][1], states[2][1])
 
     def test_numbering_scheme_does_not_change_physics(self):
         grid = make_channel(6)

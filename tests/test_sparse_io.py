@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from listlbm import (
     SparseHeader,
     TooManyProcessesError,
     VoxelGrid,
+    chunk_ranges,
+    make_channel,
+    parse_scheme,
     preprocess_grid,
-    read_chunk,
+    read_header,
     read_sparse,
     write_sparse,
 )
@@ -29,7 +34,6 @@ def write_domain(grid, scheme, path, periodic=(False, False, False)):
 
 @pytest.fixture(scope="module")
 def channel_file(tmp_path_factory):
-    from listlbm import make_channel
     path = tmp_path_factory.mktemp("sprs") / "c4.sprs"
     grid = make_channel(4)
     header = write_domain(grid, LexBlocked(4), path, periodic=(True, False, False))
@@ -41,39 +45,28 @@ class TestHeader:
         assert RECORD_DTYPE.itemsize == 156
 
     def test_nbytes_counts_scheme_and_table(self, tmp_path):
+        """46 fixed bytes, the scheme text, then the 4-byte table flag."""
         grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
         header, records = preprocess_grid(grid, LexBlocked(1))
-        with_table = SparseHeader(header.dims, header.n_fluid, header.scheme_text,
-                                  part_starts=(1, 5, 8))
-        offsets = []
-        for h in (header, with_table):
-            write_sparse(tmp_path / "t.sprs", records, h)
-            offsets.append(first_record_offset(tmp_path / "t.sprs"))
-        assert offsets == [46 + len("lex:b=1") + 4, 46 + len("lex:b=1") + 4 + 8 + 3 * 8]
+        write_sparse(tmp_path / "t.sprs", records, header)
+        assert first_record_offset(tmp_path / "t.sprs") == 46 + len("lex:b=1") + 4
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ParameterError):
             SparseHeader((0, 4, 4), 0, "lex:b=1")
         with pytest.raises(ParameterError):
             SparseHeader((2, 2, 2), 9, "lex:b=1")  # more fluid than cells
-        with pytest.raises(ParameterError):
-            SparseHeader((4, 4, 4), 10, "lex:b=1", part_starts=(2, 5))
-        with pytest.raises(ParameterError):
-            SparseHeader((4, 4, 4), 10, "lex:b=1", part_starts=(1, 5, 5))
         with pytest.raises(SchemeParseError):
             SparseHeader((4, 4, 4), 10, "schéma")  # non-ASCII
 
     def test_header_round_trip_with_options(self, tmp_path):
         grid = VoxelGrid(np.ones((2, 2, 2), dtype=bool))
         header, records = preprocess_grid(grid, Morton(1), periodic=(True, True, False))
-        stamped = SparseHeader(header.dims, header.n_fluid, header.scheme_text,
-                               header.periodic, part_starts=(1, 3, 7))
         path = tmp_path / "t.sprs"
-        write_sparse(path, records, stamped)
+        write_sparse(path, records, header)
         got, _ = read_sparse(path)
-        assert got == stamped
+        assert got == header
         assert got.periodic == (True, True, False)
-        assert got.part_starts == (1, 3, 7)
 
 
 class TestRoundTrip:
@@ -99,6 +92,20 @@ class TestRoundTrip:
         write_domain(channel4, Morton(2), a)
         write_domain(channel4, Morton(2), b)
         assert a.read_bytes() == b.read_bytes()
+
+    # SHA-1 of the d=6 channel file, periodic along x: any change to the
+    # bytes the writer produces, header included, fails here
+    PINNED = {
+        "lex:b=1": "182db15e0697a3b22fbdf368839b3bb2fe5a6463",
+        "lex:b=4": "faf60af61aba278198eb8d1e5426ab3ba5411c5f",
+        "morton:g=2": "de0f66032aa68e830a3d37bed9730501453cf0d4",
+    }
+
+    @pytest.mark.parametrize("text,digest", PINNED.items(), ids=list(PINNED))
+    def test_bytes_are_pinned(self, tmp_path, channel6, text, digest):
+        path = tmp_path / "c6.sprs"
+        write_domain(channel6, parse_scheme(text), path, periodic=(True, False, False))
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
 
 
 class TestWriteValidation:
@@ -142,55 +149,11 @@ class TestWriteValidation:
             write_sparse(tmp_path / "nbr.sprs", records, header)
 
 
-def ranges(assignment):
-    b = [int(x) for x in assignment.boundaries]
-    return list(zip(b[:-1], b[1:]))
-
-
 class TestChunkedReads:
-    def test_first_chunk_of_ten_by_three(self, tmp_path):
-        grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
-        path = tmp_path / "line.sprs"
-        header = write_domain(grid, LexBlocked(1), path)
-        lo, hi = ranges(header.partition(3))[0]
-        _, records = read_chunk(path, lo, hi)
-        assert records.ic.tolist() == [1, 2, 3, 4]
-
-    @pytest.mark.parametrize("N", [1, 2, 3, 7, 80])
-    def test_chunks_concatenate_to_whole(self, channel_file, N):
-        path, header = channel_file
-        _, whole = read_sparse(path)
-        parts = [read_chunk(path, lo, hi)[1] for lo, hi in ranges(header.partition(N))]
-        assert SparseRecords.concat(parts).equals(whole)
-
-    def test_table_chunks_concatenate_to_whole(self, table_file):
-        path, _ = table_file
-        header, whole = read_sparse(path)
-        assert ranges(header.partition()) == [(1, 4), (4, 8), (8, 11)]
-        parts = [read_chunk(path, lo, hi)[1] for lo, hi in ranges(header.partition())]
-        assert SparseRecords.concat(parts).equals(whole)
-
-    def test_single_record_chunks(self, channel_file):
-        path, header = channel_file
-        _, chunk = read_chunk(path, 6, 7)
-        assert len(chunk) == 1
-        assert chunk.ic[0] == 6
-        _, empty = read_chunk(path, 81, 81)
-        assert len(empty) == 0
-
     def test_too_many_chunks(self, channel_file):
         _, header = channel_file
         with pytest.raises(TooManyProcessesError):
-            header.partition(header.n_fluid + 1)
-
-    def test_bad_chunk_number(self, channel_file, tmp_path):
-        path, _ = channel_file
-        cut = tmp_path / "cut.sprs"
-        cut.write_bytes(path.read_bytes()[:-10])
-        for lo, hi in [(0, 3), (3, 2), (1, 82), (82, 82)]:
-            for source in (path, cut):  # the range is checked before any record
-                with pytest.raises(ParameterError, match=r"outside \[1, 81\]"):
-                    read_chunk(source, lo, hi)
+            chunk_ranges(header.n_fluid, header.n_fluid + 1)
 
 
 def corrupt(path, tmp_path, name, mutate):
@@ -258,13 +221,6 @@ class TestFormatErrors:
         with pytest.raises(FormatError):
             read_sparse(out)
 
-    def test_chunk_read_checks_size_too(self, channel_file, tmp_path):
-        path, _ = channel_file
-        out = tmp_path / "c.sprs"
-        out.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError):
-            read_chunk(out, 1, 41)
-
     def test_neighbor_above_fluid_count(self, channel_file, tmp_path):
         path, header = channel_file
         at = first_record_offset(path) + 156 * 4 + 12 + 8 * 2  # I_c=5, direction 2
@@ -273,58 +229,22 @@ class TestFormatErrors:
             raw[at : at + 8] = (header.n_fluid + 5).to_bytes(8, "little")
 
         bad = corrupt(path, tmp_path, "nbr.sprs", mutate)
-        for read in (lambda: read_sparse(bad), lambda: read_chunk(bad, 1, 41)):
-            with pytest.raises(FormatError, match="I_c=5") as info:
-                read()
-            assert info.value.offset == at
-        _, tail = read_chunk(bad, 41, 81)  # the other chunk does not hold I_c=5
-        assert len(tail) == header.n_fluid // 2
-
-
-@pytest.fixture(scope="module")
-def table_file(tmp_path_factory):
-    """A 10-cell line with the start table (1, 4, 8) and its offset."""
-    grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
-    header, records = preprocess_grid(grid, LexBlocked(1))
-    stamped = SparseHeader(header.dims, header.n_fluid, header.scheme_text,
-                           part_starts=(1, 4, 8))
-    path = tmp_path_factory.mktemp("table") / "line.sprs"
-    write_sparse(path, records, stamped)
-    first_start = first_record_offset(path) - 8 * 3  # three u64 starts
-    return path, first_start
-
-
-class TestStartTableErrors:
-    @pytest.mark.parametrize("k,value,reason", [
-        (0, 2, "first start must be 1"),
-        (1, 1, "does not increase"),
-        (2, 3, "does not increase"),
-        (2, 11, "exceeds N_f=10"),
-    ])
-    def test_bad_start_names_its_offset(self, table_file, tmp_path, k, value, reason):
-        path, first_start = table_file
-        at = first_start + 8 * k
-
-        def mutate(raw):
-            raw[at : at + 8] = value.to_bytes(8, "little")
-
-        bad = corrupt(path, tmp_path, "t.sprs", mutate)
-        with pytest.raises(FormatError, match=reason) as info:
+        with pytest.raises(FormatError, match="I_c=5") as info:
             read_sparse(bad)
         assert info.value.offset == at
 
-    @pytest.mark.parametrize("count", [2 ** 60, 2 ** 37])
-    def test_count_beyond_file_names_table_offset(self, channel_file, tmp_path, count):
-        path, header = channel_file
-        flag = first_record_offset(path) - 4
 
-        def mutate(raw):
-            for at in (8, 16, 24):
-                raw[at : at + 8] = (2 ** 21).to_bytes(8, "little")
-            raw[32:40] = (2 ** 61).to_bytes(8, "little")
-            raw[flag : flag + 12] = (1).to_bytes(4, "little") + count.to_bytes(8, "little")
+class TestTableFlag:
+    """The u32 after the scheme text: the writer always writes 0 and
+    the reader takes nothing else."""
 
-        bad = corrupt(path, tmp_path, "big.sprs", mutate)
-        with pytest.raises(FormatError, match="truncated start table") as info:
-            read_sparse(bad)
-        assert info.value.offset == flag + 12
+    @pytest.mark.parametrize("flag", [1, 2 ** 32 - 1])
+    def test_nonzero_flag_names_its_offset(self, channel_file, tmp_path, flag):
+        path, _ = channel_file
+        at = first_record_offset(path) - 4
+        bad = corrupt(path, tmp_path, "f.sprs",
+                      lambda raw: raw.__setitem__(slice(at, at + 4), flag.to_bytes(4, "little")))
+        with open(bad, "rb") as fh:
+            with pytest.raises(FormatError, match=f"table flag must be 0, got {flag}") as info:
+                read_header(fh)
+        assert info.value.offset == at
