@@ -8,9 +8,9 @@ by no rank or by two is a ProtocolError naming the cell. Neighbor
 entries store the contiguous index of the fluid neighbor, or 0 when the
 neighbor is solid or outside the domain. `check_records` and
 `check_links` raise DataError naming the first I_c that breaks a record
-rule (`check_links` also checks the records against their header's
-dims, periodic axes and scheme); the file readers share
-`first_bad_entry` for the range rule.
+rule; `check_links` runs `check_records`, then checks the records'
+(N_f, 18) `nbr` as stored against their header's dims, periodic axes
+and scheme. The file readers share `first_bad_entry` for the range rule.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ assert STENCIL.shape == (18, 3)
 assert np.array_equal(STENCIL[::2], -STENCIL[1::2])
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 1)) == 6
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 2)) == 12
+
+# records per block of `check_links`
+_CHECK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -231,18 +234,19 @@ def check_records(records: SparseRecords, n_fluid: int) -> None:
         raise DataError(f"link {i} of I_c={a + 1} to {records.nbr[a, i]} is outside 1..{n}")
 
 
-def check_links(by_dir: np.ndarray, coords: np.ndarray, header) -> None:
-    """Raise DataError unless every record's cell lies inside the
-    header's dims, no two records share a cell, each entry of the
-    (18, N_f) adjacency `by_dir` is the I_c at coords + c_i, wrapped on
-    the header's periodic axes, or 0 where no record lies (so links are
-    symmetric), and the header's scheme numbers the cells in I_c order.
-    Entries must already be 0 or in 1..N_f (`check_records`). The lookup
-    field spans only the records' box, so inflated header dims cost no
-    memory; dims too large for the scheme's 64-bit codes raise
-    DomainError."""
-    dims, periodic = header.dims, header.periodic
-    c = np.ascontiguousarray(coords.T, dtype=np.int64)  # rows x, y, z
+def check_links(records: SparseRecords, header) -> None:
+    """Raise DataError unless the records pass `check_records`, every
+    cell lies inside the header's dims, no two records share a cell,
+    each entry of the (N_f, 18) `records.nbr` is the I_c at coords + c_i,
+    wrapped on the header's periodic axes, or 0 where no record lies (so
+    links are symmetric), and the header's scheme numbers the cells in
+    I_c order. A wrong link names the smallest I_c with one and its first
+    wrong direction. The lookup field spans only the records' box, so
+    inflated header dims cost no memory; dims too large for the scheme's
+    64-bit codes raise DomainError."""
+    check_records(records, header.n_fluid)
+    dims, periodic, nbr = header.dims, header.periodic, records.nbr
+    c = np.ascontiguousarray(records.coords.T, dtype=np.int64)  # rows x, y, z
     X, Y, Z = dims
     outside = (c < 0).any(axis=0) | (c[0] >= X) | (c[1] >= Y) | (c[2] >= Z)
     if outside.any():
@@ -254,8 +258,8 @@ def check_links(by_dir: np.ndarray, coords: np.ndarray, header) -> None:
     px, py, pz = hi + 2
     x, y, z = c
     at = ((z + 1) * py + y + 1) * px + x + 1
-    ic = np.arange(1, len(at) + 1, dtype=by_dir.dtype)
-    field = np.zeros(pz * py * px, dtype=by_dir.dtype)
+    ic = np.arange(1, len(at) + 1, dtype=nbr.dtype)
+    field = np.zeros(pz * py * px, dtype=nbr.dtype)
     field[at] = ic
     held = field[at]
     shared = held != ic
@@ -272,14 +276,18 @@ def check_links(by_dir: np.ndarray, coords: np.ndarray, header) -> None:
         g = _padded_axis(0, h, min(n, h + 1), p)
         index.append(np.where(g < h, g + 1, 0))
     field = field.reshape(pz, py, px)[np.ix_(index[2], index[1], index[0])].reshape(-1)
-    for i, off in enumerate(_stencil_offsets(py, px)):
-        want = field[at + off]
-        wrong = by_dir[i] != want
+    offsets = _stencil_offsets(py, px)
+    # whole records a block at a time: one pass over nbr, temporaries that
+    # stay in cache, and the first wrong entry is the smallest failing I_c
+    for b0 in range(0, len(at), _CHECK_BLOCK):
+        want = field[at[b0 : b0 + _CHECK_BLOCK, None] + offsets]
+        wrong = nbr[b0 : b0 + _CHECK_BLOCK] != want
         if wrong.any():
-            a = int(np.argmax(wrong))
-            there = f"I_c={want[a]}" if want[a] else "no record"
+            r, i = divmod(int(np.argmax(wrong)), 18)
+            a = b0 + r
+            there = f"I_c={want[r, i]}" if want[r, i] else "no record"
             raise DataError(
-                f"link {i} of I_c={a + 1} at {tuple(c[:, a].tolist())} to {by_dir[i, a]} "
+                f"link {i} of I_c={a + 1} at {tuple(c[:, a].tolist())} to {nbr[a, i]} "
                 f"does not match its stencil neighbour, which holds {there}"
             )
     codes = cell_index(parse_scheme(header.scheme_text), x, y, z, dims)

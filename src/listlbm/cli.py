@@ -113,7 +113,7 @@ def _cmd_preprocess(args):
 def _cmd_analyze(args):
     _distinct_paths(args.infile, *histogram_paths(args.out_prefix))
     header, records = read_sparse(args.infile)
-    check_links(records.nbr.T, records.coords, header)
+    check_links(records, header)
     assignment = chunk_ranges(header.n_fluid, args.parts)
     stats = partition_stats(records, assignment)
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")

@@ -16,9 +16,7 @@ tail share their c.u rows, and a tail's c.u is exactly minus its
 head's, so every value rounds as the 19-row expression rounds it and
 the state is bitwise the same as with that expression. Population 0
 pulls from its own slot, so it is read as a slice and the pull table
-has 18 rows. On a 301k-cell packing (2 vCPUs, 8 alternating pairs in
-one process) a step's median fell from 241 ms with the 19-row blocked
-kernel to 141 ms (1.57-1.83x per pair).
+has 18 rows.
 
 Every operation is column by column and the moment sums add
 populations in one fixed order, so the state is bitwise the same for
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import STENCIL, check_links, check_records
+from .adjacency import STENCIL, check_links
 from .errors import DivergenceError, NotConvergedError, ParameterError
 from .partition import chunk_ranges
 
@@ -51,7 +49,6 @@ __all__ = [
 # population 0 is the rest population; 1..18 follow STENCIL order, so
 # populations 2k + 1 and 2k + 2 (k = 0..8) are the 9 opposite pairs:
 # heads f[1::2], tails f[2::2]
-C19 = np.vstack([np.zeros((1, 3), dtype=np.int64), STENCIL])
 W = np.array([1.0 / 3.0] + [1.0 / 18.0] * 6 + [1.0 / 36.0] * 12)
 OPP = np.array([0] + [((p - 1) ^ 1) + 1 for p in range(1, 19)], dtype=np.int64)
 _WP = W[1::2, None]
@@ -103,12 +100,12 @@ class TrtParams:
 class LocalDomain:
     """One partition's owned cells [lo, hi), ghosts and rewritten adjacency.
 
-    `by_dir` is the direction-major adjacency of the whole domain:
-    `by_dir[i, a]` is the I_c of the neighbor of cell I_c = a + 1 in
-    stencil direction i, 0 for a solid one.
+    `nbr` is the records' (N_f, 18) adjacency as stored: `nbr[a, i]` is
+    the I_c of cell I_c = a + 1's neighbor in stencil direction i, 0 for
+    a solid one; the rows of cells [lo, hi) become the (18, n_own) pull table.
     """
 
-    def __init__(self, by_dir: np.ndarray, lo: int, hi: int, part: int):
+    def __init__(self, nbr: np.ndarray, lo: int, hi: int, part: int):
         self.part = part
         self.lo = lo
         self.n_own = hi - lo
@@ -116,22 +113,24 @@ class LocalDomain:
         # population p at a cell pulls from the neighbor opposite to its
         # direction of travel; nbr 0 turns into a bounce-back self-pull
         # of the opposite population
-        src = by_dir[OPP[1:] - 1, lo - 1 : hi - 1]
-        solid = src == 0
-        remote = ~solid & ((src < lo) | (src >= hi))
+        own = nbr[lo - 1 : hi - 1]
+        pull = self._pull_flat = np.empty((18, self.n_own), dtype=np.int64)
+        for b0 in range(0, self.n_own, _BLOCK):  # row blocks: one pass over nbr
+            pull[:, b0 : b0 + _BLOCK] = own[b0 : b0 + _BLOCK, OPP[1:] - 1].T
+        solid = pull == 0
+        remote = ~solid & ((pull < lo) | (pull >= hi))
         # ascending I_c, so the ghosts owned by one partition are contiguous
-        self.ghost_ic = np.unique(src[remote])
+        self.ghost_ic = np.unique(pull[remote])
         self.n_ghost = int(self.ghost_ic.size)
         nslots = self.n_own + self.n_ghost
 
-        slot = src - lo
-        slot[remote] = self.n_own + np.searchsorted(self.ghost_ic, src[remote])
-        self_slots = np.arange(self.n_own, dtype=np.int64)
-        pull_slot = np.where(solid, self_slots, slot)
-        pull_pop = np.where(solid, OPP[1:, None], np.arange(1, 19)[:, None])
+        pull[remote] = lo + self.n_own + np.searchsorted(self.ghost_ic, pull[remote])
+        pull -= lo
+        np.copyto(pull, np.arange(self.n_own), where=solid)
         # flat index p * nslots + slot of populations 1..18; population 0
         # stays in place, so it needs no row
-        self._pull_flat = pull_pop * nslots + pull_slot
+        np.add(pull, OPP[1:, None] * nslots, out=pull, where=solid)
+        np.add(pull, np.arange(1, 19)[:, None] * nslots, out=pull, where=~solid)
 
         self.f_src = np.zeros((19, nslots))
         self.f_dst = np.zeros((19, nslots))
@@ -250,23 +249,21 @@ class Simulation:
 
     The partitions are `chunk_ranges(header.n_fluid, nparts)`: `nparts`
     equal chunks of the fluid cell list. `records` must be sorted by
-    I_c, as `preprocess_grid` and `read_sparse` return them; each
-    partition takes its slice. Records that fail `check_records` or
-    `check_links` raise DataError. `coords` is the records' (N_f, 3)
-    array of cell coordinates in I_c order.
+    I_c, as `preprocess_grid` and `read_sparse` return them; one
+    `check_links` call validates them (DataError otherwise), and each
+    partition reads its rows of `records.nbr`, not a copy of the whole
+    adjacency. `coords` is the records' (N_f, 3) cell coordinates in I_c order.
     """
 
     def __init__(self, header, records, nparts: int, params: TrtParams):
         self.header = header
         self.params = params
         self.assignment = chunk_ranges(header.n_fluid, nparts)
-        check_records(records, header.n_fluid)
-        by_dir = np.ascontiguousarray(records.nbr.T, dtype=np.int64)
-        check_links(by_dir, records.coords, header)
+        check_links(records, header)
         self.coords = records.coords
         bounds = [int(b) for b in self.assignment.boundaries]
         self.domains = [
-            LocalDomain(by_dir, lo, hi, p)
+            LocalDomain(records.nbr, lo, hi, p)
             for p, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
         # exchange plan (q, p, ghost slots of q, own slots of p): each

@@ -35,7 +35,7 @@ SPARSE_MAGIC = b"SPRS"
 SPARSE_VERSION = 1
 _FIXED = struct.Struct("<4sI3QQIH")  # magic, version, X, Y, Z, N_f, periodic, slen
 
-RECORD_DTYPE = np.dtype([("x", "<u4"), ("y", "<u4"), ("z", "<u4"), ("nbr", "<u8", (18,))])
+RECORD_DTYPE = np.dtype([("coords", "<u4", (3,)), ("nbr", "<u8", (18,))])
 assert RECORD_DTYPE.itemsize == 156
 
 
@@ -70,13 +70,11 @@ def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
     I_c = i + 1. `check_records` runs before any bytes are written."""
     check_records(records, header.n_fluid)
     arr = np.empty(len(records), dtype=RECORD_DTYPE)
-    arr["x"] = records.coords[:, 0]
-    arr["y"] = records.coords[:, 1]
-    arr["z"] = records.coords[:, 2]
+    arr["coords"] = records.coords
     arr["nbr"] = records.nbr
     with open(path, "wb") as fh:
         fh.write(_pack_header(header))
-        fh.write(arr.tobytes())
+        arr.tofile(fh)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -155,12 +153,9 @@ def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
         base = fh.tell()
         n_fluid = header.n_fluid
         check_body_size(fh, n_fluid)
-        arr = np.frombuffer(fh.read(RECORD_DTYPE.itemsize * n_fluid), dtype=RECORD_DTYPE)
-    coords = np.empty((arr.shape[0], 3), dtype=np.uint32)
-    coords[:, 0] = arr["x"]
-    coords[:, 1] = arr["y"]
-    coords[:, 2] = arr["z"]
-    nbr = arr["nbr"].astype(np.uint64)  # detach from the read-only file buffer
+        arr = np.fromfile(fh, RECORD_DTYPE, count=n_fluid)
+    coords = np.ascontiguousarray(arr["coords"])
+    nbr = np.ascontiguousarray(arr["nbr"])
     bad = first_bad_entry(nbr, n_fluid)
     if bad is not None:
         row, col = bad

@@ -235,6 +235,13 @@ def _zero_pair(r):
     return SparseRecords(r.coords, r.ic, nbr), 10
 
 
+def _two_wrong_links(r):
+    # link 17 of I_c=3 and link 0 of I_c=50 point at their own cells: the
+    # lower I_c is named although its wrong direction comes later
+    bad, _ = _set_nbr(r, 49, 0, 50)
+    return _set_nbr(bad, 2, 17, 3)
+
+
 def _set_coord(r, at, axis, value):
     coords = r.coords.copy()
     coords[at, axis] = value
@@ -249,12 +256,14 @@ RECORD_FAULTS = {
     "shuffled": _shuffled,
     "above-N_f": lambda r: _set_nbr(r, 4, 7, len(r) + 1),
     "one-way-link": lambda r: _set_nbr(r, 9, 0, 10),  # +x of I_c=10 points at itself
+    "two-wrong-links": _two_wrong_links,
     "zeroed-pair": _zero_pair,
     "outside-dims": lambda r: _set_coord(r, 0, 0, 2 ** 31),
     "shared-cell": lambda r: _set_coord(r, 4, 0, int(r.coords[5, 0])),  # I_c=5 onto I_c=6
 }
-# checked by `check_links` alone, which only Simulation runs
-LINK_FAULTS = ("one-way-link", "zeroed-pair", "outside-dims", "shared-cell")
+# checked by `check_links` alone, which of these entry points only
+# Simulation runs (`analyze` runs it too, tested in test_cli.py)
+LINK_FAULTS = ("one-way-link", "two-wrong-links", "zeroed-pair", "outside-dims", "shared-cell")
 
 
 def _write(header, records, tmp_path):

@@ -301,6 +301,17 @@ class TestAnalyze:
                          error_only(err))
         assert "total_remote_links" not in out
 
+    def test_smallest_failing_cell_is_named(self, tmp_path, channel6_file, capsys):
+        # link 17 of I_c=3 and link 0 of I_c=50 point at their own cells:
+        # the lower I_c is named although its wrong direction comes later
+        bad = patched_copy(channel6_file, tmp_path, [(3, 12 + 8 * 17, 8, 3), (50, 12, 8, 50)])
+        code = main(["analyze", "--in", str(bad), "--out-prefix", str(tmp_path / "o")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert re.search(r"link 17 of I_c=3 at \(\d+, \d+, \d+\) to 3 does not match",
+                         error_only(err))
+        assert out == ""
+
     def test_missing_output_directory_exits_one(self, tmp_path, sparse_file, capsys):
         code = main(["analyze", "--in", str(sparse_file), "--parts", "2",
                      "--out-prefix", str(tmp_path / "nodir" / "o")])

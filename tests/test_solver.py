@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,11 @@ from listlbm import (
     run_benchmark,
 )
 from listlbm import solver
-from listlbm.solver import C19, OPP, W, macroscopic
+from listlbm.adjacency import STENCIL
+from listlbm.solver import OPP, W, macroscopic
+
+# population velocities: the rest population, then STENCIL order
+C19 = np.vstack([np.zeros((1, 3), dtype=np.int64), STENCIL])
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +391,25 @@ class TestLocalization:
         header, records = channel6_sparse
         assert sim.gather_state().shape == (19, header.n_fluid)
         assert np.array_equal(sim.coords, records.sorted_by_ic().coords)
+
+
+class TestSetupMemory:
+    def test_peak_stays_near_what_the_domains_keep(self, channel6_sparse, packing24):
+        """Each domain reads its rows of `records.nbr` as stored, so set-up
+        peaks at about 1.08x the bytes the domains keep (f_src, f_dst and
+        the pull table: 56 x 8 bytes a cell at one partition). A
+        transposed int64 copy of the whole adjacency adds 18 x 8 bytes a
+        cell, 0.32x, and must fail the bound."""
+        header, records = preprocess_grid(packing24, LexBlocked(1), periodic=(True, False, False))
+        make_sim(channel6_sparse)  # modules imported on a first call are not set-up memory
+        tracemalloc.start()
+        try:
+            sim = Simulation(header, records, 1, TrtParams(tau_plus=0.8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(d.f_src.nbytes + d.f_dst.nbytes + d._pull_flat.nbytes for d in sim.domains)
+        assert peak < 1.25 * kept, peak / kept
 
 
 class TestBenchmark:
