@@ -10,7 +10,8 @@ neighbor is solid or outside the domain. `check_records` and
 `check_links` raise DataError naming the first I_c that breaks a record
 rule; `check_links` runs `check_records`, then checks the records'
 (N_f, 18) `nbr` as stored against their header's dims, periodic axes
-and scheme. The file readers share `first_bad_entry` for the range rule.
+and scheme through the blocked stencil gather `build_adjacency` fills
+`nbr` from. The file readers share `first_bad_entry` for the range rule.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ assert np.array_equal(STENCIL[::2], -STENCIL[1::2])
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 1)) == 6
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 2)) == 12
 
-# records per block of `check_links`
-_CHECK_BLOCK = 1024
+# cells per block of `_stencil_links`, whose temporaries stay in cache
+_LINK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,14 @@ def _padded_axis(lo: int, hi: int, n: int, periodic: bool) -> np.ndarray:
     return g
 
 
-def _stencil_offsets(py: int, px: int) -> np.ndarray:
-    """Flat offset of each stencil direction in a (z, y, x) array whose
-    rows hold px cells and whose planes hold py rows."""
-    return STENCIL @ np.array((1, px, px * py))
+def _stencil_links(field: np.ndarray, at: np.ndarray):
+    """Yield (b0, links), `_LINK_BLOCK` records a block: links[r, i] is the
+    I_c at flat position at[b0 + r] + c_i of a padded (z, y, x) field."""
+    _, py, px = field.shape
+    offsets = STENCIL @ np.array((1, px, px * py))
+    flat = field.reshape(-1)
+    for b0 in range(0, len(at), _LINK_BLOCK):
+        yield b0, flat[at[b0 : b0 + _LINK_BLOCK, None] + offsets]
 
 
 def halo_exchange(
@@ -187,8 +192,8 @@ def halo_exchange(
 
 
 def build_adjacency(halo: HaloView) -> SparseRecords:
-    """One record per local fluid cell (I_c > 0), neighbors read off the
-    padded view.
+    """One record per local fluid cell (I_c > 0), neighbors gathered off
+    the padded view a block at a time, as `check_links` gathers them.
 
     A neighbor entry is the fluid neighbor's I_c, or 0 for solid cells
     and cells beyond a non-periodic boundary (their padded I_c is 0).
@@ -202,12 +207,11 @@ def build_adjacency(halo: HaloView) -> SparseRecords:
     coords[:, 0] = xx + x0
     coords[:, 1] = yy + y0
     coords[:, 2] = zz + z0
-    flat = halo.ic.reshape(-1)
     at = ((zz + 1) * py + yy + 1) * px + xx + 1
     nbr = np.empty((n, 18), dtype=np.uint64)
-    for i, off in enumerate(_stencil_offsets(py, px)):
-        nbr[:, i] = flat[at + off]
-    return SparseRecords(coords=coords, ic=flat[at], nbr=nbr)
+    for b0, links in _stencil_links(halo.ic, at):
+        nbr[b0 : b0 + len(links)] = links
+    return SparseRecords(coords=coords, ic=halo.ic.reshape(-1)[at], nbr=nbr)
 
 
 def first_bad_entry(nbr: np.ndarray, n_fluid: int) -> tuple[int, int] | None:
@@ -275,13 +279,10 @@ def check_links(records: SparseRecords, header) -> None:
     for n, h, p in zip(dims, hi.tolist(), periodic):
         g = _padded_axis(0, h, min(n, h + 1), p)
         index.append(np.where(g < h, g + 1, 0))
-    field = field.reshape(pz, py, px)[np.ix_(index[2], index[1], index[0])].reshape(-1)
-    offsets = _stencil_offsets(py, px)
-    # whole records a block at a time: one pass over nbr, temporaries that
-    # stay in cache, and the first wrong entry is the smallest failing I_c
-    for b0 in range(0, len(at), _CHECK_BLOCK):
-        want = field[at[b0 : b0 + _CHECK_BLOCK, None] + offsets]
-        wrong = nbr[b0 : b0 + _CHECK_BLOCK] != want
+    field = field.reshape(pz, py, px)[np.ix_(index[2], index[1], index[0])]
+    # in record order, the first wrong entry is the smallest failing I_c
+    for b0, want in _stencil_links(field, at):
+        wrong = nbr[b0 : b0 + len(want)] != want
         if wrong.any():
             r, i = divmod(int(np.argmax(wrong)), 18)
             a = b0 + r

@@ -8,7 +8,7 @@ rank count never changes a single byte.
 
 from __future__ import annotations
 
-from .adjacency import SparseRecords, build_adjacency, check_records, halo_exchange
+from .adjacency import SparseRecords, build_adjacency, halo_exchange
 from .geometry import VoxelGrid, decompose_ranks
 from .indexer import (
     CellOrder,
@@ -38,7 +38,6 @@ def preprocess_grid(
     ic_by_rank = [assign_contiguous(grid, scheme, b, assigned[b.rank], order) for b in boxes]
     halos = halo_exchange(grid, boxes, ic_by_rank, periodic=periodic)
     records = SparseRecords.concat(build_adjacency(h) for h in halos).sorted_by_ic()
-    check_records(records, grid.fluid_count)
     header = SparseHeader(
         dims=grid.dims,
         n_fluid=grid.fluid_count,

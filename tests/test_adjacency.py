@@ -21,7 +21,8 @@ from listlbm import (
     serial_oracle,
     write_sparse,
 )
-from listlbm.adjacency import halo_exchange
+from listlbm import adjacency
+from listlbm.adjacency import check_links, halo_exchange
 from listlbm.geometry import RankBox, decompose_ranks
 from conftest import ALL_SCHEMES, SCHEME_IDS, random_grid
 
@@ -335,3 +336,110 @@ class TestSchemeOrder:
     ], ids=["lex:b=1-as-morton:g=2", "lex:b=2-as-morton:g=1"])
     def test_another_scheme_of_the_same_order_passes(self, records_scheme, header_scheme):
         self.simulate(records_scheme, header_scheme)
+
+
+# grids for the tests of the blocked stencil gather, periodic along x
+GATHER_GRIDS = {"channel6": lambda: make_channel(6), "random": lambda: random_grid(5, (11, 9, 10))}
+BLOCKS = (1, 7, 1024)
+
+
+@pytest.fixture(scope="module")
+def gather_sparse():
+    """(header, records) of each GATHER_GRIDS entry at 1 and 8 ranks."""
+    out = {}
+    for name, make in GATHER_GRIDS.items():
+        for nranks in (1, 8):
+            out[name, nranks] = preprocess_grid(make(), LexBlocked(1), nranks=nranks,
+                                                periodic=(True, False, False))
+    return out
+
+
+class TestLinkBlocks:
+    """`build_adjacency` and `check_links` gather links in blocks of
+    `_LINK_BLOCK` records; no block size changes a record or a verdict."""
+
+    @pytest.mark.parametrize("nranks", [1, 8])
+    @pytest.mark.parametrize("name", GATHER_GRIDS)
+    def test_records_do_not_depend_on_block_size(self, monkeypatch, name, nranks):
+        runs = []
+        for block in BLOCKS:
+            monkeypatch.setattr(adjacency, "_LINK_BLOCK", block)
+            runs.append(records_for(GATHER_GRIDS[name](), nranks=nranks,
+                                    periodic=(True, False, False)))
+        assert runs[1].equals(runs[0]) and runs[2].equals(runs[0])
+
+    @pytest.mark.parametrize("fault", RECORD_FAULTS)
+    @pytest.mark.parametrize("nranks", [1, 8])
+    @pytest.mark.parametrize("name", GATHER_GRIDS)
+    def test_verdict_does_not_depend_on_block_size(self, gather_sparse, monkeypatch, name,
+                                                   nranks, fault):
+        header, records = gather_sparse[name, nranks]
+        bad, ic = RECORD_FAULTS[fault](records)
+        verdicts = []
+        for block in BLOCKS:
+            monkeypatch.setattr(adjacency, "_LINK_BLOCK", block)
+            try:
+                check_links(bad, header)
+                verdicts.append(None)
+            except DataError as exc:
+                verdicts.append(str(exc))
+        assert verdicts[1:] == verdicts[:1] * 2, verdicts
+        # the faults are laid out for the channel; on the random grid some
+        # (a zeroed pair of cells that are not neighbours) break no rule
+        if name == "channel6":
+            assert re.search(r"I_c=(\d+)", verdicts[0]).group(1) == str(ic)
+
+
+def oracle_links(records, dims, periodic):
+    """(N_f, 18) neighbor I_c of every record, looked up cell by cell in
+    a dictionary from coordinates to I_c: 0 where no record lies."""
+    where = {tuple(c): ic for c, ic in zip(records.coords.tolist(), records.ic.tolist())}
+    want = np.zeros((len(records), 18), dtype=np.uint64)
+    for r, cell in enumerate(records.coords.tolist()):
+        for i, step in enumerate(STENCIL.tolist()):
+            there = [v + s for v, s in zip(cell, step)]
+            there = [v % n if p else v for v, n, p in zip(there, dims, periodic)]
+            want[r, i] = where.get(tuple(there), 0)
+    return want
+
+
+class TestIndependentOracle:
+    """The builder and the validator share their gather, so a fault in it
+    would make them agree on wrong links. This oracle shares nothing
+    with it, on more than two blocks of records and a partial last one."""
+
+    PERIODIC = (True, False, True)
+
+    @pytest.fixture(scope="class", params=[1, 8], ids=["1rank", "8ranks"])
+    def sparse(self, request):
+        grid = random_grid(1, (20, 16, 16))
+        header, records = preprocess_grid(grid, LexBlocked(1), nranks=request.param,
+                                          periodic=self.PERIODIC)
+        block = adjacency._LINK_BLOCK
+        assert len(records) > 2 * block and len(records) % block > 2
+        return header, records
+
+    def test_every_link_matches_the_oracle(self, sparse):
+        header, records = sparse
+        assert np.array_equal(records.nbr, oracle_links(records, header.dims, self.PERIODIC))
+
+    @pytest.mark.parametrize("where", ["first-of-block-2", "last-block", "both"])
+    def test_wrong_link_is_named(self, sparse, where):
+        """Direction 5 goes wrong at the first record of the second block
+        (I_c=1025), at the third-last record, in the last partial block,
+        or at both: the smaller is named."""
+        header, records = sparse
+        want = oracle_links(records, header.dims, self.PERIODIC)
+        nbr = records.nbr.copy()
+        first, last = adjacency._LINK_BLOCK + 1, len(records) - 2
+        ics = {"first-of-block-2": [first], "last-block": [last], "both": [last, first]}[where]
+        for ic in ics:
+            nbr[ic - 1, 5] = want[ic - 1, 5] % len(records) + 1
+        with pytest.raises(DataError) as info:
+            check_links(SparseRecords(records.coords, records.ic, nbr), header)
+        a = min(ics) - 1
+        there = f"I_c={want[a, 5]}" if want[a, 5] else "no record"
+        assert str(info.value) == (
+            f"link 5 of I_c={a + 1} at {tuple(records.coords[a].tolist())} to {nbr[a, 5]} "
+            f"does not match its stencil neighbour, which holds {there}"
+        )

@@ -1,12 +1,17 @@
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import listlbm
 from listlbm import (
     DivergenceError,
     LexBlocked,
@@ -483,6 +488,19 @@ class TestSolveAndBench:
         x, y, z = records.coords[diverged.ic - 1]
         assert line == (f"error: density not positive at step {diverged.step} "
                         f"at I_c={diverged.ic} ({x}, {y}, {z}): the run diverged")
+
+    def test_overflowing_run_prints_one_error_line(self, channel6_file):
+        """An overflowing state ends in the one `error:` line and no numpy
+        warning. The test suite turns warnings into errors, so the run
+        is a child process with Python's default warning filters."""
+        env = {**os.environ, "PYTHONPATH": str(Path(listlbm.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "listlbm", "solve", "--in", str(channel6_file),
+             "--force", "1e300,0,0", "--steps", "5"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "density not positive at step" in error_only(proc.stderr)
 
     @pytest.mark.parametrize("flags", [["--force", "inf,0,0"], ["--tau", "inf"]])
     def test_non_finite_parameter_exits_one(self, sparse_file, capsys, flags):

@@ -174,6 +174,13 @@ class TestStep:
         with pytest.raises(DivergenceError, match=rf"step 3 at I_c={ic} \({x}, {y}, {z}\): "):
             sim.step()
 
+    def test_overflow_raises_divergence(self, channel6_sparse):
+        """A state that overflows ends in DivergenceError, not in a numpy
+        RuntimeWarning (which the test suite turns into an error)."""
+        sim = make_sim(channel6_sparse, tau_plus=0.8, force=(1e300, 0.0, 0.0))
+        with pytest.raises(DivergenceError):
+            sim.run(5)
+
     def test_divergence_names_the_smallest_failing_cell(self, channel6_sparse, monkeypatch):
         """Cells that fail in a later block, a later partition or by
         density <= 0 instead of NaN do not hide the smallest I_c."""
