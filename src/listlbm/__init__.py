@@ -48,19 +48,12 @@ from .partition import (
     partition_stats,
 )
 from .pipeline import preprocess_grid
-from .solver import (
-    BenchReport,
-    Simulation,
-    TrtParams,
-    poiseuille_error,
-    run_benchmark,
-)
+from .solver import Simulation, TrtParams, poiseuille_error
 from .sparse_io import SparseHeader, read_header, read_sparse, write_sparse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
     "DataError",
     "DecompositionError",
     "DivergenceError",
@@ -104,7 +97,6 @@ __all__ = [
     "preprocess_grid",
     "read_header",
     "read_sparse",
-    "run_benchmark",
     "save_voxels",
     "scheme_text",
     "serial_oracle",

@@ -59,12 +59,14 @@ class ParameterError(ListLbmError):
 
 
 class DivergenceError(ListLbmError):
-    """A solver step met a cell whose density is not positive (or NaN):
-    the step, the smallest such I_c and its (x, y, z)."""
+    """A solver step met a cell outside the state's health bounds: its
+    density not positive (or NaN), or its velocity above Mach 1. Carries
+    the bound that failed, the step, the smallest such I_c and its
+    (x, y, z)."""
 
-    def __init__(self, step, ic, cell):
-        super().__init__(
-            f"density not positive at step {step} at I_c={ic} {cell}: the run diverged")
+    def __init__(self, step, ic, cell, bound):
+        super().__init__(f"{bound} at step {step} at I_c={ic} {cell}: the run diverged")
+        self.bound = bound
         self.step = step
         self.ic = ic
         self.cell = cell

@@ -23,6 +23,8 @@ populations in one fixed order, so the state is bitwise the same for
 any block size. Once per step each partition copies the full 19
 populations of its ghosts from their owners; results are bit-identical
 for any partition count.
+Each block also checks that every density is positive and every
+velocity within Mach `_MAX_MACH`; a failing step raises before any swap.
 """
 from __future__ import annotations
 
@@ -37,13 +39,11 @@ from .errors import DivergenceError, NotConvergedError, ParameterError
 from .partition import chunk_ranges
 
 __all__ = [
-    "BenchReport",
     "LocalDomain",
     "Simulation",
     "TrtParams",
     "macroscopic",
     "poiseuille_error",
-    "run_benchmark",
 ]
 
 # population 0 is the rest population; 1..18 follow STENCIL order, so
@@ -56,10 +56,13 @@ _WP = W[1::2, None]
 _POS = [np.flatnonzero(STENCIL[:, a] == 1) for a in range(3)]
 _NEG = [np.flatnonzero(STENCIL[:, a] == -1) for a in range(3)]
 
-FLOPS_PER_UPDATE = 200
-
 # owned cells per block of the collide-stream step
 _BLOCK = 4096
+
+# health bound next to positive density: Mach |u| sqrt(3) <= 1, that is
+# usq = 1.5 |u|^2 <= 0.5 (the rest equilibrium turns negative near Mach 1.41)
+_MAX_MACH = 1.0
+_MAX_USQ = 0.5 * _MAX_MACH**2
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,9 @@ def _equilibrium(rho, u):
     """D3Q19 equilibrium W_p rho (1 + 3 c_p.u + 4.5 (c_p.u)^2 - 1.5 u.u)
     of density rho (a scalar or length n) and velocity rows u[0], u[1],
     u[2] of length n, as the rest row and the (9, n) pair heads and
-    tails. A tail's c.u is minus its head's, so both share 3 c.u and
-    4.5 (c.u)^2 and round exactly as the 19-row formula does."""
+    tails, and usq = 1.5 u.u (Ma^2 / 2). A tail's c.u is minus its
+    head's, so both share 3 c.u and 4.5 (c.u)^2 and round exactly as the
+    19-row formula does."""
     cu = _pair_cu(u)
     usq = 1.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     wr = _WP * rho
@@ -164,7 +168,7 @@ def _equilibrium(rho, u):
     tails += cu2
     tails -= usq
     tails *= wr
-    return W[0] * rho * (1.0 - usq), heads, tails
+    return W[0] * rho * (1.0 - usq), heads, tails, usq
 
 
 def _row_sum(f, rows):
@@ -188,16 +192,17 @@ def _moments(f0, f):
     return rho, m
 
 
-def _collide_stream(domain: LocalDomain, params: TrtParams) -> int | None:
+def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] | None:
     """Fused pull + TRT collision + forcing into the destination array,
     one block of `_BLOCK` owned cells at a time, in pair form: each pair
     relaxes its sum fp + fm at rate omega+ and its difference fp - fm at
     rate omega-, and both populations take their update from the same
     two rows.
 
-    Returns None when the density of every pulled cell is positive, else
-    the local index of the first cell whose density is not (or is NaN),
-    stopping after its block."""
+    Returns None when every pulled cell has a positive density and a
+    velocity within Mach `_MAX_MACH`, else the local index of the first
+    cell that has not (NaN fails both) and the bound it fails, stopping
+    after its block."""
     f_flat = domain.f_src.reshape(-1)
     half_plus = 0.5 * params.omega_plus
     half_minus = 0.5 * params.omega_minus
@@ -211,7 +216,7 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> int | None:
         f0, fp, fm = domain.f_src[0, b0:b1], f[0::2], f[1::2]
         rho, u = _moments(f0, f)
         u /= rho
-        rest, eq_p, eq_m = _equilibrium(rho, u)
+        rest, eq_p, eq_m, usq = _equilibrium(rho, u)
         # (0.5 omega+) ((fp + fm) - (eq_p + eq_m)) and
         # (0.5 omega-) ((fp - fm) - (eq_p - eq_m))
         even = fp + fm
@@ -229,8 +234,10 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> int | None:
             post_p += force
             post_m -= force
         domain.f_dst[0, b0:b1] = f0 - params.omega_plus * (f0 - rest)
-        if not rho.min() > 0.0:
-            return b0 + int(np.argmin(rho > 0.0))
+        if not (rho.min() > 0.0 and usq.max() <= _MAX_USQ):
+            k = int(np.argmin((rho > 0.0) & (usq <= _MAX_USQ)))
+            return b0 + k, ("density not positive" if not rho[k] > 0.0
+                            else f"velocity not within Mach {_MAX_MACH:g}")
     return None
 
 
@@ -279,15 +286,17 @@ class Simulation:
         self.compute_seconds = np.zeros(self.assignment.N)
         self.exchange_seconds = np.zeros(self.assignment.N)
 
-    @property
-    def nparts(self) -> int:
-        return len(self.domains)
-
     def init_equilibrium(self, rho0: float = 1.0, u0=(0.0, 0.0, 0.0)) -> None:
-        """Set every slot, owned and ghost, to the equilibrium of (rho0, u0)."""
+        """Set every slot, owned and ghost, to the equilibrium of (rho0, u0),
+        u0 within the bound each step checks."""
         if not rho0 > 0.0:
             raise ParameterError(f"rho0 must be positive, got {rho0}")
-        rest, eq_p, eq_m = _equilibrium(rho0, np.asarray(u0, dtype=float)[:, None])
+        u = np.asarray(u0, dtype=float)
+        # in Python floats, NaN or an overflow to inf fails without a numpy warning
+        if not (u.shape == (3,) and 1.5 * sum(x * x for x in u.tolist()) <= _MAX_USQ):
+            raise ParameterError(
+                f"u0 must be three finite components within Mach {_MAX_MACH:g}, got {u0}")
+        rest, eq_p, eq_m, _ = _equilibrium(rho0, u[:, None])
         feq = np.empty((19, 1))
         feq[0], feq[1::2], feq[2::2] = rest, eq_p, eq_m
         for d in self.domains:
@@ -303,19 +312,20 @@ class Simulation:
     def step(self) -> None:
         """One stream-collide-exchange cycle for all partitions.
 
-        Raises DivergenceError naming the smallest I_c whose density is
-        not positive (or is NaN)."""
-        bad = []
-        # an overflowing state ends in the density check, not in warnings
+        Raises DivergenceError naming the bound that failed and the
+        smallest I_c whose density is not positive (or is NaN) or whose
+        velocity is above Mach `_MAX_MACH`. Partitions run in I_c order and
+        the first failing one raises before any swap: the state is unchanged."""
+        # an overflowing state ends in the health check, not in warnings
         with np.errstate(all="ignore"):
             for d in self.domains:
                 t0 = time.perf_counter()
-                bad.append(_collide_stream(d, self.params))
+                bad = _collide_stream(d, self.params)
                 self.compute_seconds[d.part] += time.perf_counter() - t0
-        for d, k in zip(self.domains, bad):
-            if k is not None:
-                ic = d.lo + k
-                raise DivergenceError(self.step_count + 1, ic, tuple(self.coords[ic - 1].tolist()))
+                if bad is not None:
+                    ic = d.lo + bad[0]
+                    raise DivergenceError(self.step_count + 1, ic,
+                                          tuple(self.coords[ic - 1].tolist()), bad[1])
         for d in self.domains:
             d.f_src, d.f_dst = d.f_dst, d.f_src
         self._exchange()
@@ -332,69 +342,6 @@ class Simulation:
     def gather_state(self) -> np.ndarray:
         """(19, N_f) population state assembled in I_c order."""
         return np.concatenate([d.f_src[:, : d.n_own] for d in self.domains], axis=1)
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Throughput report in fluid lattice updates per second, with each
-    partition's cell counts and compute and exchange seconds."""
-
-    partitions: int
-    steps: int
-    fluid_cells: int
-    seconds: float
-    owned_cells: tuple[int, ...]
-    ghost_cells: tuple[int, ...]
-    compute_seconds: tuple[float, ...]
-    exchange_seconds: tuple[float, ...]
-
-    @property
-    def flup_count(self) -> int:
-        return self.fluid_cells * self.steps
-
-    @property
-    def flups(self) -> float:
-        return self.flup_count / max(self.seconds, 1e-12)
-
-    @property
-    def gflops_est(self) -> float:
-        return self.flups * FLOPS_PER_UPDATE / 1e9
-
-    def csv(self) -> str:
-        """One row per partition: the run's totals, repeated, then the
-        partition's own columns."""
-        run = (f"{self.partitions},{self.steps},{self.fluid_cells},"
-               f"{self.seconds:.6f},{self.flups:.3f},{self.gflops_est:.6f}")
-        parts = zip(self.owned_cells, self.ghost_cells, self.compute_seconds,
-                    self.exchange_seconds)
-        return (
-            "partitions,steps,fluid_cells,seconds,flups,gflops_est,"
-            "part,owned_cells,ghost_cells,compute_s,exchange_s\n"
-            + "".join(f"{run},{p},{own},{ghost},{c:.6f},{e:.6f}\n"
-                      for p, (own, ghost, c, e) in enumerate(parts))
-        )
-
-
-def run_benchmark(sim: Simulation, steps: int, warmup: int = 0) -> BenchReport:
-    """Time `steps` updates (after `warmup` untimed ones)."""
-    if steps < 1:
-        raise ParameterError(f"benchmark needs steps >= 1, got {steps}")
-    if warmup:
-        sim.run(warmup)
-    sim.reset_timers()
-    t0 = time.perf_counter()
-    sim.run(steps)
-    seconds = time.perf_counter() - t0
-    return BenchReport(
-        partitions=sim.nparts,
-        steps=steps,
-        fluid_cells=sim.header.n_fluid,
-        seconds=seconds,
-        owned_cells=tuple(d.n_own for d in sim.domains),
-        ghost_cells=tuple(d.n_ghost for d in sim.domains),
-        compute_seconds=tuple(sim.compute_seconds),
-        exchange_seconds=tuple(sim.exchange_seconds),
-    )
 
 
 def _ux_profile(sim: Simulation):
@@ -420,6 +367,8 @@ def poiseuille_error(
     and z, body force along x. The analytic wall sits half a cell off
     the solid nodes, so yhat = j - 1/2 and L = Y - 2.
     """
+    if check_every < 1:
+        raise ParameterError(f"check_every must be at least 1, got {check_every}")
     gx = sim.params.force[0]
     if gx == 0.0:
         return 0.0

@@ -22,10 +22,10 @@ from listlbm import (
     partition_stats,
     poiseuille_error,
     preprocess_grid,
-    run_benchmark,
     serial_oracle,
     write_sparse,
 )
+from listlbm.cli import main
 from listlbm.solver import macroscopic
 from conftest import ic_field
 
@@ -198,22 +198,26 @@ def test_criterion_6_partition_count_does_not_change_physics():
     verdict("6 partition-count invariance", body)
 
 
-def test_criterion_7_flup_accounting():
+def test_criterion_7_flup_accounting(tmp_path, capsys):
     def body():
-        sparse = preprocess_grid(make_channel(6), LexBlocked(1),
-                                 periodic=(True, False, False))
-        params = TrtParams(tau_plus=0.8, force=(1e-6, 0.0, 0.0))
-        n_fluid = sparse[0].n_fluid
-        reports = []
+        voxels, sparse = tmp_path / "c6.voxl", tmp_path / "c6.sprs"
+        assert main(["generate", "--channel", "--d", "6", "--out", str(voxels)]) == 0
+        assert main(["preprocess", "--in", str(voxels), "--periodic", "x",
+                     "--out", str(sparse)]) == 0
+        n_fluid = make_channel(6).fluid_count
+        capsys.readouterr()
+        counts = []
         for _ in range(2):
-            sim = Simulation(*sparse, nparts=2, params=params)
-            sim.init_equilibrium(1.0)
-            reports.append(run_benchmark(sim, steps=13))
-        for report in reports:
-            assert report.flup_count == n_fluid * 13
-            assert report.gflops_est == report.flups * 200 / 1e9
-        assert reports[0].flup_count == reports[1].flup_count
-        return (f"flup count {reports[0].flup_count} = {n_fluid} cells x 13 steps; "
+            assert main(["solve", "--in", str(sparse), "--parts", "2", "--force", "1e-6,0,0",
+                         "--steps", "13"]) == 0
+            out = capsys.readouterr().out
+            fields = dict(f.split("=", 1) for line in out.splitlines() for f in line.split())
+            counts.append(int(fields["flup_count"]))
+            # gflops_est is printed to 1e-6 and flups to 7 significant digits
+            assert float(fields["gflops_est"]) == pytest.approx(
+                float(fields["flups"]) * 200 / 1e9, abs=1e-6)
+        assert counts == [n_fluid * 13] * 2
+        return (f"flup count {counts[0]} = {n_fluid} cells x 13 steps on both runs; "
                 f"GFLOP/s derived with the 200-FLOP constant")
 
     verdict("7 FLUP/s accounting", body)

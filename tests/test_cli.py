@@ -55,11 +55,11 @@ def channel6_file(tmp_path):
     return path
 
 
-def library_divergence(path):
+def library_divergence(path, force=0.5):
     """The DivergenceError of a library run of `path` with the CLI's
-    defaults at force 0.5 along x, which diverges within 30 steps."""
+    defaults at `force` along x; force 0.5 passes Mach 1 within 30 steps."""
     header, records = read_sparse(path)
-    sim = Simulation(header, records, 1, TrtParams(tau_plus=0.8, force=(0.5, 0.0, 0.0)))
+    sim = Simulation(header, records, 1, TrtParams(tau_plus=0.8, force=(force, 0.0, 0.0)))
     sim.init_equilibrium(1.0)
     with pytest.raises(DivergenceError) as info:
         sim.run(200)
@@ -107,6 +107,21 @@ def self_linked_copy(path, tmp_path):
     """Copy of the sparse file `path` whose I_c=10 names itself as +x
     neighbour, a link that does not match the coordinates."""
     return patched_copy(path, tmp_path, [(10, 12, 8, 10)])
+
+
+def solve_in_child(path, *flags):
+    """`listlbm solve --in path *flags` in a child process, so Python's
+    default warning filters apply (the test suite turns warnings into
+    errors)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(listlbm.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "listlbm", "solve", "--in", str(path), *flags],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def printed_fields(out):
+    """The key=value fields of `solve`'s summary lines on stdout."""
+    return dict(field.split("=", 1) for line in out.splitlines()
+                if not line.startswith("wrote ") for field in line.split())
 
 
 def error_only(stderr):
@@ -413,13 +428,17 @@ class TestSolveAndBench:
         assert code == 0
         assert "flup_count=400" in capsys.readouterr().out
         assert report.read_text().splitlines()[1].startswith("1,5,80,")
-        # the warmup steps do run: this force diverges after step 10
-        step = library_divergence(channel6_file).step
-        assert 10 < step <= 30
-        code = main(["solve", "--in", str(channel6_file), "--force", "0.5,0,0",
+        # the warmup steps do run: the first of these forces that fails
+        # after step 10 fails within the 20 warmup and 10 timed steps
+        for force in (0.5, 0.2, 0.1, 0.08, 0.06):
+            diverged = library_divergence(channel6_file, force)
+            if diverged.step > 10:
+                break
+        assert 10 < diverged.step <= 30
+        code = main(["solve", "--in", str(channel6_file), "--force", f"{force},0,0",
                      "--warmup", "20", "--steps", "10"])
         assert code == 1
-        assert f"density not positive at step {step} " in error_only(capsys.readouterr().err)
+        assert error_only(capsys.readouterr().err) == f"error: {diverged}"
 
     def test_negative_warmup_is_usage_error(self, sparse_file):
         code = main(["solve", "--in", str(sparse_file), "--steps", "2",
@@ -472,7 +491,7 @@ class TestSolveAndBench:
         assert code == 1
         out, err = capsys.readouterr()
         step = library_divergence(channel6_file).step
-        assert f"density not positive at step {step} " in error_only(err)
+        assert f"velocity not within Mach 1 at step {step} " in error_only(err)
         assert "flups" not in out
         assert not report.exists()
 
@@ -486,21 +505,83 @@ class TestSolveAndBench:
         assert line == f"error: {diverged}"
         _, records = read_sparse(channel6_file)
         x, y, z = records.coords[diverged.ic - 1]
-        assert line == (f"error: density not positive at step {diverged.step} "
+        assert line == (f"error: velocity not within Mach 1 at step {diverged.step} "
                         f"at I_c={diverged.ic} ({x}, {y}, {z}): the run diverged")
 
     def test_overflowing_run_prints_one_error_line(self, channel6_file):
         """An overflowing state ends in the one `error:` line and no numpy
-        warning. The test suite turns warnings into errors, so the run
-        is a child process with Python's default warning filters."""
-        env = {**os.environ, "PYTHONPATH": str(Path(listlbm.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "listlbm", "solve", "--in", str(channel6_file),
-             "--force", "1e300,0,0", "--steps", "5"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        warning."""
+        proc = solve_in_child(channel6_file, "--force", "1e300,0,0", "--steps", "5")
         assert proc.returncode == 1
-        assert "density not positive at step" in error_only(proc.stderr)
+        assert "velocity not within Mach 1 at step" in error_only(proc.stderr)
+
+    def test_run_past_mach_one_prints_one_error_line(self, channel6_file):
+        """Force 0.1 settles at Mach 1.9 with every density positive; the
+        run exits 1 with one `error:` line naming the Mach bound, and
+        prints no FLUP/s."""
+        proc = solve_in_child(channel6_file, "--force", "0.1,0,0", "--steps", "200")
+        assert proc.returncode == 1
+        line = error_only(proc.stderr)
+        assert line == f"error: {library_divergence(channel6_file, 0.1)}"
+        assert line.startswith("error: velocity not within Mach 1 at step ")
+        assert proc.stdout == ""
+
+    def test_run_within_mach_one_exits_zero(self, channel6_file, capsys):
+        """Force 0.02 settles near Mach 0.39: healthy, so it reports."""
+        code = main(["solve", "--in", str(channel6_file), "--force", "0.02,0,0",
+                     "--steps", "200"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert printed_fields(out)["steps"] == "200"
+
+    def test_flup_accounting(self, tmp_path, channel6_file, capsys):
+        """flup_count is N_f x steps on every run, and the printed and
+        reported flups and gflops_est follow from the counts, the seconds
+        and the 200-FLOP constant within their printed precision."""
+        n_fluid = read_sparse(channel6_file)[0].n_fluid
+        report = tmp_path / "r.csv"
+        counts = []
+        for _ in range(2):
+            code = main(["solve", "--in", str(channel6_file), "--parts", "2", "--steps", "7",
+                         "--warmup", "2", "--report", str(report)])
+            assert code == 0
+            fields = printed_fields(capsys.readouterr().out)
+            assert (fields["steps"], fields["fluid_cells"], fields["partitions"]) == (
+                "7", str(n_fluid), "2")
+            counts.append(int(fields["flup_count"]))
+            head, *rows = report.read_text().splitlines()
+            assert len(rows) == 2
+            cols = dict(zip(head.split(","), rows[0].split(",")))
+            seconds, flups = float(cols["seconds"]), float(cols["flups"])
+            # seconds are printed to 1e-6 s and flups to 1e-3
+            assert flups == pytest.approx(n_fluid * 7 / seconds, rel=1e-6 / seconds, abs=1e-3)
+            assert float(cols["gflops_est"]) == pytest.approx(flups * 200 / 1e9, abs=1e-6)
+            assert float(fields["flups"]) == pytest.approx(flups, rel=1e-6)
+            assert fields["gflops_est"] == cols["gflops_est"]
+            assert float(fields["seconds"]) == pytest.approx(seconds, abs=1e-3)
+        assert counts == [n_fluid * 7] * 2
+
+    def test_csv_has_one_row_per_partition(self, tmp_path, channel6_file):
+        """One row per partition: the run's columns repeated, then the
+        partition's cells as a library Simulation cuts them and its
+        timers' seconds."""
+        report = tmp_path / "r.csv"
+        code = main(["solve", "--in", str(channel6_file), "--parts", "3", "--steps", "4",
+                     "--report", str(report)])
+        assert code == 0
+        header, records = read_sparse(channel6_file)
+        sim = Simulation(header, records, 3, TrtParams(tau_plus=0.8))
+        head, *rows = report.read_text().splitlines()
+        assert len(rows) == 3
+        run = rows[0].split(",")[:6]
+        assert run[:3] == ["3", "4", str(header.n_fluid)]
+        for p, (row, d) in enumerate(zip(rows, sim.domains)):
+            cols = dict(zip(head.split(","), row.split(",")))
+            assert row.split(",")[:6] == run
+            assert (int(cols["part"]), int(cols["owned_cells"]), int(cols["ghost_cells"])) == (
+                p, d.n_own, d.n_ghost)
+            assert float(cols["compute_s"]) > 0.0
+            assert float(cols["exchange_s"]) >= 0.0
 
     @pytest.mark.parametrize("flags", [["--force", "inf,0,0"], ["--tau", "inf"]])
     def test_non_finite_parameter_exits_one(self, sparse_file, capsys, flags):

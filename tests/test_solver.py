@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from listlbm import (
     make_channel,
     poiseuille_error,
     preprocess_grid,
-    run_benchmark,
 )
 from listlbm import solver
 from listlbm.adjacency import STENCIL
@@ -96,6 +96,29 @@ class TestEquilibrium:
         sim = make_sim(channel6_sparse)
         with pytest.raises(ParameterError):
             sim.init_equilibrium(0.0)
+
+    @pytest.mark.parametrize("u0", [
+        (1e200, 0.0, 0.0),  # |u|^2 overflows
+        (0.6, 0.0, 0.0),  # Mach 0.6 sqrt(3) = 1.04
+        (0.0, float("nan"), 0.0),
+        (0.1, 0.0),
+    ])
+    def test_rejects_velocity_outside_the_health_bound(self, channel6_sparse, u0):
+        """A start velocity the step would reject raises ParameterError,
+        with no numpy warning and with the state left as it was."""
+        sim = make_sim(channel6_sparse)
+        before = sim.gather_state()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="within Mach 1"):
+                sim.init_equilibrium(1.0, u0)
+        assert np.array_equal(sim.gather_state(), before)
+
+    def test_accepts_velocity_just_within_mach_one(self, channel6_sparse):
+        sim = make_sim(channel6_sparse)
+        sim.init_equilibrium(1.0, (0.57, 0.0, 0.0))  # Mach 0.987
+        _, u = macroscopic(sim.gather_state(), sim.params)
+        assert np.abs(u[:, 0] - 0.57).max() < 1e-14
 
 
 class TestStep:
@@ -180,6 +203,23 @@ class TestStep:
         sim = make_sim(channel6_sparse, tau_plus=0.8, force=(1e300, 0.0, 0.0))
         with pytest.raises(DivergenceError):
             sim.run(5)
+
+    def test_mach_bound_fails_a_run_with_positive_density(self, channel6_sparse):
+        """Force 0.1 drives the channel past Mach 1 long before any density
+        turns negative; the failing step names the Mach bound and leaves
+        the state as it was before that step."""
+        sim = make_sim(channel6_sparse, nparts=3, tau_plus=0.8, force=(0.1, 0.0, 0.0))
+        with pytest.raises(DivergenceError) as info:
+            for _ in range(200):
+                before = sim.gather_state()
+                sim.step()
+        err = info.value
+        assert err.bound == "velocity not within Mach 1"
+        assert str(err).startswith(f"velocity not within Mach 1 at step {err.step} at I_c={err.ic} ")
+        assert err.step == sim.step_count + 1
+        assert np.array_equal(sim.gather_state(), before)
+        rho, _ = macroscopic(before, sim.params)
+        assert rho.min() > 0.0
 
     def test_divergence_names_the_smallest_failing_cell(self, channel6_sparse, monkeypatch):
         """Cells that fail in a later block, a later partition or by
@@ -419,50 +459,6 @@ class TestSetupMemory:
         assert peak < 1.25 * kept, peak / kept
 
 
-class TestBenchmark:
-    def test_flup_accounting(self, channel6_sparse):
-        sim = make_sim(channel6_sparse, nparts=2)
-        report = run_benchmark(sim, steps=7, warmup=2)
-        assert report.flup_count == channel6_sparse[0].n_fluid * 7
-        assert report.flups == pytest.approx(report.flup_count / report.seconds)
-        assert report.gflops_est == pytest.approx(report.flups * 200 / 1e9)
-        assert len(report.compute_seconds) == 2
-        assert len(report.exchange_seconds) == 2
-
-    def test_flup_count_is_deterministic(self, channel6_sparse):
-        a = run_benchmark(make_sim(channel6_sparse), steps=5)
-        b = run_benchmark(make_sim(channel6_sparse), steps=5)
-        assert a.flup_count == b.flup_count
-
-    def test_csv_layout(self, channel6_sparse):
-        report = run_benchmark(make_sim(channel6_sparse), steps=3)
-        lines = report.csv().splitlines()
-        assert lines[0] == ("partitions,steps,fluid_cells,seconds,flups,gflops_est,"
-                            "part,owned_cells,ghost_cells,compute_s,exchange_s")
-        assert len(lines) == 2
-        assert lines[1].startswith("1,3,")
-
-    def test_csv_has_one_row_per_partition(self, channel6_sparse):
-        sim = make_sim(channel6_sparse, nparts=3)
-        report = run_benchmark(sim, steps=4)
-        header, *rows = report.csv().splitlines()
-        assert len(rows) == 3
-        run = rows[0].split(",")[:6]
-        for p, (row, d) in enumerate(zip(rows, sim.domains)):
-            cols = dict(zip(header.split(","), row.split(",")))
-            assert row.split(",")[:6] == run
-            assert (int(cols["part"]), int(cols["owned_cells"]), int(cols["ghost_cells"])) == (
-                p, d.n_own, d.n_ghost)
-            assert float(cols["compute_s"]) == pytest.approx(sim.compute_seconds[p], abs=1e-6)
-            assert float(cols["exchange_s"]) == pytest.approx(sim.exchange_seconds[p], abs=1e-6)
-            assert float(cols["compute_s"]) > 0.0
-        assert sum(d.n_own for d in sim.domains) == channel6_sparse[0].n_fluid
-
-    def test_rejects_zero_steps(self, channel6_sparse):
-        with pytest.raises(ParameterError):
-            run_benchmark(make_sim(channel6_sparse), steps=0)
-
-
 def plate_channel(Y, width=4):
     flags = np.ones((width, Y, width), dtype=bool)
     flags[:, 0, :] = False
@@ -491,6 +487,15 @@ class TestPoiseuille:
         with pytest.raises(NotConvergedError) as excinfo:
             poiseuille_error(sim, max_steps=200)
         assert excinfo.value.residual > 0
+
+    @pytest.mark.parametrize("check_every", [0, -5])
+    def test_rejects_check_every_below_one(self, channel6_sparse, check_every):
+        """A check every 0 steps would compare the profile with itself and
+        call the unstepped state converged."""
+        sim = make_sim(channel6_sparse, tau_plus=0.8, force=(1e-6, 0.0, 0.0))
+        with pytest.raises(ParameterError, match="check_every"):
+            poiseuille_error(sim, check_every=check_every)
+        assert sim.step_count == 0
 
     def test_analytic_centerline_value(self):
         L, g, nu = 30, 1e-6, 1 / 6
