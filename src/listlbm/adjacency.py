@@ -1,17 +1,17 @@
 """D3Q19 adjacency construction over fluid cells via halo exchange, and
 the one validator of sparse records in memory.
 
-Each rank's box is padded by one cell of I_c, filled with one copy from
-each rank that owns part of it (wrapped on periodic axes, 0 beyond
-non-periodic ends); a cell is fluid when its I_c is > 0. A pad cell held
-by no rank or by two is a ProtocolError naming the cell. Neighbor
-entries store the contiguous index of the fluid neighbor, or 0 when the
-neighbor is solid or outside the domain. `check_records` and
-`check_links` raise DataError naming the first I_c that breaks a record
-rule; `check_links` runs `check_records`, then checks the records'
-(N_f, 18) `nbr` as stored against their header's dims, periodic axes
-and scheme through the blocked stencil gather `build_adjacency` fills
-`nbr` from. The file readers share `first_bad_entry` for the range rule.
+Each rank's box is padded by one cell of I_c, filled with one copy from each
+rank that owns part of it (wrapped on periodic axes, 0 beyond non-periodic
+ends); a cell is fluid when its I_c is > 0. A pad cell held by no rank or by
+two is a ProtocolError naming the cell. Neighbor entries store the contiguous
+index of the fluid neighbor, or 0 when the neighbor is solid or outside the
+domain. `SparseRecords.concat` places each record at row I_c - 1, so a repeated
+I_c leaves a zero row. `check_records` and `check_links` raise DataError naming
+the first I_c that breaks a record rule; `check_links` runs `check_records`,
+then checks the records' (N_f, 18) `nbr` as stored against their header's dims,
+periodic axes and scheme through the blocked stencil gather `build_adjacency`
+fills `nbr` from. The file readers share `first_bad_entry` for the range rule.
 """
 
 from __future__ import annotations
@@ -76,18 +76,23 @@ class SparseRecords:
         return self.ic.shape[0]
 
     def sorted_by_ic(self) -> "SparseRecords":
-        idx = np.argsort(self.ic)
-        return SparseRecords(self.coords[idx], self.ic[idx], self.nbr[idx])
+        return SparseRecords.concat([self])
 
     @classmethod
     def concat(cls, batches) -> "SparseRecords":
-        """The records of one or more batches, concatenated in order."""
+        """The batches' rows placed at row I_c - 1 of n zero records, n their
+        row count. An I_c outside 1..n raises DataError before a row is placed."""
         batches = list(batches)
-        return cls(
-            np.concatenate([b.coords for b in batches]),
-            np.concatenate([b.ic for b in batches]),
-            np.concatenate([b.nbr for b in batches]),
-        )
+        n = sum(map(len, batches))
+        rows = [b.ic - 1 for b in batches]  # uint64: I_c 0 wraps past n
+        for b, row in zip(batches, rows):
+            if (row >= n).any():
+                raise DataError(f"I_c={b.ic[np.argmax(row >= n)]} is outside 1..{n}")
+        out = cls(np.zeros((n, 3), np.uint32), np.zeros(n, np.uint64),
+                  np.zeros((n, 18), np.uint64))
+        for b, row in zip(batches, rows):
+            out.coords[row], out.ic[row], out.nbr[row] = b.coords, b.ic, b.nbr
+        return out
 
     def equals(self, other: "SparseRecords") -> bool:
         return (
@@ -197,7 +202,7 @@ def build_adjacency(halo: HaloView) -> SparseRecords:
 
     A neighbor entry is the fluid neighbor's I_c, or 0 for solid cells
     and cells beyond a non-periodic boundary (their padded I_c is 0).
-    Records come out in row-major box order, not yet sorted by I_c.
+    Records come out in row-major box order, not yet placed by I_c.
     """
     _, py, px = halo.ic.shape
     zz, yy, xx = np.nonzero(halo.ic[1:-1, 1:-1, 1:-1] > 0)

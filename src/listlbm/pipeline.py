@@ -1,8 +1,8 @@
 """End-to-end preprocessing: voxel grid in, sparse representation out.
 
 Ties together decomposition, run detection, the tree reduction, halo
-exchange and adjacency construction. The output depends only on the
-grid, the numbering scheme and the periodic flags; the preprocessor
+exchange, adjacency and placement by I_c. The output depends only on
+the grid, the numbering scheme and the periodic flags; the preprocessor
 rank count never changes a single byte.
 """
 
@@ -29,15 +29,15 @@ def preprocess_grid(
     nranks: int = 1,
     periodic=(False, False, False),
 ) -> tuple[SparseHeader, SparseRecords]:
-    """Produce the sparse records, sorted by I_c, and the matching header
-    in memory; this is the one place the records get sorted."""
+    """Produce the sparse records, placed by I_c, and the matching header
+    in memory; this is the one place the records get placed."""
     boxes = decompose_ranks(grid.dims, nranks)
     order = CellOrder(grid.dims, scheme)
     lists = [find_runs(grid, scheme, b, boxes, order) for b in boxes]
     assigned = octree_reduce(lists, build_rank_tree(nranks))
     ic_by_rank = [assign_contiguous(grid, scheme, b, assigned[b.rank], order) for b in boxes]
     halos = halo_exchange(grid, boxes, ic_by_rank, periodic=periodic)
-    records = SparseRecords.concat(build_adjacency(h) for h in halos).sorted_by_ic()
+    records = SparseRecords.concat(build_adjacency(h) for h in halos)
     header = SparseHeader(
         dims=grid.dims,
         n_fluid=grid.fluid_count,

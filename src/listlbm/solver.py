@@ -80,8 +80,8 @@ class TrtParams:
             raise ParameterError(
                 f"magic lambda must be finite and positive, got {self.magic_lambda}"
             )
-        if not all(map(math.isfinite, self.force)):
-            raise ParameterError(f"force must be finite, got {self.force}")
+        if not (np.shape(self.force) == (3,) and all(map(math.isfinite, self.force))):
+            raise ParameterError(f"force must be three finite components, got {self.force}")
 
     @property
     def nu(self) -> float:
@@ -123,12 +123,12 @@ class LocalDomain:
         solid = pull == 0
         remote = ~solid & ((pull < lo) | (pull >= hi))
         # ascending I_c, so the ghosts owned by one partition are contiguous
-        self.ghost_ic = np.unique(pull[remote])
+        self.ghost_ic, ghost = np.unique(pull[remote], return_inverse=True)
         self.n_ghost = int(self.ghost_ic.size)
         nslots = self.n_own + self.n_ghost
 
-        pull[remote] = lo + self.n_own + np.searchsorted(self.ghost_ic, pull[remote])
         pull -= lo
+        pull[remote] = self.n_own + ghost
         np.copyto(pull, np.arange(self.n_own), where=solid)
         # flat index p * nslots + slot of populations 1..18; population 0
         # stays in place, so it needs no row
@@ -289,8 +289,8 @@ class Simulation:
     def init_equilibrium(self, rho0: float = 1.0, u0=(0.0, 0.0, 0.0)) -> None:
         """Set every slot, owned and ghost, to the equilibrium of (rho0, u0),
         u0 within the bound each step checks."""
-        if not rho0 > 0.0:
-            raise ParameterError(f"rho0 must be positive, got {rho0}")
+        if not 0.0 < rho0 < math.inf:
+            raise ParameterError(f"rho0 must be positive and finite, got {rho0}")
         u = np.asarray(u0, dtype=float)
         # in Python floats, NaN or an overflow to inf fails without a numpy warning
         if not (u.shape == (3,) and 1.5 * sum(x * x for x in u.tolist()) <= _MAX_USQ):

@@ -16,6 +16,7 @@ from listlbm import (
     VoxelGrid,
     chunk_ranges,
     make_channel,
+    make_packing,
     partition_stats,
     preprocess_grid,
     serial_oracle,
@@ -199,6 +200,56 @@ class TestHaloExchange:
         parts = [field[:, :, b.lo[0]:b.hi[0]] for b in boxes]
         with pytest.raises(ProtocolError, match=re.escape(f"cell {cell} is {what}")):
             halo_exchange(grid, boxes, parts)
+
+
+class TestPlacement:
+    """`SparseRecords.concat` puts each batch row at row I_c - 1."""
+
+    @staticmethod
+    def split(records, seed, pieces=5):
+        """The records shuffled and cut into `pieces` batches."""
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, len(records)), pieces - 1, replace=False))
+        return [SparseRecords(records.coords[i], records.ic[i], records.nbr[i])
+                for i in np.split(rng.permutation(len(records)), cuts)]
+
+    @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
+    def test_split_shuffled_batches_match_a_sort(self, scheme):
+        records = records_for(make_packing(12, 3), scheme, nranks=3, periodic=(True, False, False))
+        batches = self.split(records, seed=7)
+        order = np.argsort(np.concatenate([b.ic for b in batches]))
+        want = SparseRecords(*(np.concatenate([getattr(b, f) for b in batches])[order]
+                               for f in ("coords", "ic", "nbr")))
+        assert SparseRecords.concat(batches).equals(want)
+        assert want.equals(records)
+        (shuffled,) = self.split(records, seed=8, pieces=1)
+        assert shuffled.sorted_by_ic().equals(records)
+
+    @pytest.mark.parametrize("ic", [0, "n+1"])
+    def test_ic_outside_range_is_named(self, ic):
+        records = records_for(make_channel(4))
+        n = len(records)
+        ic = n + 1 if ic == "n+1" else ic
+        batches = self.split(records, seed=1, pieces=3)
+        batches[2].ic[4] = ic
+        with pytest.raises(DataError, match=rf"^I_c={ic} is outside 1\.\.{n}$"):
+            SparseRecords.concat(batches)
+
+    def test_repeated_ic_leaves_the_unfilled_slot_for_the_validator(self, tmp_path):
+        header, records = preprocess_grid(make_channel(4), LexBlocked(1))
+        ic = records.ic.copy()
+        ic[8] = 4  # I_c=4 twice, I_c=9 never
+        batches = self.split(SparseRecords(records.coords, ic, records.nbr), seed=2, pieces=2)
+        placed = SparseRecords.concat(batches)
+        assert placed.ic[8] == 0 and not placed.nbr[8].any()
+        with pytest.raises(DataError, match=r"^I_c=9 is not record 8: records must be"):
+            write_sparse(tmp_path / "dup.sprs", placed, header)
+        assert not (tmp_path / "dup.sprs").exists()
+
+    def test_no_batches_give_no_records(self):
+        empty = SparseRecords.concat([])
+        assert len(empty) == 0
+        assert (empty.coords.shape, empty.nbr.shape) == ((0, 3), (0, 18))
 
 
 def _drop_last(r):

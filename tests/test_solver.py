@@ -58,6 +58,9 @@ class TestTrtParams:
         {"tau_plus": 0.8, "magic_lambda": float("inf")},
         {"tau_plus": 0.8, "force": (float("inf"), 0.0, 0.0)},
         {"tau_plus": 0.8, "force": (0.0, float("nan"), 0.0)},
+        {"tau_plus": 0.8, "force": (0.0, 0.0)},  # a force needs three components
+        {"tau_plus": 0.8, "force": (1e-5, 0.0)},
+        {"tau_plus": 0.8, "force": (0, 0, 0, 1)},
     ])
     def test_rejects_non_finite_values(self, kw):
         with pytest.raises(ParameterError, match="finite"):
@@ -94,8 +97,14 @@ class TestEquilibrium:
 
     def test_rejects_nonpositive_density(self, channel6_sparse):
         sim = make_sim(channel6_sparse)
-        with pytest.raises(ParameterError):
-            sim.init_equilibrium(0.0)
+        for rho0 in (0.0, float("inf")):
+            with pytest.raises(ParameterError, match="rho0"):
+                sim.init_equilibrium(rho0)
+
+    def test_accepts_a_huge_finite_density(self, channel6_sparse):
+        sim = make_sim(channel6_sparse)
+        sim.init_equilibrium(1e308)
+        sim.run(2)
 
     @pytest.mark.parametrize("u0", [
         (1e200, 0.0, 0.0),  # |u|^2 overflows
