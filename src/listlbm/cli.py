@@ -141,9 +141,9 @@ def _write_report(fh, sim, steps, seconds, flups, gflops):
 
 def _cmd_solve(args):
     _distinct_paths(args.infile, args.report)
-    header, records = read_sparse(args.infile)
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
-    sim = Simulation(header, records, nparts=args.parts, params=params)
+    # no name holds the records: once the Simulation is built, only its coords stay
+    sim = Simulation(*read_sparse(args.infile), nparts=args.parts, params=params)
     # open the report before stepping, so a bad path costs no run, and
     # delete it again if stepping fails, so no empty report is left
     with open(args.report or os.devnull, "w") as fh:
@@ -159,13 +159,13 @@ def _cmd_solve(args):
             if args.report is not None:
                 os.remove(args.report)
             raise
-        flup_count = header.n_fluid * args.steps
+        flup_count = sim.header.n_fluid * args.steps
         flups = flup_count / max(seconds, 1e-12)
         gflops = flups * _FLOPS_PER_UPDATE / 1e9
         _write_report(fh, sim, args.steps, seconds, flups, gflops)
     if args.report is not None:
         print(f"wrote {args.report}")
-    print(f"steps={args.steps} fluid_cells={header.n_fluid} partitions={len(sim.domains)}")
+    print(f"steps={args.steps} fluid_cells={sim.header.n_fluid} partitions={len(sim.domains)}")
     print(f"flup_count={flup_count} seconds={seconds:.3f}")
     print(f"flups={flups:.6e} gflops_est={gflops:.6f}")
     return 0

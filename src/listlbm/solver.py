@@ -197,7 +197,8 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] |
     one block of `_BLOCK` owned cells at a time, in pair form: each pair
     relaxes its sum fp + fm at rate omega+ and its difference fp - fm at
     rate omega-, and both populations take their update from the same
-    two rows.
+    two rows. The force term is always added: a zero force turns a -0.0
+    population into +0.0 and changes nothing else.
 
     Returns None when every pulled cell has a positive density and a
     velocity within Mach `_MAX_MACH`, else the local index of the first
@@ -206,10 +207,7 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] |
     f_flat = domain.f_src.reshape(-1)
     half_plus = 0.5 * params.omega_plus
     half_minus = 0.5 * params.omega_minus
-    g = params.force
-    forced = g[0] or g[1] or g[2]
-    if forced:
-        force_p = 3.0 * _WP * _pair_cu(np.asarray(g, dtype=float)[:, None])
+    force_p = 3.0 * _WP * _pair_cu(np.asarray(params.force, dtype=float)[:, None])
     for b0 in range(0, domain.n_own, _BLOCK):
         b1 = min(b0 + _BLOCK, domain.n_own)
         f = f_flat[domain._pull_flat[:, b0:b1]]
@@ -229,10 +227,9 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] |
         post_p -= odd
         post_m = np.subtract(fm, even, out=domain.f_dst[2::2, b0:b1])
         post_m += odd
-        if forced:
-            force = force_p * rho
-            post_p += force
-            post_m -= force
+        force = force_p * rho
+        post_p += force
+        post_m -= force
         domain.f_dst[0, b0:b1] = f0 - params.omega_plus * (f0 - rest)
         if not (rho.min() > 0.0 and usq.max() <= _MAX_USQ):
             k = int(np.argmin((rho > 0.0) & (usq <= _MAX_USQ)))
@@ -259,7 +256,8 @@ class Simulation:
     I_c, as `preprocess_grid` and `read_sparse` return them; one
     `check_links` call validates them (DataError otherwise), and each
     partition reads its rows of `records.nbr`, not a copy of the whole
-    adjacency. `coords` is the records' (N_f, 3) cell coordinates in I_c order.
+    adjacency. It keeps only `coords`, the records' (N_f, 3) cell coordinates
+    in I_c order, so a caller that drops the records frees `nbr` and `ic`.
     """
 
     def __init__(self, header, records, nparts: int, params: TrtParams):
@@ -287,8 +285,10 @@ class Simulation:
         self.exchange_seconds = np.zeros(self.assignment.N)
 
     def init_equilibrium(self, rho0: float = 1.0, u0=(0.0, 0.0, 0.0)) -> None:
-        """Set every slot, owned and ghost, to the equilibrium of (rho0, u0),
-        u0 within the bound each step checks."""
+        """Set every slot, owned and ghost, of `f_src` to the equilibrium of
+        (rho0, u0), u0 within the bound each step checks. `f_dst` is not
+        filled: a step writes all its owned columns before the swap and the
+        exchange all its ghost columns after it, so no value set there is read."""
         if not 0.0 < rho0 < math.inf:
             raise ParameterError(f"rho0 must be positive and finite, got {rho0}")
         u = np.asarray(u0, dtype=float)
@@ -301,7 +301,6 @@ class Simulation:
         feq[0], feq[1::2], feq[2::2] = rest, eq_p, eq_m
         for d in self.domains:
             d.f_src[:] = feq
-            d.f_dst[:] = feq
 
     def _exchange(self):
         for q, p, dst, src in self._plan:
@@ -348,10 +347,9 @@ def _ux_profile(sim: Simulation):
     """Mean u_x per y row over all fluid cells, rows sorted ascending."""
     _, u = macroscopic(sim.gather_state(), sim.params)
     ys = sim.coords[:, 1].astype(np.int64)
-    rows = np.unique(ys)
-    sums = np.bincount(ys, weights=u[:, 0], minlength=int(rows.max()) + 1)
-    counts = np.bincount(ys, minlength=int(rows.max()) + 1)
-    return rows, sums[rows] / counts[rows]
+    counts = np.bincount(ys)
+    rows = np.flatnonzero(counts)
+    return rows, np.bincount(ys, weights=u[:, 0])[rows] / counts[rows]
 
 
 def poiseuille_error(

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -582,6 +583,26 @@ class TestSolveAndBench:
                 p, d.n_own, d.n_ghost)
             assert float(cols["compute_s"]) > 0.0
             assert float(cols["exchange_s"]) >= 0.0
+
+    def test_records_are_freed_before_stepping(self, channel6_file, monkeypatch, capsys):
+        """`solve` holds one copy of the domain: once the Simulation is
+        built, no name keeps the records' adjacency alive."""
+        nbr, alive, run = [], [], Simulation.run
+
+        def read(path):
+            header, records = read_sparse(path)
+            nbr.append(weakref.ref(records.nbr))
+            return header, records
+
+        def step(sim, steps):
+            alive.append(nbr[0]() is not None)
+            run(sim, steps)
+
+        monkeypatch.setattr(listlbm.cli, "read_sparse", read)
+        monkeypatch.setattr(Simulation, "run", step)
+        assert main(["solve", "--in", str(channel6_file), "--warmup", "1", "--steps", "2"]) == 0
+        assert "flup_count=" in capsys.readouterr().out
+        assert alive == [False, False]
 
     @pytest.mark.parametrize("flags", [["--force", "inf,0,0"], ["--tau", "inf"]])
     def test_non_finite_parameter_exits_one(self, sparse_file, capsys, flags):

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -466,6 +467,22 @@ class TestSetupMemory:
             tracemalloc.stop()
         kept = sum(d.f_src.nbytes + d.f_dst.nbytes + d._pull_flat.nbytes for d in sim.domains)
         assert peak < 1.25 * kept, peak / kept
+
+    @pytest.mark.parametrize("nparts", [1, 4])
+    def test_keeps_only_the_coords_of_the_records(self, channel6_sparse, nparts):
+        """A caller that drops its records frees their `nbr` and `ic`; the
+        Simulation steps as one built from records that stay alive."""
+        header, records = preprocess_grid(make_channel(6), LexBlocked(1),
+                                          periodic=(True, False, False))
+        refs = [weakref.ref(records.nbr), weakref.ref(records.ic)]
+        sim = Simulation(header, records, nparts, TrtParams(tau_plus=0.8, force=(1e-5, 0, 0)))
+        del records
+        assert [ref() for ref in refs] == [None, None]
+        sim.init_equilibrium(1.0)
+        sim.run(3)
+        kept = make_sim(channel6_sparse, nparts, tau_plus=0.8, force=(1e-5, 0, 0))
+        kept.run(3)
+        assert np.array_equal(sim.gather_state(), kept.gather_state())
 
 
 def plate_channel(Y, width=4):
