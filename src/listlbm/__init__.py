@@ -10,17 +10,12 @@ through a TRT collision kernel with indirect addressing.
 from .adjacency import STENCIL, SparseRecords, build_adjacency, halo_exchange
 from .errors import (
     DataError,
-    DecompositionError,
     DivergenceError,
-    DomainError,
     FormatError,
-    GeometryError,
     ListLbmError,
     NotConvergedError,
     ParameterError,
     ProtocolError,
-    SchemeParseError,
-    TooManyProcessesError,
 )
 from .geometry import (
     RankBox,
@@ -55,11 +50,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError",
-    "DecompositionError",
     "DivergenceError",
-    "DomainError",
     "FormatError",
-    "GeometryError",
     "LexBlocked",
     "ListLbmError",
     "Morton",
@@ -71,12 +63,10 @@ __all__ = [
     "RankBox",
     "RUN_DTYPE",
     "SENTINEL_END",
-    "SchemeParseError",
     "Simulation",
     "SparseHeader",
     "SparseRecords",
     "STENCIL",
-    "TooManyProcessesError",
     "TrtParams",
     "VoxelGrid",
     "build_adjacency",

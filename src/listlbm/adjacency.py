@@ -252,7 +252,7 @@ def check_links(records: SparseRecords, header) -> None:
     I_c order. A wrong link names the smallest I_c with one and its first
     wrong direction. The lookup field spans only the records' box, so
     inflated header dims cost no memory; dims too large for the scheme's
-    64-bit codes raise DomainError."""
+    64-bit codes raise ParameterError."""
     check_records(records, header.n_fluid)
     dims, periodic, nbr = header.dims, header.periodic, records.nbr
     c = np.ascontiguousarray(records.coords.T, dtype=np.int64)  # rows x, y, z

@@ -13,6 +13,8 @@ Single binary with subcommands::
 analyze and solve cut the fluid cell list into --parts equal chunks
 (default 1). solve steps the Simulation itself: --warmup untimed steps,
 then --steps timed ones, and prints the FLUP/s from the Simulation's timers.
+A step checks the state it pulls, so solve then runs one more untimed step
+to check the state the last timed step left; if it fails, so does the run.
 
 Exit status: 0 on success, 1 with a one-line diagnostic for domain errors
 (a diverging run among them), unwritable outputs and sizes too large to
@@ -145,7 +147,7 @@ def _cmd_solve(args):
     # no name holds the records: once the Simulation is built, only its coords stay
     sim = Simulation(*read_sparse(args.infile), nparts=args.parts, params=params)
     # open the report before stepping, so a bad path costs no run, and
-    # delete it again if stepping fails, so no empty report is left
+    # delete it again if stepping fails, so no report of a bad run is left
     with open(args.report or os.devnull, "w") as fh:
         sim.init_equilibrium(1.0)
         try:
@@ -154,15 +156,18 @@ def _cmd_solve(args):
             t0 = time.perf_counter()
             sim.run(args.steps)
             seconds = time.perf_counter() - t0
+            flup_count = sim.header.n_fluid * args.steps
+            flups = flup_count / max(seconds, 1e-12)
+            gflops = flups * _FLOPS_PER_UPDATE / 1e9
+            _write_report(fh, sim, args.steps, seconds, flups, gflops)
+            # a step checks the state it pulls: one more, untimed, checks
+            # the state the last timed step left
+            sim.step()
         except BaseException:
             fh.close()
             if args.report is not None:
                 os.remove(args.report)
             raise
-        flup_count = sim.header.n_fluid * args.steps
-        flups = flup_count / max(seconds, 1e-12)
-        gflops = flups * _FLOPS_PER_UPDATE / 1e9
-        _write_report(fh, sim, args.steps, seconds, flups, gflops)
     if args.report is not None:
         print(f"wrote {args.report}")
     print(f"steps={args.steps} fluid_cells={sim.header.n_fluid} partitions={len(sim.domains)}")

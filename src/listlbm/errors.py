@@ -1,32 +1,21 @@
-"""Exception taxonomy shared by all listlbm modules.
+"""Exception taxonomy shared by all listlbm modules: one class per fault source.
 
 Every bad value a caller or a file can pass raises a ListLbmError
 subclass, so the CLI ends it in one `error:` line; TypeError is left
-for passing the wrong kind of object. Bad sparse records raise DataError
-in memory and FormatError, at a byte offset, in a file. Bad counts,
-ranges and header fields passed in memory raise ParameterError.
+for passing the wrong kind of object.
+
+- ParameterError: a value the caller passed in memory (a size, count,
+  range, box, scheme or header field).
+- FormatError: a file's bytes, at a byte offset.
+- DataError: sparse records passed in memory.
+- ProtocolError: a message of the distributed reduction or exchange.
+- DivergenceError: a solver run that left its health bounds.
+- NotConvergedError: a steady-state run that did not converge.
 """
 
 
 class ListLbmError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class GeometryError(ListLbmError):
-    """Geometry parameters cannot produce a valid voxel domain."""
-
-
-class DecompositionError(ListLbmError):
-    """Requested rank decomposition is impossible for the given dims."""
-
-
-class DomainError(ListLbmError):
-    """A bounding box is too large for the numbering scheme's codes."""
-
-
-class SchemeParseError(ListLbmError):
-    """A numbering-scheme string or parameter does not match the
-    canonical grammar of `numbering.parse_scheme`."""
 
 
 class FormatError(ListLbmError):
@@ -43,10 +32,6 @@ class ProtocolError(ListLbmError):
     """The distributed reduction or exchange received inconsistent data."""
 
 
-class TooManyProcessesError(ListLbmError):
-    """More partitions requested than fluid cells available."""
-
-
 class DataError(ListLbmError):
     """In-memory sparse records break a record rule: their array shapes,
     their count, the I_c order 1..N_f, the neighbor range, or cells and
@@ -54,15 +39,16 @@ class DataError(ListLbmError):
 
 
 class ParameterError(ListLbmError):
-    """A physical or numerical parameter, a count, a record range or a
-    header field is out of its valid range."""
+    """A value passed in memory is out of its valid range: a size, a
+    count, a rank box, a scheme or its box, a physical parameter, a
+    record range or a header field."""
 
 
 class DivergenceError(ListLbmError):
     """A solver step met a cell outside the state's health bounds: its
-    density not positive (or NaN), or its velocity above Mach 1. Carries
-    the bound that failed, the step, the smallest such I_c and its
-    (x, y, z)."""
+    density not positive (or NaN), its density +inf, or its velocity
+    above Mach 1. Carries the bound that failed, the step, the smallest
+    such I_c and its (x, y, z)."""
 
     def __init__(self, step, ic, cell, bound):
         super().__init__(f"{bound} at step {step} at I_c={ic} {cell}: the run diverged")

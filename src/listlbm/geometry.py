@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, FormatError, GeometryError
+from .errors import FormatError, ParameterError
 
 __all__ = [
     "RankBox",
@@ -42,9 +42,9 @@ class VoxelGrid:
     def __post_init__(self):
         f = np.asarray(self.flags)
         if f.ndim != 3:
-            raise GeometryError(f"flag field must be 3-D, got shape {f.shape}")
+            raise ParameterError(f"flag field must be 3-D, got shape {f.shape}")
         if min(f.shape) < 1:
-            raise GeometryError(f"every dimension must be >= 1, got shape {f.shape}")
+            raise ParameterError(f"every dimension must be >= 1, got shape {f.shape}")
         if f.dtype != np.bool_:
             f = f.astype(bool)
         object.__setattr__(self, "flags", f)
@@ -79,13 +79,23 @@ class RankBox:
 
     def __post_init__(self):
         if self.rank < 0:
-            raise DecompositionError(f"negative rank id {self.rank}")
+            raise ParameterError(f"negative rank id {self.rank}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
-            raise DecompositionError(f"empty box lo={self.lo} hi={self.hi}")
+            raise ParameterError(f"empty box lo={self.lo} hi={self.hi}")
 
     @property
     def extent(self) -> tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
+
+
+def _check_diameter(kind: str, d: int, low: int) -> None:
+    """Reject a diameter below `low`, or one whose (d, d, 5d) box holds
+    more cells than `load_voxels` accepts, before anything is allocated."""
+    if d < low:
+        raise ParameterError(f"{kind} diameter must be >= {low}, got {d}")
+    cells = 5 * int(d) ** 3
+    if cells > MAX_CELLS:
+        raise ParameterError(f"{kind} diameter {d}: {cells} cells exceeds limit {MAX_CELLS}")
 
 
 def make_channel(d: int) -> VoxelGrid:
@@ -93,8 +103,7 @@ def make_channel(d: int) -> VoxelGrid:
 
     The four y/z faces carry a one-cell solid wall; the x ends are open.
     """
-    if d < 3:
-        raise GeometryError(f"channel diameter must be >= 3, got {d}")
+    _check_diameter("channel", d, 3)
     flags = np.zeros((d, d, 5 * d), dtype=bool)
     flags[1 : d - 1, 1 : d - 1, :] = True
     return VoxelGrid(flags)
@@ -159,8 +168,7 @@ def make_packing(d: int, seed: int) -> VoxelGrid:
     placed sphere (radius d/6). Same (d, seed) always yields identical
     flags.
     """
-    if d < 12:
-        raise GeometryError(f"packing diameter must be >= 12, got {d}")
+    _check_diameter("packing", d, 12)
     seed = int(seed) & ((1 << 64) - 1)
     X, Y, Z = 5 * d, d, d
     R = d / 2.0
@@ -205,9 +213,9 @@ def decompose_ranks(dims, P: int) -> list[RankBox]:
     """
     X, Y, Z = (int(d) for d in dims)
     if P < 1:
-        raise DecompositionError(f"rank count must be >= 1, got {P}")
+        raise ParameterError(f"rank count must be >= 1, got {P}")
     if P > X * Y * Z:
-        raise DecompositionError(f"rank count {P} exceeds cell count {X * Y * Z}")
+        raise ParameterError(f"rank count {P} exceeds cell count {X * Y * Z}")
 
     axis_pref = sorted(range(3), key=lambda a: (-(X, Y, Z)[a], a))
     best = None
@@ -227,9 +235,7 @@ def decompose_ranks(dims, P: int) -> list[RankBox]:
             if best_key is None or key < best_key:
                 best, best_key = f, key
     if best is None:
-        raise DecompositionError(
-            f"no factorization of {P} ranks fits inside dims {(X, Y, Z)}"
-        )
+        raise ParameterError(f"no factorization of {P} ranks fits inside dims {(X, Y, Z)}")
     px, py, pz = best
     xs = _axis_splits(X, px)
     ys = _axis_splits(Y, py)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, ProtocolError
+from .errors import ParameterError, ProtocolError
 from .geometry import RankBox, VoxelGrid
 from .numbering import LexBlocked, NumberingScheme, cell_index
 
@@ -69,7 +69,7 @@ def build_rank_tree(P: int) -> RankTree:
     """Group consecutive blocks of up to 8 ranks per level, smallest id
     becomes the sibling master, until a single node remains."""
     if P < 1:
-        raise DecompositionError(f"rank count must be >= 1, got {P}")
+        raise ParameterError(f"rank count must be >= 1, got {P}")
     nodes = list(range(P))
     levels = []
     while len(nodes) > 1:
@@ -150,7 +150,7 @@ def find_runs(
     `CellOrder` of the grid under `scheme`, built once for all boxes.
     """
     if box not in all_boxes:
-        raise DecompositionError(f"box of rank {box.rank} not in the decomposition")
+        raise ParameterError(f"box of rank {box.rank} not in the decomposition")
     codes_s, flags_s, _, _ = _box_sorted_cells(grid, scheme, box)
     pos = order.position_of(codes_s)
     starts, ends = _run_bounds(pos)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SchemeParseError
+from .errors import ParameterError
 
 __all__ = [
     "LexBlocked",
@@ -32,7 +32,7 @@ class LexBlocked:
 
     def __post_init__(self):
         if not 1 <= self.b <= _MAX_B:
-            raise SchemeParseError(f"blocking factor must be in [1, 2^63-1], got {self.b}")
+            raise ParameterError(f"blocking factor must be in [1, 2^63-1], got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class Morton:
 
     def __post_init__(self):
         if self.g not in (1, 2):
-            raise SchemeParseError(f"Morton bit-group width must be 1 or 2, got {self.g}")
+            raise ParameterError(f"Morton bit-group width must be 1 or 2, got {self.g}")
 
 
 NumberingScheme = LexBlocked | Morton
@@ -77,23 +77,23 @@ def parse_scheme(text: str) -> NumberingScheme:
     kind, sep, arg = text.partition(":")
     shown = _shown(text)
     if not sep:
-        raise SchemeParseError(f"missing ':' separator in scheme {shown}")
+        raise ParameterError(f"missing ':' separator in scheme {shown}")
     if kind not in _KINDS:
-        raise SchemeParseError(f"unknown scheme kind {_shown(kind)} in {shown}")
+        raise ParameterError(f"unknown scheme kind {_shown(kind)} in {shown}")
     name, cls, what = _KINDS[kind]
     key, sep, val = arg.partition("=")
     if not sep:
-        raise SchemeParseError(f"missing '=' in scheme parameter of {shown}")
+        raise ParameterError(f"missing '=' in scheme parameter of {shown}")
     if key != name:
-        raise SchemeParseError(f"expected parameter {name!r} in {shown}, got {_shown(key)}")
+        raise ParameterError(f"expected parameter {name!r} in {shown}, got {_shown(key)}")
     if not (val.isascii() and val.isdigit()) or (val.startswith("0") and val != "0"):
-        raise SchemeParseError(f"non-canonical integer {_shown(val)} in {shown}")
+        raise ParameterError(f"non-canonical integer {_shown(val)} in {shown}")
     if len(val) > len(str(_MAX_B)):  # also spares int() a huge digit string
-        raise SchemeParseError(f"bad {what} {_shown(val)} in {shown}: exceeds 2^63-1")
+        raise ParameterError(f"bad {what} {_shown(val)} in {shown}: exceeds 2^63-1")
     try:
         return cls(int(val))
-    except SchemeParseError as exc:
-        raise SchemeParseError(f"bad {what} {val!r} in {shown}: {exc}") from None
+    except ParameterError as exc:
+        raise ParameterError(f"bad {what} {val!r} in {shown}: {exc}") from None
 
 
 def cell_index(scheme: NumberingScheme, x, y, z, dims) -> np.ndarray:
@@ -115,7 +115,7 @@ def _lex_blocked_index(b, x, y, z, dims):
     # edges keep their truncated extents so the index stays gapless.
     X, Y, Z = (int(d) for d in dims)
     if X * Y * Z >= 2**63:
-        raise DomainError(f"dims {(X, Y, Z)} overflow 64-bit lex codes")
+        raise ParameterError(f"dims {(X, Y, Z)} overflow 64-bit lex codes")
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     z = np.asarray(z, dtype=np.int64)
@@ -135,7 +135,7 @@ def _morton_index(g, x, y, z, dims):
     bits = max(int(d) - 1 for d in dims).bit_length()
     ngroups = -(-bits // g)
     if 3 * g * ngroups > 64:
-        raise DomainError(f"dims {tuple(dims)} overflow 64-bit Morton codes")
+        raise ParameterError(f"dims {tuple(dims)} overflow 64-bit Morton codes")
     mask = np.uint64((1 << g) - 1)
     code = np.zeros(np.broadcast(x, y, z).shape, dtype=np.uint64)
     for k in range(ngroups):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import check_records
-from .errors import ListLbmError, ParameterError, TooManyProcessesError
+from .errors import ParameterError
 
 __all__ = [
     "PartitionAssignment",
@@ -52,13 +52,11 @@ class PartitionAssignment:
 def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
     """Equal chunking: the first (N_f mod N) chunks are one cell larger."""
     if not n_fluid:
-        raise ListLbmError("domain has no fluid cells")
+        raise ParameterError("domain has no fluid cells")
     if N < 1:
         raise ParameterError(f"partition count must be >= 1, got {N}")
     if N > n_fluid:
-        raise TooManyProcessesError(
-            f"{N} partitions requested but only {n_fluid} fluid cells exist"
-        )
+        raise ParameterError(f"{N} partitions requested but only {n_fluid} fluid cells exist")
     base, extra = divmod(n_fluid, N)
     sizes = np.full(N, base, dtype=np.uint64)
     sizes[:extra] += 1

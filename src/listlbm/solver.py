@@ -23,8 +23,10 @@ populations in one fixed order, so the state is bitwise the same for
 any block size. Once per step each partition copies the full 19
 populations of its ghosts from their owners; results are bit-identical
 for any partition count.
-Each block also checks that every density is positive and every
-velocity within Mach `_MAX_MACH`; a failing step raises before any swap.
+Each block also checks that every density is positive and finite and
+every velocity within Mach `_MAX_MACH`; a failing step raises before any
+swap. A step checks the state it pulls, so the state the last step
+leaves is checked by the next one.
 """
 from __future__ import annotations
 
@@ -200,10 +202,10 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] |
     two rows. The force term is always added: a zero force turns a -0.0
     population into +0.0 and changes nothing else.
 
-    Returns None when every pulled cell has a positive density and a
-    velocity within Mach `_MAX_MACH`, else the local index of the first
-    cell that has not (NaN fails both) and the bound it fails, stopping
-    after its block."""
+    Returns None when every pulled cell has a positive, finite density
+    and a velocity within Mach `_MAX_MACH`, else the local index of the
+    first cell that has not (NaN fails both) and the bound it fails,
+    stopping after its block."""
     f_flat = domain.f_src.reshape(-1)
     half_plus = 0.5 * params.omega_plus
     half_minus = 0.5 * params.omega_minus
@@ -231,9 +233,10 @@ def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] |
         post_p += force
         post_m -= force
         domain.f_dst[0, b0:b1] = f0 - params.omega_plus * (f0 - rest)
-        if not (rho.min() > 0.0 and usq.max() <= _MAX_USQ):
-            k = int(np.argmin((rho > 0.0) & (usq <= _MAX_USQ)))
+        if not (rho.min() > 0.0 and rho.max() < math.inf and usq.max() <= _MAX_USQ):
+            k = int(np.argmin((rho > 0.0) & (rho < math.inf) & (usq <= _MAX_USQ)))
             return b0 + k, ("density not positive" if not rho[k] > 0.0
+                            else "density not finite" if rho[k] == math.inf
                             else f"velocity not within Mach {_MAX_MACH:g}")
     return None
 
@@ -312,9 +315,10 @@ class Simulation:
         """One stream-collide-exchange cycle for all partitions.
 
         Raises DivergenceError naming the bound that failed and the
-        smallest I_c whose density is not positive (or is NaN) or whose
-        velocity is above Mach `_MAX_MACH`. Partitions run in I_c order and
-        the first failing one raises before any swap: the state is unchanged."""
+        smallest I_c whose density is not positive (or is NaN), is +inf,
+        or whose velocity is above Mach `_MAX_MACH`. Partitions run in I_c
+        order and the first failing one raises before any swap: the state
+        is unchanged."""
         # an overflowing state ends in the health check, not in warnings
         with np.errstate(all="ignore"):
             for d in self.domains:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import SparseRecords, check_records, first_bad_entry
-from .errors import FormatError, ParameterError, SchemeParseError
+from .errors import FormatError, ParameterError
 from .numbering import parse_scheme
 
 __all__ = [
@@ -111,7 +111,7 @@ def read_header(fh) -> SparseHeader:
     scheme_text = _read_exact(fh, slen, "scheme string").decode("latin-1")
     try:
         parse_scheme(scheme_text)
-    except SchemeParseError as exc:
+    except ParameterError as exc:
         raise FormatError(f"scheme string: {exc}", offset=_FIXED.size) from None
     tpos = fh.tell()
     (tflag,) = struct.unpack("<I", _read_exact(fh, 4, "table flag"))

@@ -110,13 +110,17 @@ def self_linked_copy(path, tmp_path):
     return patched_copy(path, tmp_path, [(10, 12, 8, 10)])
 
 
-def solve_in_child(path, *flags):
-    """`listlbm solve --in path *flags` in a child process, so Python's
-    default warning filters apply (the test suite turns warnings into
-    errors)."""
+def listlbm_in_child(*argv):
+    """`listlbm *argv` in a child process, so Python's default warning
+    filters apply (the test suite turns warnings into errors) and an
+    uncaught exception shows as a traceback on stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(listlbm.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "listlbm", "solve", "--in", str(path), *flags],
+    return subprocess.run([sys.executable, "-m", "listlbm", *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def solve_in_child(path, *flags):
+    return listlbm_in_child("solve", "--in", path, *flags)
 
 
 def printed_fields(out):
@@ -160,12 +164,24 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
 
     def test_impossible_size_exits_one(self, tmp_path, capsys):
-        # The (d, d, 5d) flag array needs 4.44 PiB, so its allocation fails at once.
+        # the (d, d, 5d) box is rejected before its 4.44 PiB are allocated
         code = main(["generate", "--channel", "--d", "100000",
                      "--out", str(tmp_path / "big.voxl")])
         assert code == 1
-        assert "Unable to allocate" in error_only(capsys.readouterr().err)
+        assert error_only(capsys.readouterr().err) == (
+            "error: channel diameter 100000: 5000000000000000 cells exceeds limit 1099511627776")
         assert not (tmp_path / "big.voxl").exists()
+
+    @pytest.mark.parametrize("kind, d", [("--channel", 10**10), ("--packing", 10**30)])
+    def test_size_numpy_cannot_shape_exits_one(self, tmp_path, kind, d):
+        """Sizes whose flag array numpy refuses to shape end in the one
+        `error:` line, not in numpy's ValueError traceback."""
+        out = tmp_path / "big.voxl"
+        proc = listlbm_in_child("generate", kind, "--d", d, "--out", out)
+        assert proc.returncode == 1
+        assert error_only(proc.stderr).endswith(
+            f"diameter {d}: {5 * d**3} cells exceeds limit {2**40}")
+        assert proc.stdout == "" and not out.exists()
 
 
 class TestPreprocess:
@@ -526,6 +542,19 @@ class TestSolveAndBench:
         assert line == f"error: {library_divergence(channel6_file, 0.1)}"
         assert line.startswith("error: velocity not within Mach 1 at step ")
         assert proc.stdout == ""
+
+    def test_last_timed_step_is_checked(self, tmp_path, channel6_file, capsys):
+        """A run whose last timed step leaves a state past Mach 1 fails
+        in the untimed check step after it: one `error:` line naming that
+        step, no FLUP/s and no report."""
+        diverged = library_divergence(channel6_file, 0.1)
+        report = tmp_path / "r.csv"
+        code = main(["solve", "--in", str(channel6_file), "--force", "0.1,0,0",
+                     "--steps", str(diverged.step - 1), "--report", str(report)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert error_only(err) == f"error: {diverged}"
+        assert out == "" and not report.exists()
 
     def test_run_within_mach_one_exits_zero(self, channel6_file, capsys):
         """Force 0.02 settles near Mach 0.39: healthy, so it reports."""

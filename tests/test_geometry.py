@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from listlbm import (
-    DecompositionError,
     FormatError,
-    GeometryError,
+    ParameterError,
     RankBox,
     VoxelGrid,
     decompose_ranks,
@@ -13,6 +12,7 @@ from listlbm import (
     make_packing,
     save_voxels,
 )
+from listlbm import geometry
 
 
 class TestChannel:
@@ -41,8 +41,17 @@ class TestChannel:
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_too_small_rejected(self, d):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ParameterError):
             make_channel(d)
+
+    def test_box_above_the_reader_limit_rejected(self, monkeypatch):
+        """The (d, d, 5d) box may hold MAX_CELLS cells, the most
+        `load_voxels` reads, and no more."""
+        monkeypatch.setattr(geometry, "MAX_CELLS", 5 * 4**3)
+        assert make_channel(4).flags.size == 5 * 4**3
+        want = r"^channel diameter 5: 625 cells exceeds limit 320$"
+        with pytest.raises(ParameterError, match=want):
+            make_channel(5)
 
 
 class TestPacking:
@@ -71,8 +80,15 @@ class TestPacking:
     def test_minimum_diameter(self):
         grid = make_packing(12, 3)
         assert grid.dims == (60, 12, 12)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ParameterError):
             make_packing(11, 3)
+
+    def test_box_above_the_reader_limit_rejected(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_CELLS", 5 * 12**3)
+        assert make_packing(12, 3).flags.size == 5 * 12**3
+        want = r"^packing diameter 13: 10985 cells exceeds limit 8640$"
+        with pytest.raises(ParameterError, match=want):
+            make_packing(13, 3)
 
 
 class TestDecompose:
@@ -104,11 +120,11 @@ class TestDecompose:
         assert sum(np.prod(b.extent) for b in boxes) == 360
 
     def test_prime_count_exceeding_every_axis_rejected(self):
-        with pytest.raises(DecompositionError):
+        with pytest.raises(ParameterError):
             decompose_ranks((5, 3, 2), 7)
 
     def test_too_many_ranks(self):
-        with pytest.raises(DecompositionError):
+        with pytest.raises(ParameterError):
             decompose_ranks((2, 2, 2), 9)
 
     def test_rank_box_extent(self):

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from listlbm import (
-    DomainError,
     LexBlocked,
     Morton,
-    SchemeParseError,
+    ParameterError,
     cell_index,
     parse_scheme,
     scheme_text,
@@ -46,19 +45,19 @@ class TestSchemeText:
         pytest.param("lex:b=" + "9" * 5000, id="lex:b=9x5000"),  # past int()'s digit limit
     ])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(SchemeParseError):
+        with pytest.raises(ParameterError):
             parse_scheme(bad)
 
     def test_error_names_offending_token(self):
-        with pytest.raises(SchemeParseError, match="'3'"):
+        with pytest.raises(ParameterError, match="'3'"):
             parse_scheme("morton:g=3")
-        with pytest.raises(SchemeParseError, match="'hilbert'"):
+        with pytest.raises(ParameterError, match="'hilbert'"):
             parse_scheme("hilbert:b=1")
 
     def test_constructor_validates(self):
-        with pytest.raises(SchemeParseError):
+        with pytest.raises(ParameterError):
             LexBlocked(0)
-        with pytest.raises(SchemeParseError):
+        with pytest.raises(ParameterError):
             Morton(3)
 
 
@@ -116,7 +115,7 @@ class TestLexProperties:
     def test_overflow_guard(self):
         """A box of 2^63 or more cells has codes past int64; one cell
         fewer still numbers its last cell."""
-        with pytest.raises(DomainError, match="overflow"):
+        with pytest.raises(ParameterError, match="overflow"):
             cell_index(LexBlocked(4), 0, 0, 0, (2 ** 21, 2 ** 21, 2 ** 21))
         dims = (2 ** 21, 2 ** 21, 2 ** 21 - 1)
         last = int(cell_index(LexBlocked(1), *(n - 1 for n in dims), dims))
@@ -173,7 +172,7 @@ class TestMortonProperties:
         assert np.unique(idx).size == idx.size
 
     def test_overflow_guard(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             int(cell_index(Morton(2), 0, 0, 0, (2 ** 22, 1, 1)))
 
 

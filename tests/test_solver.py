@@ -207,6 +207,31 @@ class TestStep:
         with pytest.raises(DivergenceError, match=rf"step 3 at I_c={ic} \({x}, {y}, {z}\): "):
             sim.step()
 
+    @pytest.mark.parametrize("nparts", [1, 3])
+    @pytest.mark.parametrize("pop", [0, 5])
+    def test_infinite_density_is_named_where_it_is_pulled(self, channel6_sparse, nparts, pop):
+        """A +inf population of I_c=101 fails the density bound at the
+        next step, in the cell that pulls it: population 0 stays in its
+        cell, population 5 streams along c_5 = STENCIL[4] (or bounces
+        back when that neighbour is solid). Its velocity is 0 or NaN, so
+        the Mach bound would name it late or under the wrong name."""
+        sim = make_sim(channel6_sparse, nparts=nparts)
+        sim.run(2)
+        d = next(d for d in sim.domains if d.lo <= 101 < d.lo + d.n_own)
+        d.f_src[pop, 101 - d.lo] = np.inf
+        sim._exchange()  # the ghosts of I_c=101 copy it, as after a step
+        before = sim.gather_state()
+        _, records = channel6_sparse
+        ic = 101 if pop == 0 else int(records.nbr[100, 4]) or 101
+        x, y, z = records.coords[ic - 1]
+        with pytest.raises(DivergenceError) as info:
+            sim.step()
+        err = info.value
+        assert (err.bound, err.step, err.ic, err.cell) == ("density not finite", 3, ic, (x, y, z))
+        assert str(err) == (f"density not finite at step 3 at I_c={ic} ({x}, {y}, {z}): "
+                            "the run diverged")
+        assert np.array_equal(sim.gather_state(), before, equal_nan=True)
+
     def test_overflow_raises_divergence(self, channel6_sparse):
         """A state that overflows ends in DivergenceError, not in a numpy
         RuntimeWarning (which the test suite turns into an error)."""

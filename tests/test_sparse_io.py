@@ -9,9 +9,7 @@ from listlbm import (
     LexBlocked,
     Morton,
     ParameterError,
-    SchemeParseError,
     SparseHeader,
-    TooManyProcessesError,
     VoxelGrid,
     chunk_ranges,
     make_channel,
@@ -56,7 +54,7 @@ class TestHeader:
             SparseHeader((0, 4, 4), 0, "lex:b=1")
         with pytest.raises(ParameterError):
             SparseHeader((2, 2, 2), 9, "lex:b=1")  # more fluid than cells
-        with pytest.raises(SchemeParseError):
+        with pytest.raises(ParameterError):
             SparseHeader((4, 4, 4), 10, "schéma")  # non-ASCII
 
     def test_header_round_trip_with_options(self, tmp_path):
@@ -152,7 +150,7 @@ class TestWriteValidation:
 class TestChunkedReads:
     def test_too_many_chunks(self, channel_file):
         _, header = channel_file
-        with pytest.raises(TooManyProcessesError):
+        with pytest.raises(ParameterError):
             chunk_ranges(header.n_fluid, header.n_fluid + 1)
 
 
