@@ -1,12 +1,13 @@
 """D3Q19 adjacency construction over fluid cells via halo exchange, and
 the one validator of sparse records in memory.
 
-Each rank's box is padded by one cell of I_c, filled with one copy from each
-rank that owns part of it (wrapped on periodic axes, 0 beyond non-periodic
-ends); a cell is fluid when its I_c is > 0. A pad cell held by no rank or by
-two is a ProtocolError naming the cell. Neighbor entries store the contiguous
-index of the fluid neighbor, or 0 when the neighbor is solid or outside the
-domain. `SparseRecords.concat` places each record at row I_c - 1, so a repeated
+Each rank puts its I_c field into one grid field padded by one cell, whose
+pads `_wrap_pads` wraps on periodic axes and zeroes elsewhere, as it does for
+`check_links`; a rank's view is its box of that field with the pad. A cell is
+fluid when its I_c is > 0; one held by no rank or by two is a ProtocolError
+naming the cell. Neighbor entries store the contiguous index of the fluid
+neighbor, or 0 when the neighbor is solid or outside the domain.
+`SparseRecords.concat` places each record at row I_c - 1, so a repeated
 I_c leaves a zero row. `check_records` and `check_links` raise DataError naming
 the first I_c that breaks a record rule; `check_links` runs `check_records`,
 then checks the records' (N_f, 18) `nbr` as stored against their header's dims,
@@ -107,29 +108,27 @@ class HaloView:
     """A rank's box padded by one cell of neighbor I_c on every side.
 
     ic is shaped (ez + 2, ey + 2, ex + 2); a cell is fluid when its I_c
-    is > 0, and pad cells beyond a non-periodic boundary hold 0.
+    is > 0, and pad cells beyond a non-periodic boundary hold 0. Views
+    may share memory, so ic is read, never written.
     """
 
     box: RankBox
     ic: np.ndarray
 
 
-def _first_cell(mask: np.ndarray, gx, gy, gz) -> tuple[int, int, int]:
-    """Global (x, y, z) of the first set entry of a (z, y, x) mask whose
-    axes have the global coordinates gz, gy, gx."""
-    iz, iy, ix = np.argwhere(mask)[0]
-    return int(gx[ix]), int(gy[iy]), int(gz[iz])
-
-
-def _padded_axis(lo: int, hi: int, n: int, periodic: bool) -> np.ndarray:
-    """Global coordinates of the padded positions lo - 1 .. hi on an axis
-    of n cells: wrapped when periodic, -1 beyond a non-periodic end."""
-    g = np.arange(lo - 1, hi + 1)
-    if periodic:
-        g %= n
-    else:
-        g[(g < 0) | (g >= n)] = -1
-    return g
+def _wrap_pads(field: np.ndarray, dims, periodic) -> None:
+    """Fill the pad shell of a (z, y, x) field padded by one cell, in place:
+    a pad cell copies the cell it wraps onto on a periodic axis, and is 0
+    otherwise. An axis of `dims` longer than the field's span on it wraps
+    onto no cell of the field, so its pads are 0 too. Filling whole planes,
+    one axis after another, wraps the edge and corner pads as well."""
+    for axis, n, p in zip((2, 1, 0), dims, periodic):
+        f = np.moveaxis(field, axis, 0)
+        h = f.shape[0] - 2
+        if p and n == h:
+            f[0], f[-1] = f[h], f[1]
+        else:
+            f[0] = f[-1] = 0
 
 
 def _stencil_links(field: np.ndarray, at: np.ndarray):
@@ -150,50 +149,40 @@ def halo_exchange(
 ) -> list[HaloView]:
     """Assemble each rank's padded I_c view from rank-local fields.
 
-    Every owning rank fills its part of a receiver's padded box in one
-    copy. Each pad cell inside the (possibly wrapped) domain must be held
-    by exactly one box of the decomposition; a gap or an overlap raises
-    ProtocolError naming the cell.
+    Each rank puts its field into one I_c field of the grid padded by one
+    cell; after `_wrap_pads`, each view is its padded box of that field.
+    Each cell of the grid must be held by exactly one box; a gap or an
+    overlap raises ProtocolError naming the first such cell.
     """
-    dims = grid.dims
-    for b in boxes:
+    X, Y, Z = grid.dims
+    inner = np.s_[1:-1, 1:-1, 1:-1]
+    field = np.zeros((Z + 2, Y + 2, X + 2), dtype=np.uint64)
+    held = np.ones(field.shape, dtype=bool)  # the pad shell counts as held
+    held[inner] = False
+    pads = [np.s_[b.lo[2] : b.hi[2] + 2, b.lo[1] : b.hi[1] + 2, b.lo[0] : b.hi[0] + 2]
+            for b in boxes]
+    for b, pad in zip(boxes, pads):
         ex, ey, ez = b.extent
         if ic_by_rank[b.rank].shape != (ez, ey, ex):
             raise ProtocolError(
                 f"rank {b.rank} index field has shape {ic_by_rank[b.rank].shape}, "
                 f"box needs {(ez, ey, ex)}"
             )
-        if any(h > d for h, d in zip(b.hi, dims)):
-            raise ProtocolError(f"box of rank {b.rank} reaches past the grid {dims}")
-    lo = np.array([b.lo for b in boxes])
-    hi = np.array([b.hi for b in boxes])
-    views = []
-    for b in boxes:
-        # -1 marks a position beyond a non-periodic end; no box holds it
-        axes = [_padded_axis(b.lo[a], b.hi[a], dims[a], periodic[a]) for a in range(3)]
-        gx, gy, gz = axes
-        # holds[a][q, k]: box q holds padded position k on axis a.
-        holds = [(lo[:, a, None] <= g) & (g < hi[:, a, None]) for a, g in enumerate(axes)]
-        ic = np.zeros((gz.size, gy.size, gx.size), dtype=np.uint64)
-        held = np.zeros(ic.shape, dtype=bool)
-        for q in np.flatnonzero(holds[0].any(1) & holds[1].any(1) & holds[2].any(1)):
-            kx, ky, kz = (np.flatnonzero(h[q]) for h in holds)
-            dst = np.ix_(kz, ky, kx)
-            if held[dst].any():
-                cell = _first_cell(held[dst], gx[kx], gy[ky], gz[kz])
-                raise ProtocolError(
-                    f"halo of rank {b.rank}: cell {cell} is held by rank "
-                    f"{boxes[q].rank} and by another rank"
-                )
-            held[dst] = True
-            src = np.ix_(gz[kz] - lo[q, 2], gy[ky] - lo[q, 1], gx[kx] - lo[q, 0])
-            ic[dst] = ic_by_rank[boxes[q].rank][src]
-        gap = (gz >= 0)[:, None, None] & (gy >= 0)[:, None] & (gx >= 0) & ~held
-        if gap.any():
-            cell = _first_cell(gap, gx, gy, gz)
-            raise ProtocolError(f"halo of rank {b.rank}: cell {cell} is held by no rank")
-        views.append(HaloView(box=b, ic=ic))
-    return views
+        if any(h > d for h, d in zip(b.hi, grid.dims)):
+            raise ProtocolError(f"box of rank {b.rank} reaches past the grid {grid.dims}")
+        mine = held[pad][inner]
+        if mine.any():
+            cell = tuple(np.add(b.lo, np.argwhere(mine)[0][::-1]).tolist())
+            raise ProtocolError(f"cell {cell} is held by rank {b.rank} and by another rank")
+        mine[...] = True
+        field[pad][inner] = ic_by_rank[b.rank]
+    if not held.all():
+        cell = tuple((np.argwhere(~held)[0][::-1] - 1).tolist())
+        raise ProtocolError(f"cell {cell} is held by no rank")
+    _wrap_pads(field, grid.dims, periodic)
+    # build_adjacency gathers off a view's flat form, so each is contiguous:
+    # a copy, or a view where the padded box is one contiguous block of it
+    return [HaloView(box=b, ic=np.ascontiguousarray(field[pad])) for b, pad in zip(boxes, pads)]
 
 
 def build_adjacency(halo: HaloView) -> SparseRecords:
@@ -277,14 +266,9 @@ def check_links(records: SparseRecords, header) -> None:
         cell = tuple(c[:, a].tolist())
         a, b = sorted((a + 1, int(held[a])))
         raise DataError(f"I_c={a} and I_c={b} share the cell {cell}")
-    # a pad cell copies the cell it wraps onto, or the zero pad at index 0;
-    # an axis longer than hi + 1 (a header allows 2^64 - 1) wraps no
-    # further cell into the box
-    index = []
-    for n, h, p in zip(dims, hi.tolist(), periodic):
-        g = _padded_axis(0, h, min(n, h + 1), p)
-        index.append(np.where(g < h, g + 1, 0))
-    field = field.reshape(pz, py, px)[np.ix_(index[2], index[1], index[0])]
+    # a header allows axes of 2^64 - 1 cells, which wrap no cell into the box
+    field = field.reshape(pz, py, px)
+    _wrap_pads(field, dims, periodic)
     # in record order, the first wrong entry is the smallest failing I_c
     for b0, want in _stencil_links(field, at):
         wrong = nbr[b0 : b0 + len(want)] != want

@@ -116,15 +116,27 @@ def _cmd_preprocess(args):
 
 
 def _cmd_analyze(args):
-    _distinct_paths(args.infile, *histogram_paths(args.out_prefix))
-    header, records = read_sparse(args.infile)
-    check_links(records, header)
-    assignment = chunk_ranges(header.n_fluid, args.parts)
-    stats = partition_stats(records, assignment)
+    paths = histogram_paths(args.out_prefix)
+    _distinct_paths(args.infile, *paths)
+    # histograms first, so a bad prefix costs no read; a failed run deletes them
+    made = []
+    try:
+        for path in paths:
+            open(path, "w").close()
+            made.append(path)
+        header, records = read_sparse(args.infile)
+        check_links(records, header)
+        assignment = chunk_ranges(header.n_fluid, args.parts)
+        stats = partition_stats(records, assignment)
+        emit_histograms(stats, args.out_prefix)
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")
     print(f"total_remote_links={stats.total_remote_links}")
     print(f"max_neighbor_count={stats.max_neighbor_count}")
-    for path in emit_histograms(stats, args.out_prefix):
+    for path in paths:
         print(f"wrote {path}")
     return 0
 

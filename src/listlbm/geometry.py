@@ -70,7 +70,7 @@ class VoxelGrid:
 class RankBox:
     """Axis-aligned box of cells owned by one preprocessor rank.
 
-    lo is the inclusive corner, hi the exclusive corner, both (x, y, z).
+    lo is the inclusive corner, >= 0, hi the exclusive corner, both (x, y, z).
     """
 
     rank: int
@@ -80,6 +80,8 @@ class RankBox:
     def __post_init__(self):
         if self.rank < 0:
             raise ParameterError(f"negative rank id {self.rank}")
+        if any(l < 0 for l in self.lo):
+            raise ParameterError(f"negative box corner lo={self.lo}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ParameterError(f"empty box lo={self.lo} hi={self.hi}")
 

@@ -146,10 +146,10 @@ def find_runs(
     The outcell is the existing cell with the smallest index greater
     than the run; it always lies on another rank (otherwise the run
     would extend). SENTINEL_END marks the run containing the globally
-    last cell. `box` must be one of `all_boxes`, and `order` is the
+    last cell. `box` must be `all_boxes[box.rank]`, and `order` is the
     `CellOrder` of the grid under `scheme`, built once for all boxes.
     """
-    if box not in all_boxes:
+    if not (box.rank < len(all_boxes) and all_boxes[box.rank] == box):
         raise ParameterError(f"box of rank {box.rank} not in the decomposition")
     codes_s, flags_s, _, _ = _box_sorted_cells(grid, scheme, box)
     pos = order.position_of(codes_s)

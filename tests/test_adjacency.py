@@ -175,6 +175,26 @@ class TestHaloExchange:
         # rank 1 owns x in [2,4); with wrap its +x halo cell is x=0 (Ic 1)
         assert views[1].ic[1, 1, -1] == 1
 
+    # each view is the padded box of the oracle field: pads wrap on the
+    # periodic axes and hold 0 elsewhere, on faces, edges and corners
+    @pytest.mark.parametrize("P", [1, 8, 27, 64])
+    @pytest.mark.parametrize("axes", ["", "x", "xyz"], ids=["none", "x", "xyz"])
+    def test_every_pad_matches_the_padded_oracle(self, P, axes):
+        grid = random_grid(17, (7, 5, 6), fluid_fraction=0.7)
+        field = serial_oracle(grid, Morton(2))
+        periodic = tuple(a in axes for a in "xyz")
+        zyx = periodic[::-1]
+        padded = np.pad(field, [(1, 1) if p else (0, 0) for p in zyx], mode="wrap")
+        padded = np.pad(padded, [(0, 0) if p else (1, 1) for p in zyx])
+        boxes = decompose_ranks(grid.dims, P)
+        parts = [field[b.lo[2]:b.hi[2], b.lo[1]:b.hi[1], b.lo[0]:b.hi[0]] for b in boxes]
+        views = halo_exchange(grid, boxes, parts, periodic=periodic)
+        assert len(views) == P
+        for b, view in zip(boxes, views):
+            assert view.box == b and view.ic.flags.c_contiguous
+            want = padded[b.lo[2]:b.hi[2] + 2, b.lo[1]:b.hi[1] + 2, b.lo[0]:b.hi[0] + 2]
+            assert np.array_equal(view.ic, want), b
+
     def test_shape_mismatch_rejected(self):
         grid = VoxelGrid(np.ones((1, 1, 4), dtype=bool))
         boxes = decompose_ranks(grid.dims, 2)
@@ -473,6 +493,17 @@ class TestIndependentOracle:
     def test_every_link_matches_the_oracle(self, sparse):
         header, records = sparse
         assert np.array_equal(records.nbr, oracle_links(records, header.dims, self.PERIODIC))
+
+    def test_periodic_axis_past_the_records_wraps_nothing(self):
+        """With the last x and z layers solid, the records' box is shorter
+        than the periodic axes: a pad wraps onto a cell with no record."""
+        flags = random_grid(2, (9, 6, 7)).flags.copy()
+        flags[-1], flags[:, :, -1] = False, False
+        header, records = preprocess_grid(VoxelGrid(flags), LexBlocked(1),
+                                          periodic=self.PERIODIC)
+        assert (records.coords.max(axis=0) + 1 < header.dims).tolist() == [True, False, True]
+        assert np.array_equal(records.nbr, oracle_links(records, header.dims, self.PERIODIC))
+        check_links(records, header)
 
     @pytest.mark.parametrize("where", ["first-of-block-2", "last-block", "both"])
     def test_wrong_link_is_named(self, sparse, where):

@@ -355,6 +355,28 @@ class TestAnalyze:
         assert code == 1
         assert "No such file or directory" in error_only(capsys.readouterr().err)
 
+    # "taken": the second histogram's name is a directory, so the first,
+    # already created, is removed again
+    @pytest.mark.parametrize("where", ["nodir", "taken"])
+    def test_unwritable_prefix_prints_no_stats(self, tmp_path, sparse_file, capsys, where):
+        prefix = tmp_path / "nodir" / "o" if where == "nodir" else tmp_path / "o"
+        if where == "taken":
+            (tmp_path / "o_remote_links.csv").mkdir()
+        code = main(["analyze", "--in", str(sparse_file), "--out-prefix", str(prefix)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert f"{prefix}_" in error_only(err)
+        assert out == ""
+        assert not (tmp_path / "o_neighbors.csv").exists()
+
+    def test_bad_records_leave_no_histogram(self, tmp_path, channel6_file, capsys):
+        bad = self_linked_copy(channel6_file, tmp_path)
+        code = main(["analyze", "--in", str(bad), "--out-prefix", str(tmp_path / "o")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert error_only(err) and out == ""
+        assert not list(tmp_path.glob("o_*"))
+
     def test_histogram_naming_the_input_exits_one(self, tmp_path, sparse_file, capsys):
         victim = tmp_path / "o_neighbors.csv"
         victim.write_bytes(sparse_file.read_bytes())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,13 @@ class TestDecompose:
     def test_rank_box_extent(self):
         box = RankBox(0, (1, 2, 3), (4, 4, 5))
         assert box.extent == (3, 2, 2)
+
+    @pytest.mark.parametrize("lo", [(-1, 0, 0), (0, -2, 0), (0, 0, -1)])
+    def test_rank_box_negative_corner_rejected(self, lo):
+        # a negative corner names cells outside the grid, which a numpy
+        # slice would read as counted from the far end
+        with pytest.raises(ParameterError, match=re.escape(f"negative box corner lo={lo}")):
+            RankBox(0, lo, (2, 1, 1))
 
 
 class TestVoxelFile:

@@ -8,6 +8,7 @@ from listlbm import (
     SENTINEL_END,
     LexBlocked,
     Morton,
+    ParameterError,
     ProtocolError,
     RankBox,
     VoxelGrid,
@@ -104,6 +105,17 @@ class TestFindRuns:
         (run,) = runs_of(grid, Morton(1), box)
         assert run["incell"] == 0
         assert run["fluid"] == 4
+
+    # all_boxes lists each box at the index of its rank
+    @pytest.mark.parametrize("box, boxes", [
+        (RankBox(0, (0, 0, 0), (3, 1, 1)), TWO_RANK_LINE),
+        (RankBox(2, (0, 0, 0), (4, 1, 1)), TWO_RANK_LINE),
+        (TWO_RANK_LINE[0], TWO_RANK_LINE[::-1]),
+    ], ids=["absent", "rank-past-the-list", "wrong-index"])
+    def test_box_outside_the_decomposition_rejected(self, box, boxes):
+        with pytest.raises(ParameterError,
+                           match=f"^box of rank {box.rank} not in the decomposition$"):
+            runs_of(line_grid([1, 1, 1, 1]), LexBlocked(1), box, boxes)
 
 
 class TestOctreeReduce:
