@@ -14,7 +14,9 @@ analyze and solve cut the fluid cell list into --parts equal chunks
 (default 1). solve steps the Simulation itself: --warmup untimed steps,
 then --steps timed ones, and prints the FLUP/s from the Simulation's timers.
 A step checks the state it pulls, so solve then runs one more untimed step
-to check the state the last timed step left; if it fails, so does the run.
+to check the state the last timed step left; if it fails, so does the run,
+and no report is written. A failed run removes the outputs it opened, but
+only regular files: a symlink or device node given as an output stays.
 
 Exit status: 0 on success, 1 with a one-line diagnostic for domain errors
 (a diverging run among them), unwritable outputs and sizes too large to
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import time
 
@@ -45,6 +48,14 @@ def _distinct_paths(*paths):
     real = [p for p in paths if p is not None]
     if len(set(map(os.path.abspath, real))) != len(real):
         raise ParameterError(f"paths must be distinct: {sorted(real)}")
+
+
+def _remove_output(path):
+    """Remove what a failed run left at an output path it opened, if it is
+    a regular file: a symlink or a device node (`/dev/null`) named as the
+    output stays where it is."""
+    if stat.S_ISREG(os.lstat(path).st_mode):
+        os.remove(path)
 
 
 def _input_path(text):
@@ -131,7 +142,7 @@ def _cmd_analyze(args):
         emit_histograms(stats, args.out_prefix)
     except BaseException:
         for path in made:
-            os.remove(path)
+            _remove_output(path)
         raise
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")
     print(f"total_remote_links={stats.total_remote_links}")
@@ -141,16 +152,17 @@ def _cmd_analyze(args):
     return 0
 
 
-def _write_report(fh, sim, steps, seconds, flups, gflops):
+def _report(sim, steps, seconds, flups, gflops) -> str:
     """The solve report: one CSV row per partition, the run's totals
     repeated, then the partition's cells and its timers' seconds."""
     run = (f"{len(sim.domains)},{steps},{sim.header.n_fluid},"
            f"{seconds:.6f},{flups:.3f},{gflops:.6f}")
-    fh.write("partitions,steps,fluid_cells,seconds,flups,gflops_est,"
-             "part,owned_cells,ghost_cells,compute_s,exchange_s\n")
-    for d in sim.domains:
-        fh.write(f"{run},{d.part},{d.n_own},{d.n_ghost},"
-                 f"{sim.compute_seconds[d.part]:.6f},{sim.exchange_seconds[d.part]:.6f}\n")
+    lines = ["partitions,steps,fluid_cells,seconds,flups,gflops_est,"
+             "part,owned_cells,ghost_cells,compute_s,exchange_s"]
+    lines += [f"{run},{d.part},{d.n_own},{d.n_ghost},"
+              f"{sim.compute_seconds[d.part]:.6f},{sim.exchange_seconds[d.part]:.6f}"
+              for d in sim.domains]
+    return "".join(line + "\n" for line in lines)
 
 
 def _cmd_solve(args):
@@ -159,7 +171,7 @@ def _cmd_solve(args):
     # no name holds the records: once the Simulation is built, only its coords stay
     sim = Simulation(*read_sparse(args.infile), nparts=args.parts, params=params)
     # open the report before stepping, so a bad path costs no run, and
-    # delete it again if stepping fails, so no report of a bad run is left
+    # remove it again if the run fails, so no report of a bad run is left
     with open(args.report or os.devnull, "w") as fh:
         sim.init_equilibrium(1.0)
         try:
@@ -171,14 +183,15 @@ def _cmd_solve(args):
             flup_count = sim.header.n_fluid * args.steps
             flups = flup_count / max(seconds, 1e-12)
             gflops = flups * _FLOPS_PER_UPDATE / 1e9
-            _write_report(fh, sim, args.steps, seconds, flups, gflops)
+            report = _report(sim, args.steps, seconds, flups, gflops)
             # a step checks the state it pulls: one more, untimed, checks
-            # the state the last timed step left
+            # the state the last timed step left before any report is written
             sim.step()
+            fh.write(report)
         except BaseException:
             fh.close()
             if args.report is not None:
-                os.remove(args.report)
+                _remove_output(args.report)
             raise
     if args.report is not None:
         print(f"wrote {args.report}")

@@ -7,22 +7,21 @@ pull-scheme stream-collide step on two population arrays. The step
 works over blocks of `_BLOCK` owned cells, so the kernel's temporaries
 stay in cache instead of streaming (19, N) arrays through memory.
 
-Within a block the collision runs in pair form. In STENCIL order
+Within a block the collision runs in pair variables. In STENCIL order
 populations 2k + 1 and 2k + 2 are opposites, so the 9 pairs are the row
-slices f[1::2] and f[2::2]: each pair's sum relaxes at omega+ and its
-difference at omega-, and both results go straight into the two
-populations' destination rows. The equilibrium of a pair's head and
-tail share their c.u rows, and a tail's c.u is exactly minus its
-head's, so every value rounds as the 19-row expression rounds it and
-the state is bitwise the same as with that expression. Population 0
-pulls from its own slot, so it is read as a slice and the pull table
-has 18 rows.
+slices f[1::2] and f[2::2]. Straight after the pull the kernel forms
+each pair's sum s = fp + fm and difference d = fp - fm; the density and
+momentum, the equilibrium's half sums q and half differences h, and the
+TRT relaxation (s at omega+, d at omega-) are all written in s and d,
+and the head and tail take the new half sum plus and minus the new half
+difference. Population 0 pulls from its own slot, so it is read as a
+slice and the pull table has 18 rows.
 
-Every operation is column by column and the moment sums add
-populations in one fixed order, so the state is bitwise the same for
-any block size. Once per step each partition copies the full 19
-populations of its ghosts from their owners; results are bit-identical
-for any partition count.
+Every operation is column by column and the moment sums add rows in
+one fixed order, so the state is bitwise the same for any block size.
+Once per step each partition copies the full 19 populations of its
+ghosts from their owners; results are bit-identical for any partition
+count.
 Each block also checks that every density is positive and finite and
 every velocity within Mach `_MAX_MACH`; a failing step raises before any
 swap. A step checks the state it pulls, so the state the last step
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import STENCIL, check_links
+from .adjacency import check_links
 from .errors import DivergenceError, NotConvergedError, ParameterError
 from .partition import chunk_ranges
 
@@ -54,9 +53,6 @@ __all__ = [
 W = np.array([1.0 / 3.0] + [1.0 / 18.0] * 6 + [1.0 / 36.0] * 12)
 OPP = np.array([0] + [((p - 1) ^ 1) + 1 for p in range(1, 19)], dtype=np.int64)
 _WP = W[1::2, None]
-# rows of f[1:] with c_a = +1 and -1, for the momentum sums
-_POS = [np.flatnonzero(STENCIL[:, a] == 1) for a in range(3)]
-_NEG = [np.flatnonzero(STENCIL[:, a] == -1) for a in range(3)]
 
 # owned cells per block of the collide-stream step
 _BLOCK = 4096
@@ -148,91 +144,88 @@ def _pair_cu(u) -> np.ndarray:
     return np.stack([ux, uy, uz, ux + uy, ux - uy, ux + uz, ux - uz, uy + uz, uy - uz])
 
 
+def _moments(f0, s, d):
+    """Density and raw momentum of the rest row f0, the (9, n) pair sums
+    s = fp + fm and differences d = fp - fm. The density adds f0 and the
+    rows of s in order; each momentum component adds, written out, the
+    signed rows of d whose pair head has that component. Every sum is
+    row by row, so each column is summed the same way whatever the
+    column count (numpy sums the values of a single column pairwise)."""
+    rho = f0 + s[0]
+    for row in s[1:]:
+        rho += row
+    m = np.stack([d[0] + d[3] + d[4] + d[5] + d[6],
+                  d[1] + d[3] - d[4] + d[7] + d[8],
+                  d[2] + d[5] - d[6] + d[7] - d[8]])
+    return rho, m
+
+
 def _equilibrium(rho, u):
-    """D3Q19 equilibrium W_p rho (1 + 3 c_p.u + 4.5 (c_p.u)^2 - 1.5 u.u)
-    of density rho (a scalar or length n) and velocity rows u[0], u[1],
-    u[2] of length n, as the rest row and the (9, n) pair heads and
-    tails, and usq = 1.5 u.u (Ma^2 / 2). A tail's c.u is minus its
-    head's, so both share 3 c.u and 4.5 (c.u)^2 and round exactly as the
-    19-row formula does."""
+    """D3Q19 equilibrium of density rho (a scalar or length n) and
+    velocity rows u[0], u[1], u[2] of length n in pair variables: the
+    rest row W_0 rho (1 - 1.5 u.u), the (9, n) half sums
+    q = W rho (1 + 4.5 (c.u)^2 - 1.5 u.u) and half differences
+    h = 3 W rho c.u of each pair, c its head, so that the head's
+    equilibrium is q + h and the tail's q - h; and usq = 1.5 u.u
+    (Ma^2 / 2)."""
     cu = _pair_cu(u)
     usq = 1.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     wr = _WP * rho
-    cu3 = 3.0 * cu
-    cu2 = 4.5 * cu
-    cu2 *= cu
-    # in the formula's order: (((1 + 3 c.u) + 4.5 (c.u)^2) - 1.5 u.u) W rho
-    heads = 1.0 + cu3
-    heads += cu2
-    heads -= usq
-    heads *= wr
-    tails = np.subtract(1.0, cu3, out=cu3)
-    tails += cu2
-    tails -= usq
-    tails *= wr
-    return W[0] * rho * (1.0 - usq), heads, tails, usq
-
-
-def _row_sum(f, rows):
-    """Rows `rows` of f added one at a time, in order."""
-    total = f[rows[0]] + f[rows[1]]
-    for r in rows[2:]:
-        total += f[r]
-    return total
-
-
-def _moments(f0, f):
-    """Density and raw momentum of the rest row f0 and the (18, n) rows
-    f of populations 1..18. Every sum adds its populations one row at a
-    time in population order, so each column is summed the same way
-    whatever the column count (numpy sums the 19 values of a single
-    column pairwise, not row by row)."""
-    rho = f0 + f[0]
-    for p in range(1, 18):
-        rho += f[p]
-    m = np.stack([_row_sum(f, _POS[a]) - _row_sum(f, _NEG[a]) for a in range(3)])
-    return rho, m
+    h = 3.0 * cu
+    h *= wr
+    q = np.square(cu, out=cu)
+    q *= 4.5
+    q += 1.0
+    q -= usq
+    q *= wr
+    return W[0] * rho * (1.0 - usq), q, h, usq
 
 
 def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] | None:
     """Fused pull + TRT collision + forcing into the destination array,
-    one block of `_BLOCK` owned cells at a time, in pair form: each pair
-    relaxes its sum fp + fm at rate omega+ and its difference fp - fm at
-    rate omega-, and both populations take their update from the same
-    two rows. The force term is always added: a zero force turns a -0.0
-    population into +0.0 and changes nothing else.
+    one block of `_BLOCK` owned cells at a time, in pair variables: the
+    new half sum is (1 - omega+) s / 2 + omega+ q, the new half
+    difference (1 - omega-) d / 2 + (omega- h + 3 W rho c.g), and the
+    head takes their sum, the tail their difference. The force term is
+    always added: a zero force turns a -0.0 population into +0.0 and
+    changes nothing else.
 
     Returns None when every pulled cell has a positive, finite density
     and a velocity within Mach `_MAX_MACH`, else the local index of the
     first cell that has not (NaN fails both) and the bound it fails,
     stopping after its block."""
     f_flat = domain.f_src.reshape(-1)
-    half_plus = 0.5 * params.omega_plus
-    half_minus = 0.5 * params.omega_minus
+    omega_plus, omega_minus = params.omega_plus, params.omega_minus
+    keep_plus, keep_minus = 0.5 * (1.0 - omega_plus), 0.5 * (1.0 - omega_minus)
     force_p = 3.0 * _WP * _pair_cu(np.asarray(params.force, dtype=float)[:, None])
+    # one gather and one difference buffer a step: a fresh (18, B) or
+    # (9, B) array each block costs more than the operation filling it
+    width = min(_BLOCK, domain.n_own)
+    f_buf, d_buf = np.empty(18 * width), np.empty(9 * width)
     for b0 in range(0, domain.n_own, _BLOCK):
         b1 = min(b0 + _BLOCK, domain.n_own)
-        f = f_flat[domain._pull_flat[:, b0:b1]]
+        n = b1 - b0
+        # the pull table's flat indices are in range by construction;
+        # mode="clip" lets take write straight into the contiguous buffer
+        f = np.take(f_flat, domain._pull_flat[:, b0:b1], mode="clip",
+                    out=f_buf[: 18 * n].reshape(18, n))
         f0, fp, fm = domain.f_src[0, b0:b1], f[0::2], f[1::2]
-        rho, u = _moments(f0, f)
+        d = np.subtract(fp, fm, out=d_buf[: 9 * n].reshape(9, n))
+        s = np.add(fp, fm, out=fp)
+        rho, u = _moments(f0, s, d)
         u /= rho
-        rest, eq_p, eq_m, usq = _equilibrium(rho, u)
-        # (0.5 omega+) ((fp + fm) - (eq_p + eq_m)) and
-        # (0.5 omega-) ((fp - fm) - (eq_p - eq_m))
-        even = fp + fm
-        even -= eq_p + eq_m
-        even *= half_plus
-        odd = fp - fm
-        odd -= np.subtract(eq_p, eq_m, out=eq_p)
-        odd *= half_minus
-        post_p = np.subtract(fp, even, out=domain.f_dst[1::2, b0:b1])
-        post_p -= odd
-        post_m = np.subtract(fm, even, out=domain.f_dst[2::2, b0:b1])
-        post_m += odd
-        force = force_p * rho
-        post_p += force
-        post_m -= force
-        domain.f_dst[0, b0:b1] = f0 - params.omega_plus * (f0 - rest)
+        rest, q, h, usq = _equilibrium(rho, u)
+        # the force term goes into the omega- term, built in q's spent buffer
+        s *= keep_plus
+        q *= omega_plus
+        s += q
+        d *= keep_minus
+        h *= omega_minus
+        h += np.multiply(force_p, rho, out=q)
+        d += h
+        np.add(s, d, out=domain.f_dst[1::2, b0:b1])
+        np.subtract(s, d, out=domain.f_dst[2::2, b0:b1])
+        domain.f_dst[0, b0:b1] = f0 - omega_plus * (f0 - rest)
         if not (rho.min() > 0.0 and rho.max() < math.inf and usq.max() <= _MAX_USQ):
             k = int(np.argmin((rho > 0.0) & (rho < math.inf) & (usq <= _MAX_USQ)))
             return b0 + k, ("density not positive" if not rho[k] > 0.0
@@ -245,7 +238,7 @@ def macroscopic(f: np.ndarray, params: TrtParams):
     """Per-cell density and velocity of a (19, n) population array, such
     as `Simulation.gather_state()`, with the half-force correction
     u = (sum c_i f_i + g/2) / rho; u is shaped (n, 3)."""
-    rho, m = _moments(f[0], f[1:])
+    rho, m = _moments(f[0], f[1::2] + f[2::2], f[1::2] - f[2::2])
     g = np.asarray(params.force, dtype=float)
     u = (m + 0.5 * g[:, None]) / rho
     return rho, u.T.copy()
@@ -299,9 +292,9 @@ class Simulation:
         if not (u.shape == (3,) and 1.5 * sum(x * x for x in u.tolist()) <= _MAX_USQ):
             raise ParameterError(
                 f"u0 must be three finite components within Mach {_MAX_MACH:g}, got {u0}")
-        rest, eq_p, eq_m, _ = _equilibrium(rho0, u[:, None])
+        rest, q, h, _ = _equilibrium(rho0, u[:, None])
         feq = np.empty((19, 1))
-        feq[0], feq[1::2], feq[2::2] = rest, eq_p, eq_m
+        feq[0], feq[1::2], feq[2::2] = rest, q + h, q - h
         for d in self.domains:
             d.f_src[:] = feq
 

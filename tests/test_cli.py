@@ -377,6 +377,22 @@ class TestAnalyze:
         assert error_only(err) and out == ""
         assert not list(tmp_path.glob("o_*"))
 
+    def test_failed_run_leaves_a_symlinked_histogram_path(self, tmp_path, channel6_file, capsys):
+        """A failed run removes the histograms it created, but not a
+        symlink given as one: the link stays, and its target holds no
+        histogram data."""
+        bad = self_linked_copy(channel6_file, tmp_path)
+        real = tmp_path / "real.csv"
+        real.write_text("user data\n")
+        link = tmp_path / "o_neighbors.csv"
+        link.symlink_to(real)
+        code = main(["analyze", "--in", str(bad), "--out-prefix", str(tmp_path / "o")])
+        assert code == 1
+        assert error_only(capsys.readouterr().err)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert "count" not in real.read_text()
+        assert not (tmp_path / "o_remote_links.csv").exists()
+
     def test_histogram_naming_the_input_exits_one(self, tmp_path, sparse_file, capsys):
         victim = tmp_path / "o_neighbors.csv"
         victim.write_bytes(sparse_file.read_bytes())
@@ -577,6 +593,26 @@ class TestSolveAndBench:
         assert code == 1
         assert error_only(err) == f"error: {diverged}"
         assert out == "" and not report.exists()
+
+    # 200 steps fail in a timed step, `step - 1` in the check step after them
+    @pytest.mark.parametrize("failing", ["timed", "check"])
+    def test_failed_run_leaves_a_symlinked_report(self, tmp_path, channel6_file, capsys,
+                                                  failing):
+        """A failed run removes a report file it opened, but not a symlink
+        given as the report: the link stays, and its target holds no
+        report data, also when only the check step fails."""
+        diverged = library_divergence(channel6_file, 0.1)
+        steps = 200 if failing == "timed" else diverged.step - 1
+        real = tmp_path / "real.csv"
+        real.write_text("user data\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code = main(["solve", "--in", str(channel6_file), "--force", "0.1,0,0",
+                     "--steps", str(steps), "--report", str(link)])
+        assert code == 1
+        assert error_only(capsys.readouterr().err) == f"error: {diverged}"
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert "partitions" not in real.read_text()
 
     def test_run_within_mach_one_exits_zero(self, channel6_file, capsys):
         """Force 0.02 settles near Mach 0.39: healthy, so it reports."""
