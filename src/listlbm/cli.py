@@ -15,8 +15,9 @@ analyze and solve cut the fluid cell list into --parts equal chunks
 then --steps timed ones, and prints the FLUP/s from the Simulation's timers.
 A step checks the state it pulls, so solve then runs one more untimed step
 to check the state the last timed step left; if it fails, so does the run,
-and no report is written. A failed run removes the outputs it opened, but
-only regular files: a symlink or device node given as an output stays.
+and no report is written. Each output is claimed before the work, no two
+paths may be one file, and a failed run removes only the outputs it
+created: every file it found stays as it was (see `_outputs`).
 
 Exit status: 0 on success, 1 with a one-line diagnostic for domain errors
 (a diverging run among them), unwritable outputs and sizes too large to
@@ -27,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import stat
 import sys
 import time
+from contextlib import contextmanager
 
 from .adjacency import check_links
 from .errors import ListLbmError, ParameterError
@@ -43,19 +44,29 @@ from .sparse_io import check_body_size, read_header, read_sparse, write_sparse
 _FLOPS_PER_UPDATE = 200  # per fluid lattice update, for the GFLOP/s estimate
 
 
-def _distinct_paths(*paths):
-    """Reject a run whose given (non-None) paths name the same file twice."""
-    real = [p for p in paths if p is not None]
-    if len(set(map(os.path.abspath, real))) != len(real):
-        raise ParameterError(f"paths must be distinct: {sorted(real)}")
-
-
-def _remove_output(path):
-    """Remove what a failed run left at an output path it opened, if it is
-    a regular file: a symlink or a device node (`/dev/null`) named as the
-    output stays where it is."""
-    if stat.S_ISREG(os.lstat(path).st_mode):
-        os.remove(path)
+@contextmanager
+def _outputs(inputs, outputs):
+    """Claim each output (create it, or open it untruncated if it exists),
+    refuse two paths that are one file by (device, inode), run the work and
+    on failure remove the outputs this run created. Writers open outputs in
+    place after the work, so a symlink or /dev/null is written, not replaced."""
+    made = []
+    try:
+        for path in outputs:
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+                made.append(path)
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY)
+            os.close(fd)
+        paths = [*inputs, *outputs]
+        if len({(s.st_dev, s.st_ino) for s in map(os.stat, paths)}) != len(paths):
+            raise ParameterError(f"paths must be distinct: {sorted(paths)}")
+        yield
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
 
 
 def _input_path(text):
@@ -106,44 +117,32 @@ def _periodic_flags(text):
 
 
 def _cmd_generate(args):
-    if args.channel:
-        grid = make_channel(args.d)
-    else:
-        grid = make_packing(args.d, args.seed)
-    save_voxels(args.out, grid)
+    with _outputs([], [args.out]):
+        grid = make_channel(args.d) if args.channel else make_packing(args.d, args.seed)
+        save_voxels(args.out, grid)
     X, Y, Z = grid.dims
     print(f"wrote {args.out}: dims={X}x{Y}x{Z} fluid_cells={grid.fluid_count}")
     return 0
 
 
 def _cmd_preprocess(args):
-    _distinct_paths(args.infile, args.out)
-    grid = load_voxels(args.infile)
-    scheme = parse_scheme(args.scheme)
-    header, records = preprocess_grid(grid, scheme, nranks=args.ranks, periodic=args.periodic)
-    write_sparse(args.out, records, header)
+    with _outputs([args.infile], [args.out]):
+        grid = load_voxels(args.infile)
+        scheme = parse_scheme(args.scheme)
+        header, records = preprocess_grid(grid, scheme, nranks=args.ranks, periodic=args.periodic)
+        write_sparse(args.out, records, header)
     print(f"wrote {args.out}: fluid_cells={header.n_fluid} scheme={args.scheme}")
     return 0
 
 
 def _cmd_analyze(args):
     paths = histogram_paths(args.out_prefix)
-    _distinct_paths(args.infile, *paths)
-    # histograms first, so a bad prefix costs no read; a failed run deletes them
-    made = []
-    try:
-        for path in paths:
-            open(path, "w").close()
-            made.append(path)
+    with _outputs([args.infile], paths):
         header, records = read_sparse(args.infile)
         check_links(records, header)
         assignment = chunk_ranges(header.n_fluid, args.parts)
         stats = partition_stats(records, assignment)
         emit_histograms(stats, args.out_prefix)
-    except BaseException:
-        for path in made:
-            _remove_output(path)
-        raise
     print(f"partitions={assignment.N} fluid_cells={header.n_fluid}")
     print(f"total_remote_links={stats.total_remote_links}")
     print(f"max_neighbor_count={stats.max_neighbor_count}")
@@ -166,33 +165,26 @@ def _report(sim, steps, seconds, flups, gflops) -> str:
 
 
 def _cmd_solve(args):
-    _distinct_paths(args.infile, args.report)
     params = TrtParams(tau_plus=args.tau, magic_lambda=args.magic, force=args.force)
-    # no name holds the records: once the Simulation is built, only its coords stay
-    sim = Simulation(*read_sparse(args.infile), nparts=args.parts, params=params)
-    # open the report before stepping, so a bad path costs no run, and
-    # remove it again if the run fails, so no report of a bad run is left
-    with open(args.report or os.devnull, "w") as fh:
+    with _outputs([args.infile], [] if args.report is None else [args.report]):
+        # no name holds the records: once the Simulation is built, only its coords stay
+        sim = Simulation(*read_sparse(args.infile), nparts=args.parts, params=params)
         sim.init_equilibrium(1.0)
-        try:
-            sim.run(args.warmup)
-            sim.reset_timers()
-            t0 = time.perf_counter()
-            sim.run(args.steps)
-            seconds = time.perf_counter() - t0
-            flup_count = sim.header.n_fluid * args.steps
-            flups = flup_count / max(seconds, 1e-12)
-            gflops = flups * _FLOPS_PER_UPDATE / 1e9
-            report = _report(sim, args.steps, seconds, flups, gflops)
-            # a step checks the state it pulls: one more, untimed, checks
-            # the state the last timed step left before any report is written
-            sim.step()
-            fh.write(report)
-        except BaseException:
-            fh.close()
-            if args.report is not None:
-                _remove_output(args.report)
-            raise
+        sim.run(args.warmup)
+        sim.reset_timers()
+        t0 = time.perf_counter()
+        sim.run(args.steps)
+        seconds = time.perf_counter() - t0
+        flup_count = sim.header.n_fluid * args.steps
+        flups = flup_count / max(seconds, 1e-12)
+        gflops = flups * _FLOPS_PER_UPDATE / 1e9
+        report = _report(sim, args.steps, seconds, flups, gflops)
+        # a step checks the state it pulls: one more, untimed, checks
+        # the state the last timed step left before any report is written
+        sim.step()
+        if args.report is not None:
+            with open(args.report, "w") as fh:
+                fh.write(report)
     if args.report is not None:
         print(f"wrote {args.report}")
     print(f"steps={args.steps} fluid_cells={sim.header.n_fluid} partitions={len(sim.domains)}")

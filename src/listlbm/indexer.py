@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, ProtocolError
 from .geometry import RankBox, VoxelGrid
-from .numbering import LexBlocked, NumberingScheme, cell_index
+from .numbering import LexBlocked, NumberingScheme, cell_index, scheme_text
 
 __all__ = [
     "RUN_DTYPE",
@@ -84,11 +84,12 @@ class CellOrder:
 
     Blocked lexicographic indices are gapless, so position == code.
     Morton codes may contain gaps; a sorted table of every cell's code
-    maps between codes and global positions.
+    maps between codes and global positions. Keeps its `dims` and `scheme`.
     """
 
     def __init__(self, dims, scheme: NumberingScheme):
         X, Y, Z = (int(d) for d in dims)
+        self.dims, self.scheme = (X, Y, Z), scheme
         self.ncells = X * Y * Z
         if isinstance(scheme, LexBlocked):
             self.codes_sorted = None
@@ -111,11 +112,16 @@ class CellOrder:
         return self.codes_sorted[positions]
 
 
-def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox):
-    """Codes and flags of the box's cells, sorted ascending by code.
+def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder):
+    """Codes, flags and global positions of the box's cells, sorted
+    ascending by code. `order` must be built for the grid under `scheme`.
 
-    Returns (codes_sorted, flags_sorted, sort_permutation, box_shape).
+    Returns (codes_sorted, flags_sorted, positions, sort_permutation, box_shape).
     """
+    if (order.dims, order.scheme) != (grid.dims, scheme):
+        raise ParameterError(f"cell order built for dims {order.dims} and "
+                             f"{scheme_text(order.scheme)}, used for dims {grid.dims} "
+                             f"and {scheme_text(scheme)}")
     (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
     xs = np.arange(x0, x1)[None, None, :]
     ys = np.arange(y0, y1)[None, :, None]
@@ -123,7 +129,8 @@ def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox):
     codes = cell_index(scheme, xs, ys, zs, grid.dims).reshape(-1)
     flags = grid.flags[z0:z1, y0:y1, x0:x1].reshape(-1)
     sortidx = np.argsort(codes)
-    return codes[sortidx], flags[sortidx], sortidx, (z1 - z0, y1 - y0, x1 - x0)
+    codes = codes[sortidx]
+    return codes, flags[sortidx], order.position_of(codes), sortidx, (z1 - z0, y1 - y0, x1 - x0)
 
 
 def _run_bounds(positions: np.ndarray):
@@ -151,8 +158,7 @@ def find_runs(
     """
     if not (box.rank < len(all_boxes) and all_boxes[box.rank] == box):
         raise ParameterError(f"box of rank {box.rank} not in the decomposition")
-    codes_s, flags_s, _, _ = _box_sorted_cells(grid, scheme, box)
-    pos = order.position_of(codes_s)
+    codes_s, flags_s, pos, _, _ = _box_sorted_cells(grid, scheme, box, order)
     starts, ends = _run_bounds(pos)
     succ = pos[ends - 1] + 1
     has_succ = succ < order.ncells
@@ -299,8 +305,8 @@ def assign_contiguous(
     the run's start in increasing index order; solid cells receive 0.
     Returned array is indexed [z - lo_z, y - lo_y, x - lo_x].
     """
-    codes_s, flags_s, sortidx, shape = _box_sorted_cells(grid, scheme, box)
-    starts, _ = _run_bounds(order.position_of(codes_s))
+    codes_s, flags_s, pos, sortidx, shape = _box_sorted_cells(grid, scheme, box, order)
+    starts, _ = _run_bounds(pos)
     runs = runs[np.argsort(runs["incell"], kind="stable")]
     if runs.size != starts.size:
         raise ProtocolError(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import re
@@ -127,6 +128,13 @@ def printed_fields(out):
     """The key=value fields of `solve`'s summary lines on stdout."""
     return dict(field.split("=", 1) for line in out.splitlines()
                 if not line.startswith("wrote ") for field in line.split())
+
+
+def refuse(stage):
+    """Stand-in for a pipeline stage that fails the test if it is called."""
+    def called(*args, **kwargs):
+        raise AssertionError(f"{stage} ran")
+    return called
 
 
 def error_only(stderr):
@@ -379,8 +387,8 @@ class TestAnalyze:
 
     def test_failed_run_leaves_a_symlinked_histogram_path(self, tmp_path, channel6_file, capsys):
         """A failed run removes the histograms it created, but not a
-        symlink given as one: the link stays, and its target holds no
-        histogram data."""
+        symlink given as one: the link stays, and its target keeps its
+        bytes."""
         bad = self_linked_copy(channel6_file, tmp_path)
         real = tmp_path / "real.csv"
         real.write_text("user data\n")
@@ -390,7 +398,7 @@ class TestAnalyze:
         assert code == 1
         assert error_only(capsys.readouterr().err)
         assert link.is_symlink() and os.readlink(link) == str(real)
-        assert "count" not in real.read_text()
+        assert real.read_text() == "user data\n"
         assert not (tmp_path / "o_remote_links.csv").exists()
 
     def test_histogram_naming_the_input_exits_one(self, tmp_path, sparse_file, capsys):
@@ -533,6 +541,21 @@ class TestSolveAndBench:
         assert code == 1
         assert "No such file or directory" in error_only(capsys.readouterr().err)
 
+    def test_empty_report_path_exits_one_before_the_read(self, sparse_file, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr("listlbm.cli.read_sparse", refuse("read_sparse"))
+        code = main(["solve", "--in", str(sparse_file), "--steps", "1", "--report", ""])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert error_only(err) == "error: [Errno 2] No such file or directory: ''"
+
+    def test_device_node_report_is_written_in_place(self, sparse_file, capsys):
+        code = main(["solve", "--in", str(sparse_file), "--steps", "1",
+                     "--report", os.devnull])
+        assert code == 0
+        assert f"wrote {os.devnull}" in capsys.readouterr().out
+        assert Path(os.devnull).is_char_device()
+
     def test_one_way_link_exits_one(self, tmp_path, sparse_file, capsys):
         bad = self_linked_copy(sparse_file, tmp_path)
         assert main(["solve", "--in", str(bad), "--parts", "3", "--steps", "1"]) == 1
@@ -598,9 +621,9 @@ class TestSolveAndBench:
     @pytest.mark.parametrize("failing", ["timed", "check"])
     def test_failed_run_leaves_a_symlinked_report(self, tmp_path, channel6_file, capsys,
                                                   failing):
-        """A failed run removes a report file it opened, but not a symlink
-        given as the report: the link stays, and its target holds no
-        report data, also when only the check step fails."""
+        """A failed run removes a report file it created, but not a
+        symlink given as the report: the link stays, and its target keeps
+        its bytes, also when only the check step fails."""
         diverged = library_divergence(channel6_file, 0.1)
         steps = 200 if failing == "timed" else diverged.step - 1
         real = tmp_path / "real.csv"
@@ -612,7 +635,7 @@ class TestSolveAndBench:
         assert code == 1
         assert error_only(capsys.readouterr().err) == f"error: {diverged}"
         assert link.is_symlink() and os.readlink(link) == str(real)
-        assert "partitions" not in real.read_text()
+        assert real.read_text() == "user data\n"
 
     def test_run_within_mach_one_exits_zero(self, channel6_file, capsys):
         """Force 0.02 settles near Mach 0.39: healthy, so it reports."""
@@ -696,6 +719,77 @@ class TestSolveAndBench:
         code = main(["solve", "--in", str(sparse_file), "--steps", "2", *flags])
         assert code == 1
         assert "finite" in error_only(capsys.readouterr().err)
+
+
+def snapshot(where):
+    """Each entry of the directory `where`: its symlink target, if it is
+    one, and the SHA-1 of what reading it gives."""
+    return {p.name: (os.readlink(p) if p.is_symlink() else None,
+                     hashlib.sha1(p.read_bytes()).hexdigest())
+            for p in where.iterdir()}
+
+
+def run_writing(command, src, out, *flags):
+    """`main` on `command` reading `src` and writing `out`, then `flags`
+    (a repeated flag overrides); for analyze `out` is the neighbours
+    histogram of the prefix."""
+    argv = {"generate": ["--channel", "--d", "4", "--out", out],
+            "preprocess": ["--in", src, "--out", out],
+            "analyze": ["--in", src, "--out-prefix", str(out).removesuffix("_neighbors.csv")],
+            "solve": ["--in", src, "--steps", "1", "--report", out]}[command]
+    return main([command, *map(str, argv), *flags])
+
+
+class TestOutputRule:
+    """Every writing command claims its outputs before the work, refuses
+    two paths that are one file, and leaves every file it found as it was."""
+
+    # flags that make each command fail in its work; analyze fails on the
+    # self-linked copy it reads
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", ["--d", "2"]),
+        ("preprocess", ["--scheme", "lex:b=0"]),
+        ("analyze", []),
+        ("solve", ["--force", "0.1,0,0", "--steps", "200"]),
+    ])
+    def test_failed_run_leaves_an_existing_output(self, tmp_path, voxel_file, channel6_file,
+                                                  capsys, command, flags):
+        src = {"preprocess": voxel_file, "analyze": self_linked_copy(channel6_file, tmp_path),
+               "solve": channel6_file}.get(command)
+        out = tmp_path / "o_neighbors.csv"
+        out.write_text("user data\n")
+        before = snapshot(tmp_path)
+        assert run_writing(command, src, out, *flags) == 1
+        assert error_only(capsys.readouterr().err)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("link", ["symlink", "hard link"])
+    @pytest.mark.parametrize("command", ["preprocess", "analyze", "solve"])
+    def test_output_linked_to_the_input_exits_one(self, tmp_path, voxel_file, channel6_file,
+                                                  capsys, command, link):
+        src = voxel_file if command == "preprocess" else channel6_file
+        out = tmp_path / "o_neighbors.csv"
+        out.symlink_to(src) if link == "symlink" else os.link(src, out)
+        before = snapshot(tmp_path)
+        assert run_writing(command, src, out) == 1
+        assert "paths must be distinct" in error_only(capsys.readouterr().err)
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command, stage", [
+        ("generate", "make_channel"),
+        ("preprocess", "load_voxels"),
+        ("analyze", "read_sparse"),
+        ("solve", "read_sparse"),
+    ])
+    def test_missing_directory_costs_no_work(self, tmp_path, voxel_file, channel6_file,
+                                             capsys, monkeypatch, command, stage):
+        src = voxel_file if command == "preprocess" else channel6_file
+        monkeypatch.setattr(f"listlbm.cli.{stage}", refuse(stage))
+        before = snapshot(tmp_path)
+        assert run_writing(command, src, tmp_path / "nodir" / "o_neighbors.csv") == 1
+        out, err = capsys.readouterr()
+        assert "No such file or directory" in error_only(err) and out == ""
+        assert snapshot(tmp_path) == before
 
 
 @pytest.fixture(scope="module")

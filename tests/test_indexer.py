@@ -15,6 +15,7 @@ from listlbm import (
     build_rank_tree,
     decompose_ranks,
     find_runs,
+    make_packing,
     octree_reduce,
     serial_oracle,
 )
@@ -222,6 +223,36 @@ class TestAssignContiguous:
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
         with pytest.raises(ProtocolError, match=match):
             contiguous(grid, LexBlocked(1), box, np.array(rows, dtype=RUN_DTYPE))
+
+
+class TestCellOrderMismatch:
+    """An order built for other dims or another scheme is a parameter
+    fault of both phases, named by both (dims, scheme) pairs."""
+
+    @pytest.fixture(scope="class")
+    def packing(self):
+        grid = make_packing(12, 1)
+        boxes = decompose_ranks(grid.dims, 8)
+        order = CellOrder(grid.dims, LexBlocked(1))
+        lists = [find_runs(grid, LexBlocked(1), b, boxes, order) for b in boxes]
+        return grid, boxes, octree_reduce(lists, build_rank_tree(len(boxes)))
+
+    # the morton order ends in an overlap ProtocolError in octree_reduce
+    # when unchecked, and the other dims' lex order in a wrong numbering
+    @pytest.mark.parametrize("dims, scheme, text", [
+        ((60, 12, 12), Morton(2), r"\(60, 12, 12\) and morton:g=2"),
+        ((61, 12, 12), LexBlocked(1), r"\(61, 12, 12\) and lex:b=1"),
+    ], ids=["scheme", "dims"])
+    def test_both_phases_reject_it(self, packing, dims, scheme, text):
+        grid, boxes, assigned = packing
+        assert grid.dims == (60, 12, 12)
+        wrong = CellOrder(dims, scheme)
+        match = f"^cell order built for dims {text}, used for dims \\(60, 12, 12\\) and lex:b=1$"
+        for box in boxes:
+            with pytest.raises(ParameterError, match=match):
+                find_runs(grid, LexBlocked(1), box, boxes, wrong)
+            with pytest.raises(ParameterError, match=match):
+                assign_contiguous(grid, LexBlocked(1), box, assigned[box.rank], wrong)
 
 
 class TestSerialOracle:
