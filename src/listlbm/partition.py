@@ -6,11 +6,13 @@ place that computes the boundaries. Quality metrics count, per
 partition, the distinct neighbor partitions and the directed PDF links
 crossing partition boundaries.
 
-`partition_stats` takes every link's target partition from one gather
-of an owner table of N_f + 1 entries and counts distinct partition pairs
-by sorting the crossing links' pair ids, so its memory is O(links + N)
-for any N up to N_f. It builds no dense N x N matrix: that would take
-8 N^2 bytes, 80 GB at N = 10^5, which `analyze --parts` accepts.
+`partition_stats` walks the adjacency in blocks of `_ROWS` records: one
+gather of an owner table of N_f + 1 entries gives each link's target
+partition, and only the crossing links' pair ids leave the block. The
+distinct partition pairs are counted by sorting those ids once, so its
+memory is one block plus the crossing links plus N, for any N up to
+N_f. It builds no dense N x N matrix: that would take 8 N^2 bytes,
+80 GB at N = 10^5, which `analyze --parts` accepts.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ __all__ = [
     "histogram_paths",
     "partition_stats",
 ]
+
+# records per block of partition_stats: the block's (_ROWS, 18) gathered
+# partitions and crossing mask stay in cache
+_ROWS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +101,13 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     links to solid cells (nbr 0) and links staying inside a partition
     (including periodic wraps onto the same partition) do not count.
     The records pass `check_records` first; link symmetry is not checked.
+    Memory is one block of `_ROWS` records plus 8 bytes per crossing
+    link (twice, while the blocks are joined) plus N.
 
     `lut[i]` is the partition of I_c = i (-1 at i = 0, the solid link)
     in the smallest signed type that holds -1..N-1; record a holds
-    I_c = a + 1, so its own partition is `lut[a + 1]`.
+    I_c = a + 1, so its own partition is `lut[a + 1]`. Each crossing
+    link becomes the pair id own * N + target.
     """
     check_records(records, assignment.n_fluid)
     N = assignment.N
@@ -107,21 +116,38 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     lut[1:] = np.repeat(np.arange(N, dtype=lut.dtype), assignment.sizes)
     # entries are 0..N_f after check_records, so the int64 view is exact;
     # gathering by uint64 indices, or from an int64 table, is about 2x slower
-    dst = lut[records.nbr.view(np.int64)]
-    own = lut[1:, None]
-    cross = (dst != own) & (dst >= 0)
-    src = np.broadcast_to(own, dst.shape)[cross].astype(np.int64)
-    remote_links = np.bincount(src, minlength=N)
-    pair_ids = src * N + dst[cross]
+    nbr, own = records.nbr.view(np.int64), lut[1:]
+    pair_ids = np.concatenate([
+        _crossing_pairs(lut[nbr[a0 : a0 + _ROWS]], own[a0 : a0 + _ROWS], N)
+        for a0 in range(0, nbr.shape[0], _ROWS)
+    ])
     pair_ids.sort()
     first = np.ones(pair_ids.size, dtype=bool)
     first[1:] = pair_ids[1:] != pair_ids[:-1]
-    neighbor_count = np.bincount(pair_ids[first] // N, minlength=N)
+    # partition p's links are the sorted ids in [p N, (p + 1) N)
+    edges = np.arange(N + 1) * N
+    remote_links = np.diff(np.searchsorted(pair_ids, edges))
+    neighbor_count = np.diff(np.searchsorted(pair_ids[first], edges))
     return PartitionStats(
         fluid_cells=assignment.sizes,
         neighbor_count=neighbor_count,
         remote_links=remote_links,
     )
+
+
+def _crossing_pairs(dst: np.ndarray, own: np.ndarray, N: int) -> np.ndarray:
+    """Pair ids own * N + target of one block's crossing links, in row
+    order: `dst` is the block's (rows, 18) target partitions (-1 for a
+    solid link), `own` its rows' partitions."""
+    cross = np.not_equal(dst, own[:, None])
+    cross &= dst >= 0
+    ids = np.flatnonzero(cross)
+    far = dst.reshape(-1)[ids]
+    ids //= 18
+    # own may be int8: the product is taken in int64
+    np.multiply(own[ids], N, out=ids, dtype=np.int64)
+    ids += far
+    return ids
 
 
 def histogram_paths(prefix) -> tuple[str, str]:

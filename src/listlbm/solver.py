@@ -98,12 +98,20 @@ class TrtParams:
         return 1.0 / self.tau_minus
 
 
+def _pull_dtype(n_fluid: int) -> type:
+    """int32 when the flat index 19 * nslots of any partition fits, else
+    int64: nslots = n_own + n_ghost <= N_f, so N_f decides it before
+    anything is allocated."""
+    return np.int32 if 19 * n_fluid < 2**31 else np.int64
+
+
 class LocalDomain:
     """One partition's owned cells [lo, hi), ghosts and rewritten adjacency.
 
     `nbr` is the records' (N_f, 18) adjacency as stored: `nbr[a, i]` is
     the I_c of cell I_c = a + 1's neighbor in stencil direction i, 0 for
-    a solid one; the rows of cells [lo, hi) become the (18, n_own) pull table.
+    a solid one; the rows of cells [lo, hi) become the (18, n_own) pull
+    table, in `_pull_dtype(N_f)`.
     """
 
     def __init__(self, nbr: np.ndarray, lo: int, hi: int, part: int):
@@ -115,7 +123,7 @@ class LocalDomain:
         # direction of travel; nbr 0 turns into a bounce-back self-pull
         # of the opposite population
         own = nbr[lo - 1 : hi - 1]
-        pull = self._pull_flat = np.empty((18, self.n_own), dtype=np.int64)
+        pull = self._pull_flat = np.empty((18, self.n_own), dtype=_pull_dtype(nbr.shape[0]))
         for b0 in range(0, self.n_own, _BLOCK):  # row blocks: one pass over nbr
             pull[:, b0 : b0 + _BLOCK] = own[b0 : b0 + _BLOCK, OPP[1:] - 1].T
         solid = pull == 0
@@ -127,11 +135,12 @@ class LocalDomain:
 
         pull -= lo
         pull[remote] = self.n_own + ghost
-        np.copyto(pull, np.arange(self.n_own), where=solid)
+        itype = pull.dtype
+        np.copyto(pull, np.arange(self.n_own, dtype=itype), where=solid)
         # flat index p * nslots + slot of populations 1..18; population 0
         # stays in place, so it needs no row
-        np.add(pull, OPP[1:, None] * nslots, out=pull, where=solid)
-        np.add(pull, np.arange(1, 19)[:, None] * nslots, out=pull, where=~solid)
+        np.add(pull, OPP[1:, None].astype(itype) * nslots, out=pull, where=solid)
+        np.add(pull, np.arange(1, 19, dtype=itype)[:, None] * nslots, out=pull, where=~solid)
 
         self.f_src = np.zeros((19, nslots))
         self.f_dst = np.zeros((19, nslots))

@@ -1,6 +1,7 @@
 import bisect
 import csv
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from listlbm import (
     partition_stats,
     preprocess_grid,
 )
+from listlbm import partition
 
 
 class TestChunkRanges:
@@ -148,25 +150,59 @@ def brute_force_stats(records, bounds):
     return [b - a for a, b in zip(bounds[:-1], bounds[1:])], neighbors, remote
 
 
+def assert_fields_equal_the_oracle(scheme, periodic, shape, density, seed):
+    """At N = 1, 2, 7 and N_f on a random grid of at most 343 cells."""
+    flags = np.random.default_rng(seed).random(shape) < density
+    flags.flat[0] = True
+    grid = VoxelGrid(flags)
+    header, records = preprocess_grid(grid, scheme, periodic=(periodic, False, False))
+    n_fluid = header.n_fluid
+    for N in sorted({1, min(2, n_fluid), min(7, n_fluid), n_fluid}):
+        assignment = chunk_ranges(n_fluid, N)
+        stats = partition_stats(records, assignment)
+        want = brute_force_stats(records, assignment.boundaries.tolist())
+        for field, values in zip(("fluid_cells", "neighbor_count", "remote_links"), want):
+            got = getattr(stats, field)
+            assert got.dtype == np.int64, (N, field)
+            assert got.tolist() == values, (N, field)
+
+
+GRIDS = (st.tuples(*[st.integers(1, 7)] * 3), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("periodic", [False, True], ids=["walled", "periodic-x"])
     @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=str)
     @settings(max_examples=15, deadline=None)
-    @given(st.tuples(*[st.integers(1, 7)] * 3), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+    @given(*GRIDS)
     def test_every_field_equals_the_oracle(self, scheme, periodic, shape, density, seed):
-        flags = np.random.default_rng(seed).random(shape) < density
-        flags.flat[0] = True
-        grid = VoxelGrid(flags)
-        header, records = preprocess_grid(grid, scheme, periodic=(periodic, False, False))
-        n_fluid = header.n_fluid
-        for N in sorted({1, min(2, n_fluid), min(7, n_fluid), n_fluid}):
-            assignment = chunk_ranges(n_fluid, N)
-            stats = partition_stats(records, assignment)
-            want = brute_force_stats(records, assignment.boundaries.tolist())
-            for field, values in zip(("fluid_cells", "neighbor_count", "remote_links"), want):
-                got = getattr(stats, field)
-                assert got.dtype == np.int64, (N, field)
-                assert got.tolist() == values, (N, field)
+        assert_fields_equal_the_oracle(scheme, periodic, shape, density, seed)
+
+    @pytest.mark.parametrize("rows", [1, 5, 18])
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([LexBlocked(1), Morton(2)]), st.booleans(), *GRIDS)
+    def test_block_edges_cut_partitions_and_records(self, rows, scheme, periodic,
+                                                    shape, density, seed):
+        """Blocks of 1, 5 and 18 records end inside partitions, and their
+        18 x rows links end inside a record's links too."""
+        with mock.patch.object(partition, "_ROWS", rows):
+            assert_fields_equal_the_oracle(scheme, periodic, shape, density, seed)
+
+    def test_peak_stays_well_under_the_records(self, packing24):
+        """The adjacency is read in blocks of `_ROWS` records, so the
+        call peaks at about 0.23x `records.nbr.nbytes` at 16 partitions
+        on this packing; (N_f, 18) temporaries over the whole adjacency
+        peak at 0.46x and must fail the bound."""
+        header, records = preprocess_grid(packing24, Morton(2), periodic=(True, False, False))
+        assignment = chunk_ranges(header.n_fluid, 16)
+        partition_stats(records, assignment)  # first-call imports are not the call's memory
+        tracemalloc.start()
+        try:
+            partition_stats(records, assignment)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * records.nbr.nbytes, peak / records.nbr.nbytes
 
     def test_one_cell_per_partition_stays_linear_in_memory(self):
         """At N = N_f a dense N x N pair matrix would take 8 N_f^2 bytes,

@@ -552,10 +552,10 @@ class TestLocalization:
 class TestSetupMemory:
     def test_peak_stays_near_what_the_domains_keep(self, channel6_sparse, packing24):
         """Each domain reads its rows of `records.nbr` as stored, so set-up
-        peaks at about 1.08x the bytes the domains keep (f_src, f_dst and
-        the pull table: 56 x 8 bytes a cell at one partition). A
-        transposed int64 copy of the whole adjacency adds 18 x 8 bytes a
-        cell, 0.32x, and must fail the bound."""
+        peaks at about 1.10x the bytes the domains keep (f_src and f_dst,
+        38 x 8 bytes a cell at one partition, and the int32 pull table,
+        18 x 4). A transposed int64 copy of the whole adjacency adds
+        18 x 8 bytes a cell, 0.38x, and must fail the bound."""
         header, records = preprocess_grid(packing24, LexBlocked(1), periodic=(True, False, False))
         make_sim(channel6_sparse)  # modules imported on a first call are not set-up memory
         tracemalloc.start()
@@ -582,6 +582,37 @@ class TestSetupMemory:
         kept = make_sim(channel6_sparse, nparts, tau_plus=0.8, force=(1e-5, 0, 0))
         kept.run(3)
         assert np.array_equal(sim.gather_state(), kept.gather_state())
+
+
+class TestPullTable:
+    @pytest.mark.parametrize("nparts", [1, 4])
+    def test_fixtures_build_an_int32_table(self, channel6_sparse, packing24, nparts):
+        packing = preprocess_grid(packing24, Morton(2), periodic=(True, False, False))
+        for sparse in (channel6_sparse, packing):
+            sim = make_sim(sparse, nparts)
+            assert [d._pull_flat.dtype for d in sim.domains] == [np.int32] * nparts
+
+    def test_int32_rule_at_its_boundary(self):
+        """19 * N_f < 2^31 holds up to N_f = 113,025,455; the rule reads
+        N_f alone, so it is checked here without a table."""
+        n = (2**31 - 1) // 19
+        assert 19 * n < 2**31 <= 19 * (n + 1)
+        assert solver._pull_dtype(n) is np.int32
+        assert solver._pull_dtype(n + 1) is np.int64
+
+    @pytest.mark.parametrize("nparts", [1, 3])
+    def test_int64_table_steps_the_same_bits(self, channel6_sparse, monkeypatch, nparts):
+        params = {"tau_plus": 0.8, "force": (1e-5, 0.0, 0.0)}
+        want = make_sim(channel6_sparse, nparts, **params)
+        monkeypatch.setattr(solver, "_pull_dtype", lambda n_fluid: np.int64)
+        got = make_sim(channel6_sparse, nparts, **params)
+        assert got.domains[0]._pull_flat.dtype == np.int64
+        for d, e in zip(got.domains, want.domains):
+            assert np.array_equal(d._pull_flat, e._pull_flat)
+        want.run(3)
+        got.run(3)
+        assert np.array_equal(got.gather_state().view(np.uint64),
+                              want.gather_state().view(np.uint64))
 
 
 def plate_channel(Y, width=4):
