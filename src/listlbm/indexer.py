@@ -8,6 +8,10 @@ with whole-array operations. Afterwards every fluid cell carries a
 domain-wide unique contiguous index in [1, N_f]; solid cells carry 0.
 The reduction is deterministic regardless of message arrival order and
 independent of the rank count. Ranks are simulated in-process.
+
+Each rank sorts its box by index once: `find_runs` leaves the sorted
+cells in the shared `CellOrder`, and `assign_contiguous` takes them out
+again and re-reads only the flags through the sort permutation.
 """
 
 from __future__ import annotations
@@ -84,27 +88,35 @@ class CellOrder:
 
     Blocked lexicographic indices are gapless, so position == code.
     Morton codes may contain gaps; a sorted table of every cell's code
-    maps between codes and global positions. Keeps its `dims` and `scheme`.
+    and a (Z, Y, X) field of every cell's position in it map between
+    codes and global positions. Keeps its `dims` and `scheme`.
+
+    Also holds, per box, the sorted cells `find_runs` hands over to
+    `assign_contiguous`, which takes them out again.
     """
 
     def __init__(self, dims, scheme: NumberingScheme):
         X, Y, Z = (int(d) for d in dims)
         self.dims, self.scheme = (X, Y, Z), scheme
         self.ncells = X * Y * Z
+        self._sorted: dict[RankBox, tuple] = {}
         if isinstance(scheme, LexBlocked):
-            self.codes_sorted = None
+            self.codes_sorted = self._positions = None
         else:
-            # Morton contributions of x, y, z occupy disjoint bits
-            fx = cell_index(scheme, np.arange(X), 0, 0, dims)
-            fy = cell_index(scheme, 0, np.arange(Y), 0, dims)
-            fz = cell_index(scheme, 0, 0, np.arange(Z), dims)
-            codes = fz[:, None, None] | fy[None, :, None] | fx[None, None, :]
-            self.codes_sorted = np.sort(codes.reshape(-1))
+            codes = cell_index(scheme, *_box_axes((0, 0, 0), (X, Y, Z)), dims).reshape(-1)
+            by_code = np.argsort(codes, kind="stable")
+            self.codes_sorted = codes[by_code]
+            self._positions = np.empty(self.ncells, dtype=np.int64)
+            self._positions[by_code] = np.arange(self.ncells)
+            self._positions = self._positions.reshape(Z, Y, X)
 
-    def position_of(self, codes: np.ndarray) -> np.ndarray:
-        if self.codes_sorted is None:
-            return codes.astype(np.int64)
-        return np.searchsorted(self.codes_sorted, codes)
+    def box_positions(self, box: RankBox) -> np.ndarray:
+        """Global positions of the box's cells, in (z, y, x) order."""
+        if self._positions is None:
+            codes = cell_index(self.scheme, *_box_axes(box.lo, box.hi), self.dims)
+            return codes.reshape(-1).astype(np.int64)
+        (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
+        return self._positions[z0:z1, y0:y1, x0:x1].reshape(-1)
 
     def code_at(self, positions: np.ndarray) -> np.ndarray:
         if self.codes_sorted is None:
@@ -112,9 +124,22 @@ class CellOrder:
         return self.codes_sorted[positions]
 
 
-def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder):
+def _box_axes(lo, hi):
+    """x, y and z aranges of the box [lo, hi), shaped to broadcast to
+    (z, y, x)."""
+    (x0, y0, z0), (x1, y1, z1) = lo, hi
+    return (np.arange(x0, x1)[None, None, :], np.arange(y0, y1)[None, :, None],
+            np.arange(z0, z1)[:, None, None])
+
+
+def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder, keep: bool):
     """Codes, flags and global positions of the box's cells, sorted
     ascending by code. `order` must be built for the grid under `scheme`.
+
+    The sort depends only on dims, scheme and box, so it is taken from
+    `order`'s slot for the box when there is one (the slot is emptied)
+    and made by `_sort_box` otherwise; `keep` leaves it in the slot for
+    the next call. The flags are always read from `grid`.
 
     Returns (codes_sorted, flags_sorted, positions, sort_permutation, box_shape).
     """
@@ -122,15 +147,24 @@ def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder):
         raise ParameterError(f"cell order built for dims {order.dims} and "
                              f"{scheme_text(order.scheme)}, used for dims {grid.dims} "
                              f"and {scheme_text(scheme)}")
+    cells = order._sorted.pop(box, None) or _sort_box(box, order)
+    if keep:
+        order._sorted[box] = cells
+    codes, positions, sortidx = cells
     (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
-    xs = np.arange(x0, x1)[None, None, :]
-    ys = np.arange(y0, y1)[None, :, None]
-    zs = np.arange(z0, z1)[:, None, None]
-    codes = cell_index(scheme, xs, ys, zs, grid.dims).reshape(-1)
-    flags = grid.flags[z0:z1, y0:y1, x0:x1].reshape(-1)
-    sortidx = np.argsort(codes)
-    codes = codes[sortidx]
-    return codes, flags[sortidx], order.position_of(codes), sortidx, (z1 - z0, y1 - y0, x1 - x0)
+    flags = grid.flags[z0:z1, y0:y1, x0:x1].reshape(-1)[sortidx]
+    return codes, flags, positions, sortidx, (z1 - z0, y1 - y0, x1 - x0)
+
+
+def _sort_box(box: RankBox, order: CellOrder):
+    """The box's codes sorted ascending, their global positions, and the
+    permutation that sorts the box's (z, y, x)-ordered cells."""
+    positions = order.box_positions(box)
+    # positions are distinct, so every sort kind gives one permutation;
+    # the stable one runs faster on a box's partly ordered positions
+    sortidx = np.argsort(positions, kind="stable")
+    positions = positions[sortidx]
+    return order.code_at(positions), positions, sortidx
 
 
 def _run_bounds(positions: np.ndarray):
@@ -154,11 +188,12 @@ def find_runs(
     than the run; it always lies on another rank (otherwise the run
     would extend). SENTINEL_END marks the run containing the globally
     last cell. `box` must be `all_boxes[box.rank]`, and `order` is the
-    `CellOrder` of the grid under `scheme`, built once for all boxes.
+    `CellOrder` of the grid under `scheme`, built once for all boxes;
+    the box's sorted cells stay in `order` for `assign_contiguous`.
     """
     if not (box.rank < len(all_boxes) and all_boxes[box.rank] == box):
         raise ParameterError(f"box of rank {box.rank} not in the decomposition")
-    codes_s, flags_s, pos, _, _ = _box_sorted_cells(grid, scheme, box, order)
+    codes_s, flags_s, pos, _, _ = _box_sorted_cells(grid, scheme, box, order, keep=True)
     starts, ends = _run_bounds(pos)
     succ = pos[ends - 1] + 1
     has_succ = succ < order.ncells
@@ -303,9 +338,11 @@ def assign_contiguous(
 
     Within each run, fluid cells receive consecutive I_c starting at
     the run's start in increasing index order; solid cells receive 0.
-    Returned array is indexed [z - lo_z, y - lo_y, x - lo_x].
+    Returned array is indexed [z - lo_z, y - lo_y, x - lo_x]. Takes the
+    box's sorted cells out of `order` when `find_runs` left them there,
+    and sorts the box itself otherwise.
     """
-    codes_s, flags_s, pos, sortidx, shape = _box_sorted_cells(grid, scheme, box, order)
+    codes_s, flags_s, pos, sortidx, shape = _box_sorted_cells(grid, scheme, box, order, keep=False)
     starts, _ = _run_bounds(pos)
     runs = runs[np.argsort(runs["incell"], kind="stable")]
     if runs.size != starts.size:

@@ -97,7 +97,8 @@ def parse_scheme(text: str) -> NumberingScheme:
 
 
 def cell_index(scheme: NumberingScheme, x, y, z, dims) -> np.ndarray:
-    """Vectorized index function; accepts scalars or equal-shaped arrays.
+    """Vectorized index function; accepts scalars or arrays that broadcast
+    together, and returns codes of the broadcast shape.
 
     Coordinates must already lie inside ``dims``; this low-level routine
     does not bounds-check. Returns uint64 codes.
@@ -129,19 +130,25 @@ def _lex_blocked_index(b, x, y, z, dims):
 
 
 def _morton_index(g, x, y, z, dims):
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
-    z = np.asarray(z, dtype=np.uint64)
+    # The x, y and z bits never overlap, so each coordinate is spread on
+    # its own and the three are ORed: broadcast aranges cost three 1-D
+    # spreads and two broadcast ORs.
     bits = max(int(d) - 1 for d in dims).bit_length()
     ngroups = -(-bits // g)
     if 3 * g * ngroups > 64:
         raise ParameterError(f"dims {tuple(dims)} overflow 64-bit Morton codes")
-    mask = np.uint64((1 << g) - 1)
-    code = np.zeros(np.broadcast(x, y, z).shape, dtype=np.uint64)
-    for k in range(ngroups):
-        src = np.uint64(g * k)
-        dst = np.uint64(3 * g * k)
-        code |= ((x >> src) & mask) << dst
-        code |= ((y >> src) & mask) << (dst + np.uint64(g))
-        code |= ((z >> src) & mask) << (dst + np.uint64(2 * g))
+    sx, sy, sz = (_spread(v, g, ngroups, axis) for axis, v in enumerate((x, y, z)))
+    code = np.empty(np.broadcast_shapes(sx.shape, sy.shape, sz.shape), dtype=np.uint64)
+    np.bitwise_or(sx, sy, out=code)
+    code |= sz
     return code
+
+
+def _spread(v, g, ngroups, axis):
+    """Bit group k of `v` moved to group 3k + axis of a Morton code."""
+    v = np.asarray(v, dtype=np.uint64)
+    mask = np.uint64((1 << g) - 1)
+    out = np.zeros(v.shape, dtype=np.uint64)
+    for k in range(ngroups):
+        out |= ((v >> np.uint64(g * k)) & mask) << np.uint64(g * (3 * k + axis))
+    return out

@@ -8,6 +8,9 @@ neighbor indices as u64. I_c is implicit: record i holds I_c = i + 1.
 Partitions are not stored: `chunk_ranges` cuts the list. Records that fail
 `check_records` raise DataError before a byte is written; the readers
 raise FormatError at the offset of a bad field, body size or neighbor.
+Records move between arrays and file a block of `_BLOCK` at a time
+through one reused packed buffer, and the reader checks each block's
+neighbor range while the block is in cache.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ _FIXED = struct.Struct("<4sI3QQIH")  # magic, version, X, Y, Z, N_f, periodic, s
 RECORD_DTYPE = np.dtype([("coords", "<u4", (3,)), ("nbr", "<u8", (18,))])
 assert RECORD_DTYPE.itemsize == 156
 
+# records per block of write_sparse and read_sparse: one packed block of
+# 2.5 MB is reused, so neither builds a structured copy of every record
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SparseHeader:
@@ -67,14 +74,23 @@ def _pack_header(header: SparseHeader) -> bytes:
 
 def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
     """Write records that are already sorted by I_c: record i must hold
-    I_c = i + 1. `check_records` runs before any bytes are written."""
+    I_c = i + 1. `check_records` runs before any bytes are written; the
+    records are then packed and written a block of `_BLOCK` at a time."""
     check_records(records, header.n_fluid)
-    arr = np.empty(len(records), dtype=RECORD_DTYPE)
-    arr["coords"] = records.coords
-    arr["nbr"] = records.nbr
     with open(path, "wb") as fh:
         fh.write(_pack_header(header))
-        arr.tofile(fh)
+        for rows, block in _blocks(len(records)):
+            block["coords"], block["nbr"] = records.coords[rows], records.nbr[rows]
+            fh.write(block.view(np.uint8))
+
+
+def _blocks(n: int):
+    """(rows, block) for each `_BLOCK` records of n: the slice of record
+    rows, and a view as long of one packed buffer reused by every block."""
+    buf = np.empty(min(_BLOCK, n), dtype=RECORD_DTYPE)
+    for a0 in range(0, n, _BLOCK):
+        rows = slice(a0, min(a0 + _BLOCK, n))
+        yield rows, buf[: rows.stop - a0]
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -147,21 +163,30 @@ def check_body_size(fh, n_fluid: int) -> None:
 
 
 def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
-    """Read the header and all N_f records."""
+    """Read the header and all N_f records, a block of `_BLOCK` records
+    at a time; each block's neighbor range is checked as it arrives."""
     with open(path, "rb") as fh:
         header = read_header(fh)
         base = fh.tell()
         n_fluid = header.n_fluid
         check_body_size(fh, n_fluid)
-        arr = np.fromfile(fh, RECORD_DTYPE, count=n_fluid)
-    coords = np.ascontiguousarray(arr["coords"])
-    nbr = np.ascontiguousarray(arr["nbr"])
-    bad = first_bad_entry(nbr, n_fluid)
-    if bad is not None:
-        row, col = bad
-        raise FormatError(
-            f"neighbor index {int(nbr[row, col])} of I_c={row + 1} exceeds N_f={n_fluid}",
-            offset=base + RECORD_DTYPE.itemsize * row + 12 + 8 * col,
-        )
+        coords = np.empty((n_fluid, 3), dtype=np.uint32)
+        nbr = np.empty((n_fluid, 18), dtype=np.uint64)
+        for rows, block in _blocks(n_fluid):
+            got = fh.readinto(block.view(np.uint8))
+            if got != block.nbytes:
+                raise FormatError(
+                    f"truncated record for I_c={rows.start + got // RECORD_DTYPE.itemsize + 1}: "
+                    f"read {got} of {block.nbytes} bytes",
+                    offset=base + RECORD_DTYPE.itemsize * rows.start + got,
+                )
+            coords[rows], nbr[rows] = block["coords"], block["nbr"]
+            bad = first_bad_entry(nbr[rows], n_fluid)
+            if bad is not None:
+                row, col = rows.start + bad[0], bad[1]
+                raise FormatError(
+                    f"neighbor index {int(nbr[row, col])} of I_c={row + 1} exceeds N_f={n_fluid}",
+                    offset=base + RECORD_DTYPE.itemsize * row + 12 + 8 * col,
+                )
     ic = np.arange(1, n_fluid + 1, dtype=np.uint64)
     return header, SparseRecords(coords=coords, ic=ic, nbr=nbr)

@@ -17,8 +17,10 @@ from listlbm import (
     find_runs,
     make_packing,
     octree_reduce,
+    preprocess_grid,
     serial_oracle,
 )
+from listlbm import indexer, pipeline
 from listlbm.indexer import CellOrder, _merge_runs, assign_contiguous
 from conftest import ALL_SCHEMES, SCHEME_IDS, ic_field, random_grid
 
@@ -253,6 +255,59 @@ class TestCellOrderMismatch:
                 find_runs(grid, LexBlocked(1), box, boxes, wrong)
             with pytest.raises(ParameterError, match=match):
                 assign_contiguous(grid, LexBlocked(1), box, assigned[box.rank], wrong)
+
+
+class TestBoxHandOver:
+    """`find_runs` leaves each box's sort in its `CellOrder`, and
+    `assign_contiguous` takes it out again."""
+
+    @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
+    @pytest.mark.parametrize("P", [1, 8, 64])
+    def test_each_box_is_sorted_once(self, monkeypatch, scheme, P):
+        grid = random_grid(4, (16, 8, 8))
+        sorted_boxes = []
+
+        def sort_box(box, order):
+            sorted_boxes.append(box)
+            return real(box, order)
+
+        real = indexer._sort_box
+        monkeypatch.setattr(indexer, "_sort_box", sort_box)
+        preprocess_grid(grid, scheme, nranks=P)
+        assert sorted(sorted_boxes, key=lambda b: b.rank) == decompose_ranks(grid.dims, P)
+
+    def test_no_slot_outlives_the_assign_phase(self, monkeypatch):
+        grid = random_grid(6, (16, 8, 8))
+        orders = []
+
+        class Recorded(CellOrder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                orders.append(self)
+
+        def halo_exchange(*args, **kwargs):
+            assert [o._sorted for o in orders] == [{}]
+            return real(*args, **kwargs)
+
+        real = pipeline.halo_exchange
+        monkeypatch.setattr(pipeline, "CellOrder", Recorded)
+        monkeypatch.setattr(pipeline, "halo_exchange", halo_exchange)
+        preprocess_grid(grid, Morton(2), nranks=8)
+        assert len(orders) == 1
+
+    @pytest.mark.parametrize("scheme", [LexBlocked(4), Morton(2)], ids=["lex:b=4", "morton:g=2"])
+    def test_a_fresh_order_gives_the_handed_over_field(self, scheme):
+        grid = random_grid(7, (26, 9, 10))
+        boxes = decompose_ranks(grid.dims, 13)
+        order = CellOrder(grid.dims, scheme)
+        lists = [find_runs(grid, scheme, b, boxes, order) for b in boxes]
+        assert set(order._sorted) == set(boxes)
+        assigned = octree_reduce(lists, build_rank_tree(len(boxes)))
+        for b in boxes:
+            handed = assign_contiguous(grid, scheme, b, assigned[b.rank], order)
+            assert b not in order._sorted
+            assert np.array_equal(handed, contiguous(grid, scheme, b, assigned[b.rank]))
+        assert order._sorted == {}
 
 
 class TestSerialOracle:

@@ -162,6 +162,18 @@ class TestMortonProperties:
                      | int(cell_index(scheme, 0, 0, z, dims)))
             assert combined == parts
 
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (5, 7, 3), (33, 2, 9)])
+    def test_broadcast_axes_match_the_reference(self, g, dims):
+        """Codes of broadcast aranges come out in the broadcast shape,
+        each equal to the digit-by-digit interleave of its cell."""
+        idx = all_indices(Morton(g), dims)
+        X, Y, Z = dims
+        assert idx.shape == (Z, Y, X) and idx.dtype == np.uint64
+        want = [[[classic_interleave(x, y, z, g) for x in range(X)] for y in range(Y)]
+                for z in range(Z)]
+        assert np.array_equal(idx, np.array(want, dtype=np.uint64))
+
     def test_pow2_cube_is_bijective(self):
         idx = np.sort(all_indices(Morton(1), (8, 8, 8)).ravel())
         assert np.array_equal(idx, np.arange(512))

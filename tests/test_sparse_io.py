@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from listlbm import (
     read_sparse,
     write_sparse,
 )
+from listlbm import sparse_io
 from listlbm.adjacency import SparseRecords
 from listlbm.sparse_io import RECORD_DTYPE
 from conftest import first_record_offset
@@ -246,3 +248,114 @@ class TestTableFlag:
             with pytest.raises(FormatError, match=f"table flag must be 0, got {flag}") as info:
                 read_header(fh)
         assert info.value.offset == at
+
+
+@pytest.fixture(scope="module")
+def packing24_file(tmp_path_factory, packing24):
+    """The d=24 packing under morton:g=2, periodic along x: 37,327
+    records, so three blocks of 16,384."""
+    path = tmp_path_factory.mktemp("p24") / "p24.sprs"
+    write_domain(packing24, Morton(2), path, periodic=(True, False, False))
+    return path
+
+
+class TestBlocks:
+    """Writer and reader pass over the records a block of
+    `sparse_io._BLOCK` at a time; no block boundary shows in the bytes
+    or the records."""
+
+    # SHA-1 of the d=24 packing's file, periodic along x, at any rank count
+    PINNED = {
+        "lex:b=1": "2f72343dab8f9a9a54eb2a785b85aba4b8527c4e",
+        "morton:g=2": "4a38995a2cf524b2cf08e35a083bb30ab13d0bfe",
+    }
+
+    @pytest.mark.parametrize("nranks", [1, 8])
+    @pytest.mark.parametrize("text,digest", PINNED.items(), ids=list(PINNED))
+    def test_packing_bytes_are_pinned(self, tmp_path, packing24, text, digest, nranks):
+        header, records = preprocess_grid(packing24, parse_scheme(text), nranks=nranks,
+                                          periodic=(True, False, False))
+        assert len(records) == 37_327 > 2 * sparse_io._BLOCK
+        path = tmp_path / "p24.sprs"
+        write_sparse(path, records, header)
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_fluid", [0, 1, 3, 4, 5, 9])
+    def test_round_trip_across_small_blocks(self, tmp_path, monkeypatch, n_fluid):
+        flags = np.zeros((1, 2, 10), dtype=bool)
+        flags.reshape(-1)[:n_fluid] = True
+        header, records = preprocess_grid(VoxelGrid(flags), LexBlocked(1))
+        whole = tmp_path / "whole.sprs"
+        write_sparse(whole, records, header)
+        monkeypatch.setattr(sparse_io, "_BLOCK", 4)
+        path = tmp_path / "blocks.sprs"
+        write_sparse(path, records, header)
+        assert path.read_bytes() == whole.read_bytes()
+        got_header, got = read_sparse(path)
+        assert got_header == header
+        for name in ("coords", "ic", "nbr"):
+            assert np.array_equal(getattr(got, name), getattr(records, name))
+
+    @pytest.mark.parametrize("block, row", [(4, 6), (sparse_io._BLOCK, 2 * sparse_io._BLOCK + 11)],
+                             ids=["small-blocks", "third-block"])
+    def test_bad_neighbor_in_a_later_block_keeps_its_offset(self, tmp_path, monkeypatch,
+                                                            packing24_file, block, row):
+        with open(packing24_file, "rb") as fh:
+            n_fluid = read_header(fh).n_fluid
+        at = first_record_offset(packing24_file) + 156 * row + 12 + 8 * 5
+
+        def mutate(raw):
+            raw[at : at + 8] = (n_fluid + 1).to_bytes(8, "little")
+
+        bad = corrupt(packing24_file, tmp_path, "nbr.sprs", mutate)
+        monkeypatch.setattr(sparse_io, "_BLOCK", block)
+        with pytest.raises(FormatError, match=f"^neighbor index {n_fluid + 1} of I_c={row + 1} "
+                                              f"exceeds N_f={n_fluid} ") as info:
+            read_sparse(bad)
+        assert info.value.offset == at
+
+    def test_short_read_returns_no_records(self, tmp_path, monkeypatch, packing24_file):
+        """A body that shrinks after its size was checked ends in
+        FormatError at the first byte missing."""
+        cut = first_record_offset(packing24_file) + 156 * (sparse_io._BLOCK + 7) + 100
+        short = tmp_path / "short.sprs"
+        short.write_bytes(packing24_file.read_bytes()[:cut])
+        monkeypatch.setattr(sparse_io, "check_body_size", lambda fh, n_fluid: None)
+        with pytest.raises(FormatError, match=f"^truncated record for I_c={sparse_io._BLOCK + 8}: "
+                                              f"read ") as info:
+            read_sparse(short)
+        assert info.value.offset == cut
+
+
+class TestFileMemory:
+    """In the style of the solver's set-up memory test: the file layer
+    holds one block of packed records, never a packed copy of them all."""
+
+    BLOCK_BYTES = sparse_io._BLOCK * RECORD_DTYPE.itemsize
+    SLACK = 64 << 10
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_read_peak_is_the_records_and_one_block(self, packing24_file):
+        """The records returned (164 bytes each) plus one block buffer:
+        about 1.42x at d=24, where a block is 0.42x of the records, and
+        1.05x at d=48. A structured copy of every record reads 1.95x."""
+        read_sparse(packing24_file)
+        peak, (_, got) = self.peak(lambda: read_sparse(packing24_file))
+        kept = got.coords.nbytes + got.ic.nbytes + got.nbr.nbytes
+        assert peak <= kept + self.BLOCK_BYTES + self.SLACK, (peak, kept)
+
+    def test_write_peak_is_one_block(self, tmp_path, packing24_file):
+        header, records = read_sparse(packing24_file)
+        path = tmp_path / "again.sprs"
+        write_sparse(path, records, header)
+        peak, _ = self.peak(lambda: write_sparse(path, records, header))
+        assert peak <= self.BLOCK_BYTES + self.SLACK, peak
+        assert path.read_bytes() == packing24_file.read_bytes()
