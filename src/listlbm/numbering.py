@@ -114,19 +114,38 @@ def _lex_blocked_index(b, x, y, z, dims):
     # Rank of (x, y, z) under the sort key
     # (z//b, y//b, x//b, z%b, y%b, x%b); partial blocks at the domain
     # edges keep their truncated extents so the index stays gapless.
+    # With p the start, w the (truncated) width and r the offset of a
+    # coordinate's block, the rank is
+    #   pz X Y + wz py X + wz wy px + rz wy wx + ry wx + rx
+    #   = wy (wz px + rz wx) + (pz X Y + wz py X) + (ry wx + rx):
+    # the terms are taken on the axes as given, so broadcast aranges
+    # cost three passes over the broadcast shape.
     X, Y, Z = (int(d) for d in dims)
     if X * Y * Z >= 2**63:
         raise ParameterError(f"dims {(X, Y, Z)} overflow 64-bit lex codes")
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    z = np.asarray(z, dtype=np.int64)
-    bx, by, bz = x // b, y // b, z // b
-    wx = np.minimum(b, X - bx * b)
-    wy = np.minimum(b, Y - by * b)
-    wz = np.minimum(b, Z - bz * b)
-    before = bz * b * (X * Y) + wz * (by * b) * X + wz * wy * (bx * b)
-    within = (z % b) * wy * wx + (y % b) * wx + (x % b)
-    return (before + within).astype(np.uint64)
+    px, wx, rx = _lex_axis(x, b, X)
+    py, wy, ry = _lex_axis(y, b, Y)
+    pz, wz, rz = _lex_axis(z, b, Z)
+    zx = wz * px
+    zx += rz * wx
+    zy = wz * py
+    zy *= X
+    zy += pz * (X * Y)
+    yx = ry * wx
+    yx += rx
+    code = np.multiply(wy, zx)
+    code += zy
+    code += yx
+    return code.view(np.uint64)  # every term is at least 0
+
+
+def _lex_axis(v, b, n):
+    """Start, width (truncated at the edge n) and offset of the b-sided
+    block holding each coordinate v."""
+    v = np.asarray(v, dtype=np.int64)
+    start = v // b
+    start *= b
+    return start, np.minimum(n - start, b), v - start
 
 
 def _morton_index(g, x, y, z, dims):

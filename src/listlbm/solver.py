@@ -9,13 +9,18 @@ stay in cache instead of streaming (19, N) arrays through memory.
 
 Within a block the collision runs in pair variables. In STENCIL order
 populations 2k + 1 and 2k + 2 are opposites, so the 9 pairs are the row
-slices f[1::2] and f[2::2]. Straight after the pull the kernel forms
-each pair's sum s = fp + fm and difference d = fp - fm; the density and
-momentum, the equilibrium's half sums q and half differences h, and the
-TRT relaxation (s at omega+, d at omega-) are all written in s and d,
-and the head and tail take the new half sum plus and minus the new half
-difference. Population 0 pulls from its own slot, so it is read as a
-slice and the pull table has 18 rows.
+slices f[1::2] and f[2::2]; the pull table gathers the heads and the
+tails as two slabs. Straight after the pull the kernel forms each
+pair's sum s = fp + fm and difference d = fp - fm; the density and
+momentum, the equilibrium and the TRT relaxation (s at omega+, d at
+omega-) are all written in s and d, and the head and tail take the new
+half sum plus and minus the new half difference. The rates and the
+force are folded into per-pair constants once a step (`_Fold`), so the
+equilibrium's half sums come out as omega+ times their value and its
+half differences as omega- times theirs plus the force term. Every
+temporary of every block is a view of one buffer made once a step and
+shared by the partitions (`_views`). Population 0 pulls from its own
+slot, so it is read as a slice and the pull table has 18 rows.
 
 Every operation is column by column and the moment sums add rows in
 one fixed order, so the state is bitwise the same for any block size.
@@ -52,10 +57,16 @@ __all__ = [
 # heads f[1::2], tails f[2::2]
 W = np.array([1.0 / 3.0] + [1.0 / 18.0] * 6 + [1.0 / 36.0] * 12)
 OPP = np.array([0] + [((p - 1) ^ 1) + 1 for p in range(1, 19)], dtype=np.int64)
-_WP = W[1::2, None]
+# the populations of the pull table's rows: the pair heads, then the tails
+_PULLED = np.r_[1:19:2, 2:19:2]
+# the weight of each slab of 3 pairs: the axis pairs (rows 0-2), then two
+# slabs of diagonal pairs (rows 3-5 and 6-8)
+_W_SLAB = np.array([W[1], W[7], W[7]])[:, None]
 
-# owned cells per block of the collide-stream step
+# owned cells per block of the collide-stream step, and the rows of n
+# doubles a block of n takes in the step's buffer (`_views`)
 _BLOCK = 4096
+_ROWS = 42
 
 # health bound next to positive density: Mach |u| sqrt(3) <= 1, that is
 # usq = 1.5 |u|^2 <= 0.5 (the rest equilibrium turns negative near Mach 1.41)
@@ -111,7 +122,10 @@ class LocalDomain:
     `nbr` is the records' (N_f, 18) adjacency as stored: `nbr[a, i]` is
     the I_c of cell I_c = a + 1's neighbor in stencil direction i, 0 for
     a solid one; the rows of cells [lo, hi) become the (18, n_own) pull
-    table, in `_pull_dtype(N_f)`.
+    table, in `_pull_dtype(N_f)`. Its rows pull the populations
+    `_PULLED`: the pair heads 1, 3, ..., 17, then the tails 2, 4, ..., 18,
+    so a block's gather holds the heads and the tails as two contiguous
+    (9, n) slabs.
     """
 
     def __init__(self, nbr: np.ndarray, lo: int, hi: int, part: int):
@@ -125,9 +139,12 @@ class LocalDomain:
         own = nbr[lo - 1 : hi - 1]
         pull = self._pull_flat = np.empty((18, self.n_own), dtype=_pull_dtype(nbr.shape[0]))
         for b0 in range(0, self.n_own, _BLOCK):  # row blocks: one pass over nbr
-            pull[:, b0 : b0 + _BLOCK] = own[b0 : b0 + _BLOCK, OPP[1:] - 1].T
+            pull[:, b0 : b0 + _BLOCK] = own[b0 : b0 + _BLOCK, OPP[_PULLED] - 1].T
         solid = pull == 0
-        remote = ~solid & ((pull < lo) | (pull >= hi))
+        # every solid entry (0) lies below lo, so ^ takes exactly those out
+        remote = pull < lo
+        remote ^= solid
+        remote |= pull >= hi
         # ascending I_c, so the ghosts owned by one partition are contiguous
         self.ghost_ic, ghost = np.unique(pull[remote], return_inverse=True)
         self.n_ghost = int(self.ghost_ic.size)
@@ -137,104 +154,172 @@ class LocalDomain:
         pull[remote] = self.n_own + ghost
         itype = pull.dtype
         np.copyto(pull, np.arange(self.n_own, dtype=itype), where=solid)
-        # flat index p * nslots + slot of populations 1..18; population 0
-        # stays in place, so it needs no row
-        np.add(pull, OPP[1:, None].astype(itype) * nslots, out=pull, where=solid)
-        np.add(pull, np.arange(1, 19, dtype=itype)[:, None] * nslots, out=pull, where=~solid)
+        # flat index p * nslots + slot of the populations p = _PULLED;
+        # population 0 stays in place, so it needs no row
+        np.add(pull, OPP[_PULLED, None].astype(itype) * nslots, out=pull, where=solid)
+        fluid = np.logical_not(solid, out=solid)
+        np.add(pull, _PULLED[:, None].astype(itype) * nslots, out=pull, where=fluid)
 
         self.f_src = np.zeros((19, nslots))
         self.f_dst = np.zeros((19, nslots))
 
 
-def _pair_cu(u) -> np.ndarray:
+def _pair_cu(u, out=None) -> np.ndarray:
     """(9, n) rows c_p . u of the pair heads p = 1, 3, ..., 17 for the
-    velocity rows u[0], u[1], u[2], written out as adds."""
+    velocity rows u[0], u[1], u[2]: rows 0-2 are u itself (no copy when
+    u is already out[:3]), rows 3-8 its written-out sums and differences."""
     ux, uy, uz = u
-    return np.stack([ux, uy, uz, ux + uy, ux - uy, ux + uz, ux - uz, uy + uz, uy - uz])
+    if out is None:
+        out = np.empty((9,) + ux.shape)
+    out[:3] = u
+    np.add(ux, uy, out=out[3])
+    np.subtract(ux, uy, out=out[4])
+    np.add(ux, uz, out=out[5])
+    np.subtract(ux, uz, out=out[6])
+    np.add(uy, uz, out=out[7])
+    np.subtract(uy, uz, out=out[8])
+    return out
 
 
-def _moments(f0, s, d):
+def _moments(f0, s, d, out=None):
     """Density and raw momentum of the rest row f0, the (9, n) pair sums
-    s = fp + fm and differences d = fp - fm. The density adds f0 and the
-    rows of s in order; each momentum component adds, written out, the
-    signed rows of d whose pair head has that component. Every sum is
-    row by row, so each column is summed the same way whatever the
-    column count (numpy sums the values of a single column pairwise)."""
-    rho = f0 + s[0]
+    s = fp + fm and differences d = fp - fm, into `out` = (rho, m) when
+    given. The density adds f0 and the rows of s in order; each momentum
+    component adds, written out, the signed rows of d whose pair head
+    has that component. Every sum is row by row, so each column is
+    summed the same way whatever the column count (numpy sums the
+    values of a single column pairwise)."""
+    if out is None:
+        out = np.empty(s.shape[1:]), np.empty((3,) + s.shape[1:])
+    rho, (mx, my, mz) = out
+    np.add(f0, s[0], out=rho)
     for row in s[1:]:
         rho += row
-    m = np.stack([d[0] + d[3] + d[4] + d[5] + d[6],
-                  d[1] + d[3] - d[4] + d[7] + d[8],
-                  d[2] + d[5] - d[6] + d[7] - d[8]])
-    return rho, m
+    np.add(d[0], d[3], out=mx)
+    mx += d[4]
+    mx += d[5]
+    mx += d[6]
+    np.add(d[1], d[3], out=my)
+    my -= d[4]
+    my += d[7]
+    my += d[8]
+    np.add(d[2], d[5], out=mz)
+    mz -= d[6]
+    mz += d[7]
+    mz -= d[8]
+    return out
 
 
-def _equilibrium(rho, u):
+class _Fold:
+    """The TRT rates and the body force folded into per-pair constants,
+    made once a step. The 9 pairs fall into two weight classes, rows 0-2
+    (axis pairs, W = 1/18) and rows 3-8 (diagonal pairs, 1/36), so every
+    constant is a scalar or one value per slab of 3 rows (`_W_SLAB`),
+    never a (9, 1) column. Each constant that meets rho holds a weight,
+    so rho never meets the factor 4.5 alone. The defaults (unit rates,
+    no force) give the plain equilibrium."""
+
+    def __init__(self, omega_plus=1.0, omega_minus=1.0, force=(0.0, 0.0, 0.0)):
+        self.keep_rest = 1.0 - omega_plus
+        self.keep_plus = 0.5 * (1.0 - omega_plus)
+        self.keep_minus = 0.5 * (1.0 - omega_minus)
+        self.rest = omega_plus * W[0]
+        self.plus = omega_plus * _W_SLAB
+        self.plus_sq = 4.5 * omega_plus * _W_SLAB
+        # the diagonal pairs' weight: an axis pair's term is twice the
+        # per-axis term, a diagonal pair's the sum or difference of two
+        self.minus = 3.0 * omega_minus * W[7]
+        self.force = 3.0 * W[7] * np.asarray(force, dtype=float)[:, None]
+
+
+_UNIT = _Fold()
+
+
+def _views(flat, n):
+    """A block of n cells' views of a step's flat buffer, `_ROWS` rows of
+    n: the pulled populations f (18 rows; the heads' slab then takes the
+    pair sums, the tails' slab the half-difference term h), the pair
+    differences d, the equilibrium's scratch (c.u, h, three spare rows,
+    usq and rho (1 - usq)) and last the density rho."""
+    v = flat[: _ROWS * n].reshape(_ROWS, n)
+    return v[0:18], v[18:27], (v[27:36], v[9:18], v[36:39], v[39], v[40]), v[41]
+
+
+def _equilibrium(rho, u, fold=_UNIT, scratch=None):
     """D3Q19 equilibrium of density rho (a scalar or length n) and
-    velocity rows u[0], u[1], u[2] of length n in pair variables: the
-    rest row W_0 rho (1 - 1.5 u.u), the (9, n) half sums
-    q = W rho (1 + 4.5 (c.u)^2 - 1.5 u.u) and half differences
-    h = 3 W rho c.u of each pair, c its head, so that the head's
-    equilibrium is q + h and the tail's q - h; and usq = 1.5 u.u
-    (Ma^2 / 2)."""
-    cu = _pair_cu(u)
-    usq = 1.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    wr = _WP * rho
-    h = 3.0 * cu
-    h *= wr
+    velocity rows u[0], u[1], u[2] of length n in pair variables, with
+    the rates and the force of `fold` folded in. With usq = 1.5 u.u
+    (Ma^2 / 2), r = rho (1 - usq) and cu = c . u of each pair head c, it
+    returns
+      rest = (omega+ W_0) r,
+      q = (omega+ W) r + (4.5 omega+ W) rho cu^2, the (9, n) half sums,
+      h = rho ((3 omega- W) cu + 3 W c . g), the half differences,
+    and usq. At unit rates and no force the head's equilibrium is q + h,
+    the tail's q - h and the rest population's `rest`. All of it is
+    written into `scratch` (`_views`; fresh when None); its spare rows
+    take u^2, then rho and r times each slab's constant."""
+    if scratch is None:
+        scratch = _views(np.empty(_ROWS * u.shape[1]), u.shape[1])[2]
+    cu, h, spare, usq, r = scratch
+    _pair_cu(u, out=cu)
+    np.square(u, out=spare)
+    np.add(spare[0], spare[1], out=usq)
+    usq += spare[2]
+    usq *= 1.5
+    np.subtract(1.0, usq, out=r)
+    r *= rho
+    # per axis rho (3 omega- W u + 3 W g) at the diagonal weight; the
+    # axis pairs take twice it, the diagonal pairs its sums and differences
+    hd = np.multiply(u, fold.minus, out=h[:3])
+    hd += fold.force
+    hd *= rho
+    _pair_cu(hd, out=h)
+    h[:3] *= 2.0
     q = np.square(cu, out=cu)
-    q *= 4.5
-    q += 1.0
-    q -= usq
-    q *= wr
-    return W[0] * rho * (1.0 - usq), q, h, usq
+    by_slab = q.reshape(3, 3, -1)
+    np.multiply(fold.plus_sq, rho, out=spare)
+    by_slab *= spare[:, None]
+    np.multiply(fold.plus, r, out=spare)
+    by_slab += spare[:, None]
+    return np.multiply(r, fold.rest, out=r), q, h, usq
 
 
-def _collide_stream(domain: LocalDomain, params: TrtParams) -> tuple[int, str] | None:
+def _collide_stream(domain: LocalDomain, fold: _Fold, flat: np.ndarray) -> tuple[int, str] | None:
     """Fused pull + TRT collision + forcing into the destination array,
-    one block of `_BLOCK` owned cells at a time, in pair variables: the
-    new half sum is (1 - omega+) s / 2 + omega+ q, the new half
-    difference (1 - omega-) d / 2 + (omega- h + 3 W rho c.g), and the
-    head takes their sum, the tail their difference. The force term is
-    always added: a zero force turns a -0.0 population into +0.0 and
-    changes nothing else.
+    one block of `_BLOCK` owned cells at a time, in pair variables: with
+    `_equilibrium`'s folded terms, the new half sum is
+    (1 - omega+) s / 2 + q, the new half difference (1 - omega-) d / 2 + h,
+    the head takes their sum, the tail their difference, and the rest
+    population becomes (1 - omega+) f0 + rest. Every temporary is a view
+    of `flat`, the step's buffer. The force term is always added: a zero
+    force turns a -0.0 population into +0.0 and changes nothing else.
 
     Returns None when every pulled cell has a positive, finite density
     and a velocity within Mach `_MAX_MACH`, else the local index of the
     first cell that has not (NaN fails both) and the bound it fails,
     stopping after its block."""
     f_flat = domain.f_src.reshape(-1)
-    omega_plus, omega_minus = params.omega_plus, params.omega_minus
-    keep_plus, keep_minus = 0.5 * (1.0 - omega_plus), 0.5 * (1.0 - omega_minus)
-    force_p = 3.0 * _WP * _pair_cu(np.asarray(params.force, dtype=float)[:, None])
-    # one gather and one difference buffer a step: a fresh (18, B) or
-    # (9, B) array each block costs more than the operation filling it
-    width = min(_BLOCK, domain.n_own)
-    f_buf, d_buf = np.empty(18 * width), np.empty(9 * width)
     for b0 in range(0, domain.n_own, _BLOCK):
         b1 = min(b0 + _BLOCK, domain.n_own)
-        n = b1 - b0
+        f, d, scratch, rho = _views(flat, b1 - b0)
         # the pull table's flat indices are in range by construction;
         # mode="clip" lets take write straight into the contiguous buffer
-        f = np.take(f_flat, domain._pull_flat[:, b0:b1], mode="clip",
-                    out=f_buf[: 18 * n].reshape(18, n))
-        f0, fp, fm = domain.f_src[0, b0:b1], f[0::2], f[1::2]
-        d = np.subtract(fp, fm, out=d_buf[: 9 * n].reshape(9, n))
+        np.take(f_flat, domain._pull_flat[:, b0:b1], mode="clip", out=f)
+        f0, fp, fm = domain.f_src[0, b0:b1], f[:9], f[9:]
+        np.subtract(fp, fm, out=d)
         s = np.add(fp, fm, out=fp)
-        rho, u = _moments(f0, s, d)
-        u /= rho
-        rest, q, h, usq = _equilibrium(rho, u)
-        # the force term goes into the omega- term, built in q's spent buffer
-        s *= keep_plus
-        q *= omega_plus
+        # the momentum takes the spare rows; the velocity, c.u's first rows
+        _, m = _moments(f0, s, d, out=(rho, scratch[2]))
+        u = np.divide(m, rho, out=scratch[0][:3])
+        rest, q, h, usq = _equilibrium(rho, u, fold, scratch)
+        s *= fold.keep_plus
         s += q
-        d *= keep_minus
-        h *= omega_minus
-        h += np.multiply(force_p, rho, out=q)
+        d *= fold.keep_minus
         d += h
         np.add(s, d, out=domain.f_dst[1::2, b0:b1])
         np.subtract(s, d, out=domain.f_dst[2::2, b0:b1])
-        domain.f_dst[0, b0:b1] = f0 - omega_plus * (f0 - rest)
+        f0_new = np.multiply(f0, fold.keep_rest, out=domain.f_dst[0, b0:b1])
+        f0_new += rest
         if not (rho.min() > 0.0 and rho.max() < math.inf and usq.max() <= _MAX_USQ):
             k = int(np.argmin((rho > 0.0) & (rho < math.inf) & (usq <= _MAX_USQ)))
             return b0 + k, ("density not positive" if not rho[k] > 0.0
@@ -301,7 +386,7 @@ class Simulation:
         if not (u.shape == (3,) and 1.5 * sum(x * x for x in u.tolist()) <= _MAX_USQ):
             raise ParameterError(
                 f"u0 must be three finite components within Mach {_MAX_MACH:g}, got {u0}")
-        rest, q, h, _ = _equilibrium(rho0, u[:, None])
+        rest, q, h, _ = _equilibrium(rho0, u[:, None])  # unit rates, no force
         feq = np.empty((19, 1))
         feq[0], feq[1::2], feq[2::2] = rest, q + h, q - h
         for d in self.domains:
@@ -321,11 +406,16 @@ class Simulation:
         or whose velocity is above Mach `_MAX_MACH`. Partitions run in I_c
         order and the first failing one raises before any swap: the state
         is unchanged."""
+        p = self.params
+        fold = _Fold(p.omega_plus, p.omega_minus, p.force)
+        # one buffer a step for every temporary of every block: the
+        # partitions step one after another, so they share it
+        flat = np.empty(_ROWS * min(_BLOCK, max(d.n_own for d in self.domains)))
         # an overflowing state ends in the health check, not in warnings
         with np.errstate(all="ignore"):
             for d in self.domains:
                 t0 = time.perf_counter()
-                bad = _collide_stream(d, self.params)
+                bad = _collide_stream(d, fold, flat)
                 self.compute_seconds[d.part] += time.perf_counter() - t0
                 if bad is not None:
                     ic = d.lo + bad[0]

@@ -233,12 +233,6 @@ class TestPreprocess:
         assert code == 1
         assert "distinct" in capsys.readouterr().err
 
-    def test_missing_output_directory_exits_one(self, tmp_path, voxel_file, capsys):
-        code = main(["preprocess", "--in", str(voxel_file),
-                     "--out", str(tmp_path / "nodir" / "x.sprs")])
-        assert code == 1
-        assert "No such file or directory" in error_only(capsys.readouterr().err)
-
 
 class TestInfo:
     def test_prints_header_fields(self, sparse_file, capsys):
@@ -356,12 +350,6 @@ class TestAnalyze:
         assert re.search(r"link 17 of I_c=3 at \(\d+, \d+, \d+\) to 3 does not match",
                          error_only(err))
         assert out == ""
-
-    def test_missing_output_directory_exits_one(self, tmp_path, sparse_file, capsys):
-        code = main(["analyze", "--in", str(sparse_file), "--parts", "2",
-                     "--out-prefix", str(tmp_path / "nodir" / "o")])
-        assert code == 1
-        assert "No such file or directory" in error_only(capsys.readouterr().err)
 
     # "taken": the second histogram's name is a directory, so the first,
     # already created, is removed again
@@ -534,12 +522,6 @@ class TestSolveAndBench:
                      "--tau", "0.4"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_missing_report_directory_exits_one(self, tmp_path, sparse_file, capsys):
-        code = main(["solve", "--in", str(sparse_file), "--steps", "1",
-                     "--report", str(tmp_path / "nodir" / "r.csv")])
-        assert code == 1
-        assert "No such file or directory" in error_only(capsys.readouterr().err)
 
     def test_empty_report_path_exits_one_before_the_read(self, sparse_file, capsys,
                                                           monkeypatch):

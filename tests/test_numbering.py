@@ -85,6 +85,17 @@ class TestWorkedValues:
         assert int(cell_index(LexBlocked(2), 2, 1, 0, dims)) == 6
 
 
+def lex_closed_form(b, x, y, z, dims):
+    """Blocked lex code of one cell in Python integers: the cells of the
+    blocks before its block, whose edge blocks keep their truncated
+    widths, then its rank inside its own block."""
+    X, Y, Z = dims
+    bx, by, bz = x // b, y // b, z // b
+    wx, wy, wz = min(b, X - bx * b), min(b, Y - by * b), min(b, Z - bz * b)
+    before = bz * b * X * Y + wz * by * b * X + wz * wy * bx * b
+    return before + (z % b) * wy * wx + (y % b) * wx + x % b
+
+
 class TestLexProperties:
     @pytest.mark.parametrize("dims", [(6, 5, 4), (1, 1, 1), (7, 3, 2)])
     def test_b1_is_row_major(self, dims):
@@ -111,6 +122,28 @@ class TestLexProperties:
     def test_gapless(self, b, dims):
         idx = np.sort(all_indices(LexBlocked(b), dims).ravel())
         assert np.array_equal(idx, np.arange(idx.size))
+
+    def test_matches_the_closed_formula(self):
+        """The codes equal the closed formula in Python integers bit for
+        bit, for random dims and b with partial edge blocks, over
+        broadcast aranges and over 1-D point arrays, up to boxes whose
+        codes reach 2^63."""
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            dims = tuple(int(n) for n in rng.integers(1, 14, 3))
+            b = int(rng.integers(1, 16))
+            got = all_indices(LexBlocked(b), dims)
+            assert got.dtype == np.uint64 and got.shape == dims[::-1]
+            want = [[[lex_closed_form(b, x, y, z, dims) for x in range(dims[0])]
+                     for y in range(dims[1])] for z in range(dims[2])]
+            assert got.tolist() == want
+        for dims in [(7, 5, 3), (2 ** 21, 2 ** 21, 2 ** 21 - 1), (3, 2 ** 40, 2 ** 21)]:
+            for b in (1, 2, 5, 1000, 2 ** 63 - 1):
+                x, y, z = (rng.integers(0, n, 50, dtype=np.int64) for n in dims)
+                got = cell_index(LexBlocked(b), x, y, z, dims)
+                assert got.dtype == np.uint64 and got.shape == (50,)
+                assert got.tolist() == [lex_closed_form(b, *p, dims)
+                                        for p in zip(x.tolist(), y.tolist(), z.tolist())]
 
     def test_overflow_guard(self):
         """A box of 2^63 or more cells has codes past int64; one cell

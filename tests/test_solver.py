@@ -107,6 +107,15 @@ class TestEquilibrium:
         sim.init_equilibrium(1e308)
         sim.run(2)
 
+    def test_a_huge_density_in_motion_stays_finite(self, channel6_sparse):
+        """Every product that meets rho holds a weight first: a kernel
+        that formed 4.5 rho, or 4.5 rho (c.u)^2 before the weight, would
+        overflow at rho = 1e308 once the fluid moves."""
+        sim = make_sim(channel6_sparse, nparts=3)
+        sim.init_equilibrium(1e308, (0.3, -0.2, 0.1))
+        sim.run(3)
+        assert np.isfinite(sim.gather_state()).all()
+
     @pytest.mark.parametrize("u0", [
         (1e200, 0.0, 0.0),  # |u|^2 overflows
         (0.6, 0.0, 0.0),  # Mach 0.6 sqrt(3) = 1.04
@@ -378,33 +387,44 @@ def signed_row_sum(rows, signs):
     return total
 
 
+def heads_dot(v):
+    """(9, n) rows c . v of the pair heads c for the rows v[0], v[1],
+    v[2], each as the signed sum c_x v_x + c_y v_y + c_z v_z."""
+    hf = _HEADS.astype(float)
+    return hf[:, 0, None] * v[0] + hf[:, 1, None] * v[1] + hf[:, 2, None] * v[2]
+
+
 def pair_reference_step(state, nbr, params):
     """The step of `reference_step` in the pair variables s = fp + fm and
-    d = fp - fm of the 9 pairs (fp, fm) = (f[1::2], f[2::2]): the density
-    adds f0 and the rows of s in order, momentum component a the rows of
-    d signed by the heads' c_a; the heads' equilibrium is q + h and the
-    tails' q - h with q = W rho (1 + 4.5 (c.u)^2 - 1.5 u.u) and
-    h = 3 W rho c.u; the new half sum is (1 - omega+) s / 2 + omega+ q,
-    the new half difference (1 - omega-) d / 2 + (omega- h + 3 W rho c.g),
-    and the head takes their sum, the tail their difference."""
+    d = fp - fm of the 9 pairs (fp, fm) = (f[1::2], f[2::2]), with the
+    rates folded into the weights: the density adds f0 and the rows of s
+    in order, momentum component a the rows of d signed by the heads'
+    c_a; with r = rho (1 - usq), the half sums' term is
+    q = (4.5 omega+ W) rho (c.u)^2 + (omega+ W) r and the half
+    differences' term h = c . hd scaled by W / W_diagonal, where
+    hd = rho ((3 omega- W_diagonal) u + 3 W_diagonal g) per axis; the
+    new half sum is (1 - omega+) s / 2 + q, the new half difference
+    (1 - omega-) d / 2 + h, the head takes their sum and the tail their
+    difference, and the rest population becomes
+    (1 - omega+) f0 + (omega+ W_0) r."""
     f = reference_pull(state, nbr)
     s, d = f[1::2] + f[2::2], f[1::2] - f[2::2]
     rho = f[0] + s[0]
     for row in s[1:]:
         rho += row
     u = np.stack([signed_row_sum(d, _HEADS[:, a]) for a in range(3)]) / rho
-    hf = _HEADS.astype(float)
-    cu = hf[:, 0, None] * u[0] + hf[:, 1, None] * u[1] + hf[:, 2, None] * u[2]
+    cu = heads_dot(u)
     usq = 1.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    wr = W[1::2, None] * rho
-    q = (4.5 * (cu * cu) + 1.0 - usq) * wr
-    h = (3.0 * cu) * wr
-    force = (3.0 * W[1::2, None]) * (hf @ np.asarray(params.force))[:, None] * rho
+    r = (1.0 - usq) * rho
     wp, wm = params.omega_plus, params.omega_minus
-    half_sum = (0.5 * (1.0 - wp)) * s + wp * q
-    half_diff = (0.5 * (1.0 - wm)) * d + (wm * h + force)
+    wd, wpair = W[7], W[1::2, None]
+    hd = ((3.0 * wm * wd) * u + (3.0 * wd) * np.asarray(params.force)[:, None]) * rho
+    h = heads_dot(hd) * (wpair / wd)
+    q = (cu * cu) * ((4.5 * wp * wpair) * rho) + (wp * wpair) * r
+    half_sum = (0.5 * (1.0 - wp)) * s + q
+    half_diff = (0.5 * (1.0 - wm)) * d + h
     post = np.empty_like(f)
-    post[0] = f[0] - wp * (f[0] - W[0] * rho * (1.0 - usq))
+    post[0] = f[0] * (1.0 - wp) + r * (wp * W[0])
     post[1::2], post[2::2] = half_sum + half_diff, half_sum - half_diff
     return post
 
@@ -463,7 +483,7 @@ class TestPairForm:
         got = sim.gather_state()
         assert np.array_equal(got, pair_reference_step(state, records.nbr, params))
         # the 19-row expression sums and rounds in another order: after
-        # one step the two differ by about 1.4e-15 relative
+        # one step the two differ by about 1.5e-15 relative
         np.testing.assert_allclose(got, reference_step(state, records.nbr, params),
                                    rtol=4e-15, atol=0)
 
@@ -582,6 +602,29 @@ class TestSetupMemory:
         kept = make_sim(channel6_sparse, nparts, tau_plus=0.8, force=(1e-5, 0, 0))
         kept.run(3)
         assert np.array_equal(sim.gather_state(), kept.gather_state())
+
+
+class TestStepMemory:
+    def test_a_step_allocates_only_its_buffer(self, packing24):
+        """Every temporary of every block is a view of the one buffer a
+        step makes, `_ROWS` rows of `_BLOCK` doubles; the rest of a step's
+        peak is the intp copy of a block's 18 pull-index rows that np.take
+        makes from the int32 table. Fresh pair sums and differences per
+        block, which live together, outgrow that copy and fail the bound,
+        as the equilibrium's (9, _BLOCK) arrays did when they were fresh."""
+        header, records = preprocess_grid(packing24, LexBlocked(1), periodic=(True, False, False))
+        assert header.n_fluid > solver._BLOCK
+        sim = Simulation(header, records, 1, TrtParams(tau_plus=0.8, force=(1e-5, 0, 0)))
+        sim.init_equilibrium(1.0)
+        sim.step()  # modules imported on a first call are not step memory
+        tracemalloc.start()
+        try:
+            sim.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (solver._ROWS + 18) * solver._BLOCK * 8 + 64 * 1024
+        assert peak < bound, (peak, bound)
 
 
 class TestPullTable:
