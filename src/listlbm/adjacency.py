@@ -7,9 +7,10 @@ pads `_wrap_pads` wraps on periodic axes and zeroes elsewhere, as it does for
 fluid when its I_c is > 0; one held by no rank or by two is a ProtocolError
 naming the cell. Neighbor entries store the contiguous index of the fluid
 neighbor, or 0 when the neighbor is solid or outside the domain.
-`SparseRecords.concat` places each record at row I_c - 1, so a repeated
-I_c leaves a zero row. `check_records` and `check_links` raise DataError naming
-the first I_c that breaks a record rule; `check_links` runs `check_records`,
+`build_adjacency(halo, out)` and `SparseRecords.concat` place each record
+at row I_c - 1, so a repeated I_c leaves a zero row. `check_records` and
+`check_links` raise DataError naming the first I_c that breaks a record
+rule; `check_links` runs `check_records`,
 then checks the records' (N_f, 18) `nbr` as stored against their header's dims,
 periodic axes and scheme through the blocked stencil gather `build_adjacency`
 fills `nbr` from. The file readers share `first_bad_entry` for the range rule.
@@ -80,17 +81,19 @@ class SparseRecords:
         return SparseRecords.concat([self])
 
     @classmethod
+    def zeros(cls, n: int) -> "SparseRecords":
+        """n zero records: the set `build_adjacency` places rows into."""
+        return cls(np.zeros((n, 3), np.uint32), np.zeros(n, np.uint64),
+                   np.zeros((n, 18), np.uint64))
+
+    @classmethod
     def concat(cls, batches) -> "SparseRecords":
         """The batches' rows placed at row I_c - 1 of n zero records, n their
         row count. An I_c outside 1..n raises DataError before a row is placed."""
         batches = list(batches)
         n = sum(map(len, batches))
-        rows = [b.ic - 1 for b in batches]  # uint64: I_c 0 wraps past n
-        for b, row in zip(batches, rows):
-            if (row >= n).any():
-                raise DataError(f"I_c={b.ic[np.argmax(row >= n)]} is outside 1..{n}")
-        out = cls(np.zeros((n, 3), np.uint32), np.zeros(n, np.uint64),
-                  np.zeros((n, 18), np.uint64))
+        rows = [_rows_of(b.ic, n) for b in batches]
+        out = cls.zeros(n)
         for b, row in zip(batches, rows):
             out.coords[row], out.ic[row], out.nbr[row] = b.coords, b.ic, b.nbr
         return out
@@ -101,6 +104,15 @@ class SparseRecords:
             and np.array_equal(self.ic, other.ic)
             and np.array_equal(self.nbr, other.nbr)
         )
+
+
+def _rows_of(ic: np.ndarray, n: int) -> np.ndarray:
+    """The rows I_c - 1 of records with these I_c in a set of n; DataError
+    naming the first I_c outside 1..n."""
+    row = ic - 1  # uint64: I_c 0 wraps past n
+    if (row >= n).any():
+        raise DataError(f"I_c={ic[np.argmax(row >= n)]} is outside 1..{n}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -185,27 +197,35 @@ def halo_exchange(
     return [HaloView(box=b, ic=np.ascontiguousarray(field[pad])) for b, pad in zip(boxes, pads)]
 
 
-def build_adjacency(halo: HaloView) -> SparseRecords:
+def build_adjacency(halo: HaloView, out: SparseRecords | None = None) -> SparseRecords:
     """One record per local fluid cell (I_c > 0), neighbors gathered off
     the padded view a block at a time, as `check_links` gathers them.
 
     A neighbor entry is the fluid neighbor's I_c, or 0 for solid cells
     and cells beyond a non-periodic boundary (their padded I_c is 0).
-    Records come out in row-major box order, not yet placed by I_c.
+    Without `out` the records come out in row-major box order; with it,
+    each record is written to row I_c - 1 of `out`, which is returned,
+    a block at a time, as `SparseRecords.concat` would place it. An I_c
+    outside 1..len(out) raises its DataError before a row is written.
     """
     _, py, px = halo.ic.shape
     zz, yy, xx = np.nonzero(halo.ic[1:-1, 1:-1, 1:-1] > 0)
-    x0, y0, z0 = halo.box.lo
-    n = xx.size
-    coords = np.empty((n, 3), dtype=np.uint32)
-    coords[:, 0] = xx + x0
-    coords[:, 1] = yy + y0
-    coords[:, 2] = zz + z0
     at = ((zz + 1) * py + yy + 1) * px + xx + 1
-    nbr = np.empty((n, 18), dtype=np.uint64)
+    ic = halo.ic.reshape(-1)[at]
+    if out is None:  # box order: rows 0..n-1 of a new set, as slices
+        n = at.size
+        out = SparseRecords(np.empty((n, 3), np.uint32), ic, np.empty((n, 18), np.uint64))
+        rows = None
+    else:
+        rows = _rows_of(ic, len(out))
+        out.ic[rows] = ic
+    x0, y0, z0 = halo.box.lo
+    for axis, v, v0 in ((0, xx, x0), (1, yy, y0), (2, zz, z0)):
+        out.coords[np.s_[:] if rows is None else rows, axis] = v + v0
     for b0, links in _stencil_links(halo.ic, at):
-        nbr[b0 : b0 + len(links)] = links
-    return SparseRecords(coords=coords, ic=halo.ic.reshape(-1)[at], nbr=nbr)
+        b1 = b0 + len(links)
+        out.nbr[np.s_[b0:b1] if rows is None else rows[b0:b1]] = links
+    return out
 
 
 def first_bad_entry(nbr: np.ndarray, n_fluid: int) -> tuple[int, int] | None:
@@ -280,11 +300,17 @@ def check_links(records: SparseRecords, header) -> None:
                 f"link {i} of I_c={a + 1} at {tuple(c[:, a].tolist())} to {nbr[a, i]} "
                 f"does not match its stencil neighbour, which holds {there}"
             )
-    codes = cell_index(parse_scheme(header.scheme_text), x, y, z, dims)
-    early = codes[1:] <= codes[:-1]
-    if early.any():
-        a = int(np.argmax(early)) + 1
-        raise DataError(
-            f"I_c={a + 1} at {tuple(c[:, a].tolist())} comes before I_c={a} at "
-            f"{tuple(c[:, a - 1].tolist())} under the header's scheme {header.scheme_text}"
-        )
+    # the scheme's codes a block of records at a time, each block from the
+    # previous block's last record on; at least one block, so dims the
+    # scheme cannot code raise even with no records
+    scheme = parse_scheme(header.scheme_text)
+    for b0 in range(0, max(len(at), 1), _LINK_BLOCK):
+        start = max(b0 - 1, 0)
+        codes = cell_index(scheme, *c[:, start : b0 + _LINK_BLOCK], dims)
+        early = codes[1:] <= codes[:-1]
+        if early.any():
+            a = start + 1 + int(np.argmax(early))
+            raise DataError(
+                f"I_c={a + 1} at {tuple(c[:, a].tolist())} comes before I_c={a} at "
+                f"{tuple(c[:, a - 1].tolist())} under the header's scheme {header.scheme_text}"
+            )

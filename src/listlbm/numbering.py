@@ -163,11 +163,30 @@ def _morton_index(g, x, y, z, dims):
     return code
 
 
-def _spread(v, g, ngroups, axis):
-    """Bit group k of `v` moved to group 3k + axis of a Morton code."""
-    v = np.asarray(v, dtype=np.uint64)
+def _byte_spread(g):
+    """Each byte 0..255 with its g-bit groups moved three groups apart:
+    group k to group 3k, so its 8 bits span 24."""
+    v = np.arange(256, dtype=np.uint64)
     mask = np.uint64((1 << g) - 1)
+    out = np.zeros(256, dtype=np.uint64)
+    for k in range(8 // g):
+        out |= ((v >> np.uint64(g * k)) & mask) << np.uint64(3 * g * k)
+    return out
+
+
+# one table lookup spreads 8 // g groups of a coordinate, so a block of
+# codes costs a few numpy calls per byte, not per group
+_SPREAD_BYTE = {g: _byte_spread(g) for g in (1, 2)}
+
+
+def _spread(v, g, ngroups, axis):
+    """Bit group k of `v` moved to group 3k + axis of a Morton code, a
+    byte of `v` at a time through `_SPREAD_BYTE`; `v` must lie below
+    2^(g ngroups), as coordinates inside the dims do."""
+    v = np.asarray(v, dtype=np.uint64)
     out = np.zeros(v.shape, dtype=np.uint64)
-    for k in range(ngroups):
-        out |= ((v >> np.uint64(g * k)) & mask) << np.uint64(g * (3 * k + axis))
+    for k in range(0, g * ngroups, 8):
+        part = _SPREAD_BYTE[g][(v >> np.uint64(k)) & np.uint64(255)]
+        part <<= np.uint64(3 * k + g * axis)
+        out |= part
     return out

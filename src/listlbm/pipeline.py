@@ -30,14 +30,20 @@ def preprocess_grid(
     periodic=(False, False, False),
 ) -> tuple[SparseHeader, SparseRecords]:
     """Produce the sparse records, placed by I_c, and the matching header
-    in memory; this is the one place the records get placed."""
+    in memory; this is the one place the records get placed: each rank's
+    `build_adjacency` writes its records to rows I_c - 1 of one zeroed set
+    of N_f records, so no rank's batch outlives its halo."""
     boxes = decompose_ranks(grid.dims, nranks)
     order = CellOrder(grid.dims, scheme)
     lists = [find_runs(grid, scheme, b, boxes, order) for b in boxes]
     assigned = octree_reduce(lists, build_rank_tree(nranks))
     ic_by_rank = [assign_contiguous(grid, scheme, b, assigned[b.rank], order) for b in boxes]
     halos = halo_exchange(grid, boxes, ic_by_rank, periodic=periodic)
-    records = SparseRecords.concat(build_adjacency(h) for h in halos)
+    del ic_by_rank
+    records = SparseRecords.zeros(grid.fluid_count)
+    halos.reverse()
+    while halos:  # each halo goes once its records are placed
+        build_adjacency(halos.pop(), records)
     header = SparseHeader(
         dims=grid.dims,
         n_fluid=grid.fluid_count,

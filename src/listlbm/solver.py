@@ -135,30 +135,52 @@ class LocalDomain:
 
         # population p at a cell pulls from the neighbor opposite to its
         # direction of travel; nbr 0 turns into a bounce-back self-pull
-        # of the opposite population
+        # of the opposite population. Two passes of `_BLOCK` columns, each
+        # block rewritten while it is in cache: the first copies the rows
+        # in, collects the remote entries and marks them -1, the second
+        # writes the flat index of each entry of the populations
+        # p = _PULLED: p * nslots + slot for a fluid neighbor (a remote
+        # one's ghost slot taken from the inverse in the order the first
+        # pass collected them), and OPP[p] * nslots + the cell's own slot
+        # for a solid one.
+        # Population 0 stays in place, so it needs no row.
         own = nbr[lo - 1 : hi - 1]
         pull = self._pull_flat = np.empty((18, self.n_own), dtype=_pull_dtype(nbr.shape[0]))
-        for b0 in range(0, self.n_own, _BLOCK):  # row blocks: one pass over nbr
-            pull[:, b0 : b0 + _BLOCK] = own[b0 : b0 + _BLOCK, OPP[_PULLED] - 1].T
-        solid = pull == 0
-        # every solid entry (0) lies below lo, so ^ takes exactly those out
-        remote = pull < lo
-        remote ^= solid
-        remote |= pull >= hi
+        starts = range(0, self.n_own, _BLOCK)
+        remote = []
+        for b0 in starts:
+            block = pull[:, b0 : b0 + _BLOCK]
+            block[...] = own[b0 : b0 + _BLOCK, OPP[_PULLED] - 1].T
+            # fluid (not 0) and held outside [lo, hi)
+            mask = block < lo
+            mask &= block != 0
+            mask |= block >= hi
+            remote.append(block[mask])
+            block[mask] = -1
+        counts = [r.size for r in remote]
         # ascending I_c, so the ghosts owned by one partition are contiguous
-        self.ghost_ic, ghost = np.unique(pull[remote], return_inverse=True)
+        self.ghost_ic, ghost = np.unique(np.concatenate(remote), return_inverse=True)
+        del remote
         self.n_ghost = int(self.ghost_ic.size)
         nslots = self.n_own + self.n_ghost
 
-        pull -= lo
-        pull[remote] = self.n_own + ghost
         itype = pull.dtype
-        np.copyto(pull, np.arange(self.n_own, dtype=itype), where=solid)
-        # flat index p * nslots + slot of the populations p = _PULLED;
-        # population 0 stays in place, so it needs no row
-        np.add(pull, OPP[_PULLED, None].astype(itype) * nslots, out=pull, where=solid)
-        fluid = np.logical_not(solid, out=solid)
-        np.add(pull, _PULLED[:, None].astype(itype) * nslots, out=pull, where=fluid)
+        # a remote entry becomes its ghost slot + lo, so that adding
+        # p * nslots - lo to every entry leaves each fluid one's flat index
+        ghost = ghost.astype(itype)
+        ghost += self.n_own + lo
+        pulled = _PULLED[:, None].astype(itype) * nslots - lo
+        bounced = OPP[_PULLED, None].astype(itype) * nslots
+        g0 = 0
+        for b0, count in zip(starts, counts):
+            block = pull[:, b0 : b0 + _BLOCK]
+            solid = block == 0
+            if count:
+                block[block < 0] = ghost[g0 : g0 + count]
+                g0 += count
+            block += pulled
+            slot = np.arange(b0, b0 + block.shape[1], dtype=itype)
+            np.add(bounced, slot, out=block, where=solid)
 
         self.f_src = np.zeros((19, nslots))
         self.f_dst = np.zeros((19, nslots))

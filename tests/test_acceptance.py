@@ -72,17 +72,18 @@ def test_criterion_1_distributed_index_equals_serial_oracle(matrix_grids):
 def test_criterion_2_rank_count_keeps_files_byte_identical(matrix_grids, tmp_path):
     def body():
         checked = 0
+        path = tmp_path / "records.sprs"
         for gname, grid in matrix_grids.items():
             for scheme in MATRIX_SCHEMES:
-                a = tmp_path / "p1.sprs"
-                b = tmp_path / "p8.sprs"
-                for path, P in ((a, 1), (b, 8)):
+                files = []
+                for P in MATRIX_RANKS:
                     header, records = preprocess_grid(grid, scheme, nranks=P)
                     write_sparse(path, records, header)
-                assert a.read_bytes() == b.read_bytes(), \
-                    f"file differs for {gname}, {scheme}"
-                checked += 1
-        return f"{checked} files byte-identical between 1 and 8 ranks"
+                    files.append(path.read_bytes())
+                for P, data in zip(MATRIX_RANKS[1:], files[1:]):
+                    assert data == files[0], f"file differs for {gname}, {scheme}, P={P}"
+                    checked += 1
+        return f"{checked} files byte-identical to 1 rank's at {MATRIX_RANKS[1:]} ranks"
 
     verdict("2 rank-count determinism", body)
 

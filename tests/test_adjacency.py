@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from listlbm import (
     write_sparse,
 )
 from listlbm import adjacency
-from listlbm.adjacency import check_links, halo_exchange
+from listlbm.adjacency import HaloView, build_adjacency, check_links, check_records, halo_exchange
 from listlbm.geometry import RankBox, decompose_ranks
 from conftest import ALL_SCHEMES, SCHEME_IDS, random_grid
 
@@ -223,7 +224,8 @@ class TestHaloExchange:
 
 
 class TestPlacement:
-    """`SparseRecords.concat` puts each batch row at row I_c - 1."""
+    """`SparseRecords.concat` puts each batch row at row I_c - 1, and
+    `build_adjacency(halo, out)` each record it builds."""
 
     @staticmethod
     def split(records, seed, pieces=5):
@@ -270,6 +272,81 @@ class TestPlacement:
         empty = SparseRecords.concat([])
         assert len(empty) == 0
         assert (empty.coords.shape, empty.nbr.shape) == ((0, 3), (0, 18))
+
+    @staticmethod
+    def halos(grid, scheme, nranks, periodic=(False, False, False)):
+        """Each rank's halo of the serial oracle's I_c field."""
+        field = serial_oracle(grid, scheme)
+        boxes = decompose_ranks(grid.dims, nranks)
+        parts = [field[b.lo[2] : b.hi[2], b.lo[1] : b.hi[1], b.lo[0] : b.hi[0]] for b in boxes]
+        return halo_exchange(grid, boxes, parts, periodic)
+
+    @staticmethod
+    def with_ic(halo, k, value):
+        """The halo with the I_c of its k-th fluid cell (in box order) set
+        to `value`, and that cell's I_c before."""
+        field = halo.ic.copy()
+        z, y, x = np.argwhere(field[1:-1, 1:-1, 1:-1] > 0)[k] + 1
+        was = int(field[z, y, x])
+        field[z, y, x] = value
+        return HaloView(halo.box, field), was
+
+    @pytest.mark.parametrize("nranks", [1, 8, 13])
+    @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
+    def test_preprocess_places_what_concat_places(self, scheme, nranks):
+        grid = random_grid(nranks, (13, 9, 11))
+        periodic = (True, False, True)
+        _, records = preprocess_grid(grid, scheme, nranks=nranks, periodic=periodic)
+        batches = [build_adjacency(h) for h in self.halos(grid, scheme, nranks, periodic)]
+        assert records.equals(SparseRecords.concat(batches))
+
+    @pytest.mark.parametrize("ic", ["n+1", "2^64-1"])
+    def test_placed_ic_outside_range_is_named_as_concat_names_it(self, ic):
+        grid = make_channel(4)
+        n = grid.fluid_count
+        value = n + 1 if ic == "n+1" else 2**64 - 1
+        halos = self.halos(grid, LexBlocked(1), 2)
+        halos[1], _ = self.with_ic(halos[1], 3, value)
+        out = SparseRecords.zeros(n)
+        build_adjacency(halos[0], out)
+        before = [a.copy() for a in (out.coords, out.ic, out.nbr)]
+        with pytest.raises(DataError, match=rf"^I_c={value} is outside 1\.\.{n}$") as placed:
+            build_adjacency(halos[1], out)
+        assert all(np.array_equal(a, b) for a, b in zip((out.coords, out.ic, out.nbr), before))
+        with pytest.raises(DataError) as joined:
+            SparseRecords.concat(build_adjacency(h) for h in halos)
+        assert str(placed.value) == str(joined.value)
+
+    def test_repeated_placed_ic_leaves_a_zero_row_for_check_records(self):
+        grid = make_channel(4)
+        halos = self.halos(grid, LexBlocked(1), 2)
+        halos[1], lost = self.with_ic(halos[1], 3, 4)
+        assert lost > 4
+        out = SparseRecords.zeros(grid.fluid_count)
+        for h in halos:
+            build_adjacency(h, out)
+        assert out.ic[lost - 1] == 0 and not out.nbr[lost - 1].any()
+        with pytest.raises(DataError, match=rf"^I_c={lost} is not record {lost - 1}: records must"):
+            check_records(out, grid.fluid_count)
+
+    @pytest.mark.parametrize("nranks", [1, 8])
+    @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
+    def test_peak_stays_near_the_records(self, packing24, scheme, nranks):
+        """Each rank writes its records straight to their rows of the one
+        record set, so `preprocess_grid` peaks at 1.3-1.7x the records'
+        bytes (164 a record) on the d=24 packing. Every rank's batch held
+        next to the placed set, as concatenation holds them, peaks at
+        2.26-2.54x and must fail the bound."""
+        preprocess_grid(make_channel(4), scheme)  # modules imported on a first call
+        tracemalloc.start()
+        try:
+            _, records = preprocess_grid(packing24, scheme, nranks=nranks,
+                                         periodic=(True, False, False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = records.coords.nbytes + records.ic.nbytes + records.nbr.nbytes
+        assert peak < 1.9 * kept, peak / kept
 
 
 def _drop_last(r):
@@ -407,6 +484,27 @@ class TestSchemeOrder:
     ], ids=["lex:b=1-as-morton:g=2", "lex:b=2-as-morton:g=1"])
     def test_another_scheme_of_the_same_order_passes(self, records_scheme, header_scheme):
         self.simulate(records_scheme, header_scheme)
+
+    @pytest.mark.parametrize("records_scheme,header_scheme,message", [
+        (LexBlocked(1), "lex:b=2", ROWS),
+        (LexBlocked(1), "morton:g=1", ROWS),
+        (LexBlocked(2), "lex:b=1", SQUARES),
+        (LexBlocked(2), "morton:g=2", SQUARES),
+    ], ids=["lex:b=1-as-lex:b=2", "lex:b=1-as-morton:g=1", "lex:b=2-as-lex:b=1",
+            "lex:b=2-as-morton:g=2"])
+    def test_message_does_not_depend_on_block_size(self, monkeypatch, records_scheme,
+                                                   header_scheme, message):
+        """The codes are taken `_LINK_BLOCK` records at a time. At 4,
+        I_c=5 is the first record of block 2, so the check compares it
+        with the last record of block 1; at 1 and 2 it opens a block too,
+        at 5 and the default it lies inside block 1."""
+        messages = []
+        for block in (1, 2, 4, 5, adjacency._LINK_BLOCK):
+            monkeypatch.setattr(adjacency, "_LINK_BLOCK", block)
+            with pytest.raises(DataError, match=message) as info:
+                self.simulate(records_scheme, header_scheme)
+            messages.append(str(info.value))
+        assert messages == messages[:1] * 5
 
 
 # grids for the tests of the blocked stencil gather, periodic along x

@@ -179,6 +179,17 @@ class TestMortonProperties:
             x, y, z = (int(v) for v in rng.integers(0, 16, size=3))
             assert int(cell_index(Morton(g), x, y, z, dims)) == classic_interleave(x, y, z, g)
 
+    @pytest.mark.parametrize("g,n", [(1, 2**21), (2, 2**20)])
+    def test_widest_axes_match_reference_interleave(self, g, n):
+        """2^21 and 2^20 are the widest axes 64-bit codes allow at g = 1
+        and 2, so every byte of a coordinate is spread, here for arrays
+        of coordinates as `check_links` passes them."""
+        rng = np.random.default_rng(7)
+        x, y, z = rng.integers(0, n, size=(3, 200))
+        codes = cell_index(Morton(g), x, y, z, (n, n, n))
+        assert codes.tolist() == [classic_interleave(*cell, g)
+                                  for cell in zip(x.tolist(), y.tolist(), z.tolist())]
+
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("dims", [(8, 8, 8), (5, 7, 3), (32, 2, 9)])
     def test_separable(self, g, dims):
