@@ -8,9 +8,10 @@ fluid when its I_c is > 0; one held by no rank or by two is a ProtocolError
 naming the cell. Neighbor entries store the contiguous index of the fluid
 neighbor, or 0 when the neighbor is solid or outside the domain.
 `build_adjacency(halo, out)` and `SparseRecords.concat` place each record
-at row I_c - 1, so a repeated I_c leaves a zero row. `check_records` and
-`check_links` raise DataError naming the first I_c that breaks a record
-rule; `check_links` runs `check_records`,
+at row I_c - 1, so a repeated I_c leaves a zero row; a rank whose I_c rise
+by one in box order, as at one rank under lex:b=1, writes its rows as
+slices. `check_records` and `check_links` raise DataError naming the first
+I_c that breaks a record rule; `check_links` runs `check_records`,
 then checks the records' (N_f, 18) `nbr` as stored against their header's dims,
 periodic axes and scheme through the blocked stencil gather `build_adjacency`
 fills `nbr` from. The file readers share `first_bad_entry` for the range rule.
@@ -54,8 +55,9 @@ assert np.array_equal(STENCIL[::2], -STENCIL[1::2])
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 1)) == 6
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 2)) == 12
 
-# cells per block of `_stencil_links`, whose temporaries stay in cache
-_LINK_BLOCK = 1024
+# records per block of `_stencil_links` and of `check_links`' scheme
+# codes: a block's index and link buffers (590 kB each) stay in cache
+_LINK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,27 @@ def _wrap_pads(field: np.ndarray, dims, periodic) -> None:
             f[0] = f[-1] = 0
 
 
-def _stencil_links(field: np.ndarray, at: np.ndarray):
+def _stencil_links(field: np.ndarray, at: np.ndarray, out: np.ndarray | None = None):
     """Yield (b0, links), `_LINK_BLOCK` records a block: links[r, i] is the
-    I_c at flat position at[b0 + r] + c_i of a padded (z, y, x) field."""
+    I_c at flat position at[b0 + r] + c_i of a padded (z, y, x) field.
+    `np.take` writes each block's links to rows b0.. of `out` when given,
+    else to one buffer reused by every block; the block's flat positions
+    go through one reused index buffer, so no block allocates."""
     _, py, px = field.shape
     offsets = STENCIL @ np.array((1, px, px * py))
     flat = field.reshape(-1)
+    n = min(_LINK_BLOCK, len(at))
+    where = np.empty((n, 18), np.intp)
+    links = np.empty((n, 18), field.dtype) if out is None else None
     for b0 in range(0, len(at), _LINK_BLOCK):
-        yield b0, flat[at[b0 : b0 + _LINK_BLOCK, None] + offsets]
+        b1 = min(b0 + _LINK_BLOCK, len(at))
+        k = b1 - b0
+        np.add(at[b0:b1, None], offsets, out=where[:k])
+        # every position lies in the padded field, so clip never acts and
+        # take writes straight into its output
+        dst = links[:k] if out is None else out[b0:b1]
+        np.take(flat, where[:k], mode="clip", out=dst)
+        yield b0, dst
 
 
 def halo_exchange(
@@ -205,27 +220,48 @@ def build_adjacency(halo: HaloView, out: SparseRecords | None = None) -> SparseR
     and cells beyond a non-periodic boundary (their padded I_c is 0).
     Without `out` the records come out in row-major box order; with it,
     each record is written to row I_c - 1 of `out`, which is returned,
-    a block at a time, as `SparseRecords.concat` would place it. An I_c
-    outside 1..len(out) raises its DataError before a row is written.
+    as `SparseRecords.concat` would place it. When the view's m fluid
+    cells hold, in box order, the I_c r0 + 1 .. r0 + m (`_one_range`),
+    every block is written to rows r0 + b0.. as a slice; otherwise each
+    block's rows are scattered one by one, so a repeated I_c leaves a
+    zero row. An I_c outside 1..len(out) raises its DataError before a
+    row is written.
     """
     _, py, px = halo.ic.shape
     zz, yy, xx = np.nonzero(halo.ic[1:-1, 1:-1, 1:-1] > 0)
     at = ((zz + 1) * py + yy + 1) * px + xx + 1
     ic = halo.ic.reshape(-1)[at]
-    if out is None:  # box order: rows 0..n-1 of a new set, as slices
+    if out is None:  # box order: rows 0..n-1 of a new set
         n = at.size
-        out = SparseRecords(np.empty((n, 3), np.uint32), ic, np.empty((n, 18), np.uint64))
-        rows = None
+        out = SparseRecords(np.empty((n, 3), np.uint32), np.empty(n, np.uint64),
+                            np.empty((n, 18), np.uint64))
+        r0 = 0
     else:
+        r0 = _one_range(ic, len(out))
+    if r0 is None:
         rows = _rows_of(ic, len(out))
-        out.ic[rows] = ic
+        dst = None  # each block's links scattered to their rows
+    else:
+        rows = slice(r0, r0 + at.size)
+        dst = out.nbr[rows]
+    out.ic[rows] = ic
     x0, y0, z0 = halo.box.lo
     for axis, v, v0 in ((0, xx, x0), (1, yy, y0), (2, zz, z0)):
-        out.coords[np.s_[:] if rows is None else rows, axis] = v + v0
-    for b0, links in _stencil_links(halo.ic, at):
-        b1 = b0 + len(links)
-        out.nbr[np.s_[b0:b1] if rows is None else rows[b0:b1]] = links
+        out.coords[rows, axis] = v + v0
+    for b0, links in _stencil_links(halo.ic, at, dst):
+        if dst is None:
+            out.nbr[rows[b0 : b0 + len(links)]] = links
     return out
+
+
+def _one_range(ic: np.ndarray, n: int) -> int | None:
+    """r0 when these m I_c are r0 + 1 .. r0 + m in this order, all in
+    1..n, as at one rank or in a z-slab under lex:b=1; else None. They
+    rise strictly and span m values, so none repeats."""
+    m = ic.size
+    if not m or ic[0] < 1 or ic[-1] > n or int(ic[-1]) - int(ic[0]) + 1 != m:
+        return None
+    return int(ic[0]) - 1 if (ic[1:] > ic[:-1]).all() else None
 
 
 def first_bad_entry(nbr: np.ndarray, n_fluid: int) -> tuple[int, int] | None:
@@ -263,41 +299,42 @@ def check_links(records: SparseRecords, header) -> None:
     inflated header dims cost no memory; dims too large for the scheme's
     64-bit codes raise ParameterError."""
     check_records(records, header.n_fluid)
-    dims, periodic, nbr = header.dims, header.periodic, records.nbr
-    c = np.ascontiguousarray(records.coords.T, dtype=np.int64)  # rows x, y, z
+    dims, periodic, nbr, coords = header.dims, header.periodic, records.nbr, records.coords
     X, Y, Z = dims
-    outside = (c < 0).any(axis=0) | (c[0] >= X) | (c[1] >= Y) | (c[2] >= Z)
-    if outside.any():
+    x, y, z = coords.T  # strided views: no copy of the coords
+    hi = [int(v.max(initial=0)) for v in (x, y, z)]
+    if coords.min(initial=0) < 0 or any(h >= d for h, d in zip(hi, dims)):
+        c = coords.astype(np.int64)
+        outside = (c < 0).any(axis=1) | (c[:, 0] >= X) | (c[:, 1] >= Y) | (c[:, 2] >= Z)
         a = int(np.argmax(outside))
-        cell = tuple(c[:, a].tolist())
-        raise DataError(f"I_c={a + 1} lies at {cell}, outside dims {(X, Y, Z)}")
-    # I_c field over the box [0, hi) padded by one cell, like a rank's halo
-    hi = c.max(axis=1, initial=0) + 1
-    px, py, pz = hi + 2
-    x, y, z = c
-    at = ((z + 1) * py + y + 1) * px + x + 1
+        raise DataError(f"I_c={a + 1} lies at {tuple(coords[a].tolist())}, outside dims {(X, Y, Z)}")
+    # I_c field over the box [0, hi] padded by one cell, like a rank's halo
+    px, py, pz = (h + 3 for h in hi)
+    at = ((z.astype(np.int64) + 1) * py + y + 1) * px + x + 1
     ic = np.arange(1, len(at) + 1, dtype=nbr.dtype)
     field = np.zeros(pz * py * px, dtype=nbr.dtype)
     field[at] = ic
-    held = field[at]
-    shared = held != ic
-    if shared.any():
-        a = int(np.argmax(shared))
-        cell = tuple(c[:, a].tolist())
+    # every I_c is > 0, so fewer nonzero cells than records means a shared cell
+    if np.count_nonzero(field) != len(at):
+        held = field[at]
+        a = int(np.argmax(held != ic))
+        cell = tuple(coords[a].tolist())
         a, b = sorted((a + 1, int(held[a])))
         raise DataError(f"I_c={a} and I_c={b} share the cell {cell}")
+    del ic
     # a header allows axes of 2^64 - 1 cells, which wrap no cell into the box
     field = field.reshape(pz, py, px)
     _wrap_pads(field, dims, periodic)
     # in record order, the first wrong entry is the smallest failing I_c
+    wrong = np.empty((min(_LINK_BLOCK, len(at)), 18), dtype=bool)
     for b0, want in _stencil_links(field, at):
-        wrong = nbr[b0 : b0 + len(want)] != want
-        if wrong.any():
-            r, i = divmod(int(np.argmax(wrong)), 18)
+        k = len(want)
+        if np.not_equal(nbr[b0 : b0 + k], want, out=wrong[:k]).any():
+            r, i = divmod(int(np.argmax(wrong[:k])), 18)
             a = b0 + r
             there = f"I_c={want[r, i]}" if want[r, i] else "no record"
             raise DataError(
-                f"link {i} of I_c={a + 1} at {tuple(c[:, a].tolist())} to {nbr[a, i]} "
+                f"link {i} of I_c={a + 1} at {tuple(coords[a].tolist())} to {nbr[a, i]} "
                 f"does not match its stencil neighbour, which holds {there}"
             )
     # the scheme's codes a block of records at a time, each block from the
@@ -306,11 +343,11 @@ def check_links(records: SparseRecords, header) -> None:
     scheme = parse_scheme(header.scheme_text)
     for b0 in range(0, max(len(at), 1), _LINK_BLOCK):
         start = max(b0 - 1, 0)
-        codes = cell_index(scheme, *c[:, start : b0 + _LINK_BLOCK], dims)
+        codes = cell_index(scheme, *coords[start : b0 + _LINK_BLOCK].T, dims)
         early = codes[1:] <= codes[:-1]
         if early.any():
             a = start + 1 + int(np.argmax(early))
             raise DataError(
-                f"I_c={a + 1} at {tuple(c[:, a].tolist())} comes before I_c={a} at "
-                f"{tuple(c[:, a - 1].tolist())} under the header's scheme {header.scheme_text}"
+                f"I_c={a + 1} at {tuple(coords[a].tolist())} comes before I_c={a} at "
+                f"{tuple(coords[a - 1].tolist())} under the header's scheme {header.scheme_text}"
             )

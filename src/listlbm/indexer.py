@@ -114,7 +114,7 @@ class CellOrder:
         """Global positions of the box's cells, in (z, y, x) order."""
         if self._positions is None:
             codes = cell_index(self.scheme, *_box_axes(box.lo, box.hi), self.dims)
-            return codes.reshape(-1).astype(np.int64)
+            return codes.reshape(-1).view(np.int64)  # lex codes are < 2^63
         (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
         return self._positions[z0:z1, y0:y1, x0:x1].reshape(-1)
 
@@ -158,12 +158,17 @@ def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder, k
 
 def _sort_box(box: RankBox, order: CellOrder):
     """The box's codes sorted ascending, their global positions, and the
-    permutation that sorts the box's (z, y, x)-ordered cells."""
+    permutation that sorts the box's (z, y, x)-ordered cells: a full
+    slice when they are in order already."""
     positions = order.box_positions(box)
-    # positions are distinct, so every sort kind gives one permutation;
-    # the stable one runs faster on a box's partly ordered positions
-    sortidx = np.argsort(positions, kind="stable")
-    positions = positions[sortidx]
+    if (positions[1:] > positions[:-1]).all():
+        # in order already, as in a lex:b=1 box of whole rows
+        sortidx = np.s_[:]
+    else:
+        # positions are distinct, so every sort kind gives one permutation;
+        # the stable one runs faster on a box's partly ordered positions
+        sortidx = np.argsort(positions, kind="stable")
+        positions = positions[sortidx]
     return order.code_at(positions), positions, sortidx
 
 
@@ -260,7 +265,7 @@ def octree_reduce(lists_by_rank, tree: RankTree, rng=None) -> list[np.ndarray]:
         raise ProtocolError(f"expected {P} rank lists, got {len(lists_by_rank)}")
     current: dict[int, np.ndarray] = {}
     for r, runs in enumerate(lists_by_rank):
-        runs = runs[np.argsort(runs["incell"], kind="stable")]
+        runs = runs.take(np.argsort(runs["incell"], kind="stable"))
         wrong = np.flatnonzero(runs["owner"] != r)
         if wrong.size:
             raise ProtocolError(
@@ -285,7 +290,7 @@ def octree_reduce(lists_by_rank, tree: RankTree, rng=None) -> list[np.ndarray]:
             if rng is not None:
                 rng.shuffle(parts)
             A = np.concatenate(parts)
-            A = A[np.argsort(A["incell"], kind="stable")]
+            A = A.take(np.argsort(A["incell"], kind="stable"))
             B, joined = _merge_runs(A, master)
             stored[li][master] = (A, joined, B)
             nxt[master] = B
@@ -316,8 +321,14 @@ def octree_reduce(lists_by_rank, tree: RankTree, rng=None) -> list[np.ndarray]:
                 )
             base = msg["start"] - _fluid_before(B["fluid"])
             A["start"] = base[joined] + _fluid_before(A["fluid"])
-            for m in members:
-                nxt_down[m] = A[A["owner"] == m]
+            # one stable sort by owner keeps each member's runs in incell
+            # order, and one split hands every member its own
+            by_owner = A.take(np.argsort(A["owner"], kind="stable"))
+            owners = by_owner["owner"]
+            cuts = zip(np.searchsorted(owners, members, side="left"),
+                       np.searchsorted(owners, members, side="right"))
+            for m, (a, b) in zip(members, cuts):
+                nxt_down[m] = by_owner[a:b]
             if trace:
                 log.debug(
                     "down level %d master %d: scattered %d runs to %s",
@@ -344,7 +355,7 @@ def assign_contiguous(
     """
     codes_s, flags_s, pos, sortidx, shape = _box_sorted_cells(grid, scheme, box, order, keep=False)
     starts, _ = _run_bounds(pos)
-    runs = runs[np.argsort(runs["incell"], kind="stable")]
+    runs = runs.take(np.argsort(runs["incell"], kind="stable"))
     if runs.size != starts.size:
         raise ProtocolError(
             f"box of rank {box.rank} has {starts.size} runs "

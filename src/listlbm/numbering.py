@@ -123,6 +123,10 @@ def _lex_blocked_index(b, x, y, z, dims):
     X, Y, Z = (int(d) for d in dims)
     if X * Y * Z >= 2**63:
         raise ParameterError(f"dims {(X, Y, Z)} overflow 64-bit lex codes")
+    if b == 1:  # one-cell blocks: the row-major rank (z Y + y) X + x
+        x, y, z = (np.asarray(v, dtype=np.int64) for v in (x, y, z))
+        code = z * (X * Y) + y * X
+        return np.add(code, x).view(np.uint64)
     px, wx, rx = _lex_axis(x, b, X)
     py, wy, ry = _lex_axis(y, b, Y)
     pz, wz, rz = _lex_axis(z, b, Z)

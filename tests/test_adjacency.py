@@ -291,36 +291,68 @@ class TestPlacement:
         field[z, y, x] = value
         return HaloView(halo.box, field), was
 
-    @pytest.mark.parametrize("nranks", [1, 8, 13])
+    @staticmethod
+    def one_range_ranks(halos, n):
+        """How many of the halos hold their I_c as one range rising by one
+        in box order, which `build_adjacency` writes as slices."""
+        ics = [h.ic[1:-1, 1:-1, 1:-1][h.ic[1:-1, 1:-1, 1:-1] > 0] for h in halos]
+        return sum(adjacency._one_range(ic, n) is not None for ic in ics)
+
+    # (nranks, dims, one-range ranks under lex:b=1 and morton:g=2): one
+    # rank, and each of the 4 z-slabs (6, 5, 24) is cut into, holds its
+    # I_c in box order under lex:b=1; under morton:g=2 none does
+    @pytest.mark.parametrize("nranks, dims, one_range", [
+        (1, (13, 9, 11), (1, 0)),
+        (8, (13, 9, 11), None),
+        (13, (13, 9, 11), None),
+        (4, (6, 5, 24), (4, 0)),
+    ], ids=["1", "8", "13", "4-z-slabs"])
     @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
-    def test_preprocess_places_what_concat_places(self, scheme, nranks):
-        grid = random_grid(nranks, (13, 9, 11))
+    def test_preprocess_places_what_concat_places(self, scheme, nranks, dims, one_range):
+        grid = random_grid(nranks, dims)
         periodic = (True, False, True)
         _, records = preprocess_grid(grid, scheme, nranks=nranks, periodic=periodic)
-        batches = [build_adjacency(h) for h in self.halos(grid, scheme, nranks, periodic)]
+        halos = self.halos(grid, scheme, nranks, periodic)
+        if one_range is not None:
+            assert self.one_range_ranks(halos, len(records)) == one_range[isinstance(scheme, Morton)]
+        batches = [build_adjacency(h) for h in halos]
         assert records.equals(SparseRecords.concat(batches))
 
-    @pytest.mark.parametrize("ic", ["n+1", "2^64-1"])
-    def test_placed_ic_outside_range_is_named_as_concat_names_it(self, ic):
+    # at one rank the I_c are one range but for the one outside it
+    @pytest.mark.parametrize("ic, nranks", [
+        ("n+1", 2), ("2^64-1", 2), ("n+1", 1), ("2^64-1", 1),
+    ], ids=["n+1", "2^64-1", "n+1-1rank", "2^64-1-1rank"])
+    def test_placed_ic_outside_range_is_named_as_concat_names_it(self, ic, nranks):
         grid = make_channel(4)
         n = grid.fluid_count
         value = n + 1 if ic == "n+1" else 2**64 - 1
-        halos = self.halos(grid, LexBlocked(1), 2)
-        halos[1], _ = self.with_ic(halos[1], 3, value)
+        halos = self.halos(grid, LexBlocked(1), nranks)
+        halos[-1], _ = self.with_ic(halos[-1], 3, value)
         out = SparseRecords.zeros(n)
-        build_adjacency(halos[0], out)
+        for h in halos[:-1]:
+            build_adjacency(h, out)
         before = [a.copy() for a in (out.coords, out.ic, out.nbr)]
         with pytest.raises(DataError, match=rf"^I_c={value} is outside 1\.\.{n}$") as placed:
-            build_adjacency(halos[1], out)
+            build_adjacency(halos[-1], out)
         assert all(np.array_equal(a, b) for a, b in zip((out.coords, out.ic, out.nbr), before))
         with pytest.raises(DataError) as joined:
             SparseRecords.concat(build_adjacency(h) for h in halos)
         assert str(placed.value) == str(joined.value)
 
     def test_repeated_placed_ic_leaves_a_zero_row_for_check_records(self):
+        self.repeat_an_ic(nranks=2, k=3)
+
+    def test_repeated_ic_at_one_rank_leaves_a_zero_row(self):
+        """The 11th cell in box order holds I_c=11: with it set to 4, the
+        rank's I_c no longer rise by one, so its rows are scattered."""
+        self.repeat_an_ic(nranks=1, k=10)
+
+    def repeat_an_ic(self, nranks, k):
+        """Set the k-th fluid cell of the last rank to I_c=4: placing every
+        rank leaves the row of its own I_c zero, which check_records names."""
         grid = make_channel(4)
-        halos = self.halos(grid, LexBlocked(1), 2)
-        halos[1], lost = self.with_ic(halos[1], 3, 4)
+        halos = self.halos(grid, LexBlocked(1), nranks)
+        halos[-1], lost = self.with_ic(halos[-1], k, 4)
         assert lost > 4
         out = SparseRecords.zeros(grid.fluid_count)
         for h in halos:
@@ -509,7 +541,7 @@ class TestSchemeOrder:
 
 # grids for the tests of the blocked stencil gather, periodic along x
 GATHER_GRIDS = {"channel6": lambda: make_channel(6), "random": lambda: random_grid(5, (11, 9, 10))}
-BLOCKS = (1, 7, 1024)
+BLOCKS = (1, 7, 1024, adjacency._LINK_BLOCK)
 
 
 @pytest.fixture(scope="module")
@@ -535,7 +567,7 @@ class TestLinkBlocks:
             monkeypatch.setattr(adjacency, "_LINK_BLOCK", block)
             runs.append(records_for(GATHER_GRIDS[name](), nranks=nranks,
                                     periodic=(True, False, False)))
-        assert runs[1].equals(runs[0]) and runs[2].equals(runs[0])
+        assert all(r.equals(runs[0]) for r in runs[1:])
 
     @pytest.mark.parametrize("fault", RECORD_FAULTS)
     @pytest.mark.parametrize("nranks", [1, 8])
@@ -552,7 +584,7 @@ class TestLinkBlocks:
                 verdicts.append(None)
             except DataError as exc:
                 verdicts.append(str(exc))
-        assert verdicts[1:] == verdicts[:1] * 2, verdicts
+        assert verdicts[1:] == verdicts[:1] * (len(BLOCKS) - 1), verdicts
         # the faults are laid out for the channel; on the random grid some
         # (a zeroed pair of cells that are not neighbours) break no rule
         if name == "channel6":
@@ -581,7 +613,7 @@ class TestIndependentOracle:
 
     @pytest.fixture(scope="class", params=[1, 8], ids=["1rank", "8ranks"])
     def sparse(self, request):
-        grid = random_grid(1, (20, 16, 16))
+        grid = random_grid(1, (20, 32, 32))
         header, records = preprocess_grid(grid, LexBlocked(1), nranks=request.param,
                                           periodic=self.PERIODIC)
         block = adjacency._LINK_BLOCK
@@ -606,7 +638,7 @@ class TestIndependentOracle:
     @pytest.mark.parametrize("where", ["first-of-block-2", "last-block", "both"])
     def test_wrong_link_is_named(self, sparse, where):
         """Direction 5 goes wrong at the first record of the second block
-        (I_c=1025), at the third-last record, in the last partial block,
+        (I_c=4097), at the third-last record, in the last partial block,
         or at both: the smaller is named."""
         header, records = sparse
         want = oracle_links(records, header.dims, self.PERIODIC)

@@ -228,6 +228,11 @@ class TestPreprocess:
                      "--out", str(tmp_path / "x.sprs")])
         assert code == 2
 
+    def test_device_output_is_accepted(self, voxel_file, capsys):
+        """/dev/null, which is no regular file, takes the whole file."""
+        assert main(["preprocess", "--in", str(voxel_file), "--out", os.devnull]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {os.devnull}: fluid_cells=")
+
     def test_same_in_and_out_rejected(self, voxel_file, capsys):
         code = main(["preprocess", "--in", str(voxel_file), "--out", str(voxel_file)])
         assert code == 1

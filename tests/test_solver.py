@@ -513,6 +513,21 @@ class TestPartitionInvariance:
         for other in values[1:]:
             assert np.array_equal(other, values[0])
 
+    @pytest.mark.parametrize("nparts", [1, 5])
+    def test_no_value_of_f_dst_is_read(self, channel6_sparse, nparts):
+        """`f_dst` is allocated empty: a step writes every owned column and
+        the exchange every ghost column before either is read, so NaN
+        there changes no bit of the state."""
+        params = {"tau_plus": 0.8, "force": (1e-5, 0.0, 0.0)}
+        want = make_sim(channel6_sparse, nparts, **params)
+        got = make_sim(channel6_sparse, nparts, **params)
+        for d in got.domains:
+            d.f_dst.fill(np.nan)
+        want.run(3)
+        got.run(3)
+        assert np.array_equal(got.gather_state().view(np.uint64),
+                              want.gather_state().view(np.uint64))
+
 
 class TestLocalization:
     def test_two_cell_domains_exchange_one_ghost(self):
@@ -677,8 +692,9 @@ def reference_table(nbr, lo, hi):
 
 
 class TestPullTableBlocks:
-    """`LocalDomain` writes its table in two passes of `_BLOCK` columns;
-    no block size changes a ghost or an entry."""
+    """`LocalDomain` writes its table in blocks of `_BLOCK` columns, in
+    one pass for the whole list (one partition) and two for any other
+    range; no block size changes a ghost or an entry."""
 
     @pytest.fixture(scope="class", params=[LexBlocked(1), Morton(2)],
                     ids=["lex:b=1", "morton:g=2"])

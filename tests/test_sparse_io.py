@@ -107,6 +107,17 @@ class TestRoundTrip:
         write_domain(channel6, parse_scheme(text), path, periodic=(True, False, False))
         assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
 
+    # the d=6 channel file holds 480 records, 74,880 bytes and a header
+    @pytest.mark.parametrize("before", [100_000, 10], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("text,digest", PINNED.items(), ids=list(PINNED))
+    def test_overwrite_gives_the_pinned_bytes(self, tmp_path, channel6, text, digest, before):
+        """What the path held before, longer or shorter than the file,
+        never shows in what the writer leaves there."""
+        path = tmp_path / "c6.sprs"
+        path.write_bytes(b"\xff" * before)
+        write_domain(channel6, parse_scheme(text), path, periodic=(True, False, False))
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
+
 
 class TestWriteValidation:
     def make_records(self, ic):
@@ -277,6 +288,14 @@ class TestBlocks:
                                           periodic=(True, False, False))
         assert len(records) == 37_327 > 2 * sparse_io._BLOCK
         path = tmp_path / "p24.sprs"
+        write_sparse(path, records, header)
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
+        # again over a longer file of the other scheme's records: a tail
+        # left uncut, or a byte of the old file, changes the digest
+        other = next(t for t in self.PINNED if t != text)
+        write_domain(packing24, parse_scheme(other), path, periodic=(True, False, False))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff" * 1000)
         write_sparse(path, records, header)
         assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
 
