@@ -8,9 +8,9 @@ fluid when its I_c is > 0; one held by no rank or by two is a ProtocolError
 naming the cell. Neighbor entries store the contiguous index of the fluid
 neighbor, or 0 when the neighbor is solid or outside the domain.
 `build_adjacency(halo, out)` and `SparseRecords.concat` place each record
-at row I_c - 1, so a repeated I_c leaves a zero row; a rank whose I_c rise
-by one in box order, as at one rank under lex:b=1, writes its rows as
-slices. `check_records` and `check_links` raise DataError naming the first
+at the row `_rows_of` gives it, I_c - 1, so a repeated I_c leaves a zero
+row; rows that rise by one, as at one rank under lex:b=1, are written as
+one slice. `check_records` and `check_links` raise DataError naming the first
 I_c that breaks a record rule; `check_links` runs `check_records`,
 then checks the records' (N_f, 18) `nbr` as stored against their header's dims,
 periodic axes and scheme through the blocked stencil gather `build_adjacency`
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ProtocolError
+from .errors import DataError, ParameterError, ProtocolError
 from .geometry import RankBox, VoxelGrid
 from .numbering import cell_index, parse_scheme
 
@@ -108,12 +108,16 @@ class SparseRecords:
         )
 
 
-def _rows_of(ic: np.ndarray, n: int) -> np.ndarray:
-    """The rows I_c - 1 of records with these I_c in a set of n; DataError
-    naming the first I_c outside 1..n."""
+def _rows_of(ic: np.ndarray, n: int) -> np.ndarray | slice:
+    """The rows I_c - 1 of records with these I_c in a set of n, as a
+    slice when they rise by one; DataError naming the first I_c outside
+    1..n. Rising strictly over a span of m values, m rows repeat none."""
     row = ic - 1  # uint64: I_c 0 wraps past n
     if (row >= n).any():
         raise DataError(f"I_c={ic[np.argmax(row >= n)]} is outside 1..{n}")
+    m = row.size
+    if m and int(row[-1]) - int(row[0]) + 1 == m and (row[1:] > row[:-1]).all():
+        return slice(int(row[0]), int(row[0]) + m)
     return row
 
 
@@ -219,31 +223,29 @@ def build_adjacency(halo: HaloView, out: SparseRecords | None = None) -> SparseR
     A neighbor entry is the fluid neighbor's I_c, or 0 for solid cells
     and cells beyond a non-periodic boundary (their padded I_c is 0).
     Without `out` the records come out in row-major box order; with it,
-    each record is written to row I_c - 1 of `out`, which is returned,
-    as `SparseRecords.concat` would place it. When the view's m fluid
-    cells hold, in box order, the I_c r0 + 1 .. r0 + m (`_one_range`),
-    every block is written to rows r0 + b0.. as a slice; otherwise each
-    block's rows are scattered one by one, so a repeated I_c leaves a
-    zero row. An I_c outside 1..len(out) raises its DataError before a
-    row is written.
+    each record is written to the row of `out` that `_rows_of` gives it,
+    as `SparseRecords.concat` would place it, and `out` is returned: rows
+    that rise by one take each block's links as a slice, any others have
+    each block's rows scattered one by one, so a repeated I_c leaves a
+    zero row. A box reaching past the uint32 coordinates raises
+    ParameterError, and an I_c outside 1..len(out) its DataError, before
+    a row is written.
     """
+    if max(halo.box.hi) > 2**32:
+        raise ParameterError(
+            f"box of rank {halo.box.rank} reaches coordinate {max(halo.box.hi) - 1}, "
+            f"past the largest stored coordinate {2**32 - 1}"
+        )
     _, py, px = halo.ic.shape
     zz, yy, xx = np.nonzero(halo.ic[1:-1, 1:-1, 1:-1] > 0)
     at = ((zz + 1) * py + yy + 1) * px + xx + 1
     ic = halo.ic.reshape(-1)[at]
     if out is None:  # box order: rows 0..n-1 of a new set
-        n = at.size
-        out = SparseRecords(np.empty((n, 3), np.uint32), np.empty(n, np.uint64),
-                            np.empty((n, 18), np.uint64))
-        r0 = 0
+        out, rows = SparseRecords.zeros(at.size), slice(0, at.size)
     else:
-        r0 = _one_range(ic, len(out))
-    if r0 is None:
         rows = _rows_of(ic, len(out))
-        dst = None  # each block's links scattered to their rows
-    else:
-        rows = slice(r0, r0 + at.size)
-        dst = out.nbr[rows]
+    # a slice of rows takes the links in place; scattered rows take a block's buffer
+    dst = out.nbr[rows] if isinstance(rows, slice) else None
     out.ic[rows] = ic
     x0, y0, z0 = halo.box.lo
     for axis, v, v0 in ((0, xx, x0), (1, yy, y0), (2, zz, z0)):
@@ -252,16 +254,6 @@ def build_adjacency(halo: HaloView, out: SparseRecords | None = None) -> SparseR
         if dst is None:
             out.nbr[rows[b0 : b0 + len(links)]] = links
     return out
-
-
-def _one_range(ic: np.ndarray, n: int) -> int | None:
-    """r0 when these m I_c are r0 + 1 .. r0 + m in this order, all in
-    1..n, as at one rank or in a z-slab under lex:b=1; else None. They
-    rise strictly and span m values, so none repeats."""
-    m = ic.size
-    if not m or ic[0] < 1 or ic[-1] > n or int(ic[-1]) - int(ic[0]) + 1 != m:
-        return None
-    return int(ic[0]) - 1 if (ic[1:] > ic[:-1]).all() else None
 
 
 def first_bad_entry(nbr: np.ndarray, n_fluid: int) -> tuple[int, int] | None:

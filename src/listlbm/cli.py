@@ -41,9 +41,6 @@ from .pipeline import preprocess_grid
 from .solver import Simulation, TrtParams
 from .sparse_io import check_body_size, read_header, read_sparse, write_sparse
 
-_FLOPS_PER_UPDATE = 200  # per fluid lattice update, for the GFLOP/s estimate
-
-
 @contextmanager
 def _outputs(inputs, outputs):
     """Claim each output (create it, or open it untruncated if it exists),
@@ -151,12 +148,12 @@ def _cmd_analyze(args):
     return 0
 
 
-def _report(sim, steps, seconds, flups, gflops) -> str:
+def _report(sim, steps, seconds, flups) -> str:
     """The solve report: one CSV row per partition, the run's totals
     repeated, then the partition's cells and its timers' seconds."""
     run = (f"{len(sim.domains)},{steps},{sim.header.n_fluid},"
-           f"{seconds:.6f},{flups:.3f},{gflops:.6f}")
-    lines = ["partitions,steps,fluid_cells,seconds,flups,gflops_est,"
+           f"{seconds:.6f},{flups:.3f}")
+    lines = ["partitions,steps,fluid_cells,seconds,flups,"
              "part,owned_cells,ghost_cells,compute_s,exchange_s"]
     lines += [f"{run},{d.part},{d.n_own},{d.n_ghost},"
               f"{sim.compute_seconds[d.part]:.6f},{sim.exchange_seconds[d.part]:.6f}"
@@ -177,8 +174,7 @@ def _cmd_solve(args):
         seconds = time.perf_counter() - t0
         flup_count = sim.header.n_fluid * args.steps
         flups = flup_count / max(seconds, 1e-12)
-        gflops = flups * _FLOPS_PER_UPDATE / 1e9
-        report = _report(sim, args.steps, seconds, flups, gflops)
+        report = _report(sim, args.steps, seconds, flups)
         # a step checks the state it pulls: one more, untimed, checks
         # the state the last timed step left before any report is written
         sim.step()
@@ -189,7 +185,7 @@ def _cmd_solve(args):
         print(f"wrote {args.report}")
     print(f"steps={args.steps} fluid_cells={sim.header.n_fluid} partitions={len(sim.domains)}")
     print(f"flup_count={flup_count} seconds={seconds:.3f}")
-    print(f"flups={flups:.6e} gflops_est={gflops:.6f}")
+    print(f"flups={flups:.6e}")
     return 0
 
 

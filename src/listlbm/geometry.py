@@ -195,14 +195,13 @@ def make_packing(d: int, seed: int) -> VoxelGrid:
     return VoxelGrid(flags)
 
 
-def _axis_splits(extent: int, parts: int) -> list[int]:
-    """Slab boundaries: first (extent mod parts) slabs are one cell larger."""
-    base, extra = divmod(extent, parts)
-    sizes = [base + 1] * extra + [base] * (parts - extra)
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    return bounds
+def equal_split(n: int, parts: int) -> np.ndarray:
+    """The (parts + 1,) uint64 bounds, 0 to n, of `parts` near-equal chunks
+    of n: the first (n mod parts) chunks are one larger. Rank boxes cut
+    each axis by it and `chunk_ranges` the fluid cell list."""
+    base, extra = divmod(n, parts)
+    k = np.arange(parts + 1, dtype=np.uint64)
+    return k * base + np.minimum(k, extra)
 
 
 def decompose_ranks(dims, P: int) -> list[RankBox]:
@@ -239,9 +238,7 @@ def decompose_ranks(dims, P: int) -> list[RankBox]:
     if best is None:
         raise ParameterError(f"no factorization of {P} ranks fits inside dims {(X, Y, Z)}")
     px, py, pz = best
-    xs = _axis_splits(X, px)
-    ys = _axis_splits(Y, py)
-    zs = _axis_splits(Z, pz)
+    xs, ys, zs = (equal_split(n, p).tolist() for n, p in ((X, px), (Y, py), (Z, pz)))
     boxes = []
     for bz in range(pz):
         for by in range(py):

@@ -1,8 +1,9 @@
 """Partitioning of the 1-D fluid cell list and partition-quality metrics.
 
 A partitioning cuts the contiguous index range [1, N_f] into N equal
-chunks, the trailing ones smaller by one cell; `chunk_ranges` is the one
-place that computes the boundaries. Quality metrics count, per
+chunks, the first N_f mod N of them one cell larger; `chunk_ranges` is
+the one place that computes the boundaries, by the `equal_split` that
+also cuts the rank boxes' axes. Quality metrics count, per
 partition, the distinct neighbor partitions and the directed PDF links
 crossing partition boundaries.
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .adjacency import check_records
 from .errors import ParameterError
+from .geometry import equal_split
 
 __all__ = [
     "PartitionAssignment",
@@ -63,13 +65,8 @@ def chunk_ranges(n_fluid: int, N: int) -> PartitionAssignment:
         raise ParameterError(f"partition count must be >= 1, got {N}")
     if N > n_fluid:
         raise ParameterError(f"{N} partitions requested but only {n_fluid} fluid cells exist")
-    base, extra = divmod(n_fluid, N)
-    sizes = np.full(N, base, dtype=np.uint64)
-    sizes[:extra] += 1
-    bounds = np.empty(N + 1, dtype=np.uint64)
-    bounds[0] = 1
-    np.cumsum(sizes, out=bounds[1:])
-    bounds[1:] += 1
+    bounds = equal_split(n_fluid, N)
+    bounds += 1
     return PartitionAssignment(n_fluid=n_fluid, boundaries=bounds)
 
 

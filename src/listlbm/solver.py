@@ -207,13 +207,11 @@ class LocalDomain:
         self.f_dst = np.empty((19, nslots))
 
 
-def _pair_cu(u, out=None) -> np.ndarray:
+def _pair_cu(u, out) -> np.ndarray:
     """(9, n) rows c_p . u of the pair heads p = 1, 3, ..., 17 for the
     velocity rows u[0], u[1], u[2]: rows 0-2 are u itself (no copy when
     u is already out[:3]), rows 3-8 its written-out sums and differences."""
     ux, uy, uz = u
-    if out is None:
-        out = np.empty((9,) + ux.shape)
     out[:3] = u
     np.add(ux, uy, out=out[3])
     np.subtract(ux, uy, out=out[4])

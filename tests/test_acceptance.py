@@ -212,12 +212,8 @@ def test_criterion_7_flup_accounting(tmp_path, capsys):
             out = capsys.readouterr().out
             fields = dict(f.split("=", 1) for line in out.splitlines() for f in line.split())
             counts.append(int(fields["flup_count"]))
-            # gflops_est is printed to 1e-6 and flups to 7 significant digits
-            assert float(fields["gflops_est"]) == pytest.approx(
-                float(fields["flups"]) * 200 / 1e9, abs=1e-6)
         assert counts == [n_fluid * 13] * 2
-        return (f"flup count {counts[0]} = {n_fluid} cells x 13 steps on both runs; "
-                f"GFLOP/s derived with the 200-FLOP constant")
+        return f"flup count {counts[0]} = {n_fluid} cells x 13 steps on both runs"
 
     verdict("7 FLUP/s accounting", body)
 

@@ -9,6 +9,7 @@ from listlbm import (
     DataError,
     LexBlocked,
     Morton,
+    ParameterError,
     ProtocolError,
     Simulation,
     SparseHeader,
@@ -296,7 +297,8 @@ class TestPlacement:
         """How many of the halos hold their I_c as one range rising by one
         in box order, which `build_adjacency` writes as slices."""
         ics = [h.ic[1:-1, 1:-1, 1:-1][h.ic[1:-1, 1:-1, 1:-1] > 0] for h in halos]
-        return sum(adjacency._one_range(ic, n) is not None for ic in ics)
+        return sum(ic.size > 0 and ic[-1] <= n
+                   and np.array_equal(ic, np.arange(ic[0], ic[0] + ic.size)) for ic in ics)
 
     # (nranks, dims, one-range ranks under lex:b=1 and morton:g=2): one
     # rank, and each of the 4 z-slabs (6, 5, 24) is cut into, holds its
@@ -360,6 +362,26 @@ class TestPlacement:
         assert out.ic[lost - 1] == 0 and not out.nbr[lost - 1].any()
         with pytest.raises(DataError, match=rf"^I_c={lost} is not record {lost - 1}: records must"):
             check_records(out, grid.fluid_count)
+
+    @pytest.mark.parametrize("x0, fits", [(2**32 - 2, True), (2**32 - 1, False)],
+                             ids=["last-cell-at-2^32-1", "cell-at-2^32"])
+    def test_box_past_the_uint32_coordinates_is_refused(self, x0, fits):
+        """A 2-cell box at x = x0, x0 + 1: coordinates up to 2^32 - 1 are
+        stored as they are; a box that reaches 2^32, which the uint32
+        column would wrap to 0, raises before a row is written."""
+        field = np.zeros((3, 3, 4), np.uint64)
+        field[1, 1, 1:3] = (1, 2)
+        halo = HaloView(RankBox(0, (x0, 0, 0), (x0 + 2, 1, 1)), field)
+        out = SparseRecords.zeros(2)
+        if fits:
+            assert build_adjacency(halo).equals(build_adjacency(halo, out))
+            assert out.coords[:, 0].tolist() == [x0, x0 + 1]
+            return
+        for placed in (None, out):
+            with pytest.raises(ParameterError, match=r"^box of rank 0 reaches coordinate "
+                               rf"{2**32}, past the largest stored coordinate {2**32 - 1}$"):
+                build_adjacency(halo, placed)
+        assert not (out.coords.any() or out.ic.any() or out.nbr.any())
 
     @pytest.mark.parametrize("nranks", [1, 8])
     @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])

@@ -442,7 +442,7 @@ class TestPairForm:
         assert np.array_equal(C19[2::2], -C19[1::2])
         rng = np.random.default_rng(7)
         u = rng.standard_normal((3, 5))
-        assert np.array_equal(solver._pair_cu(u), _HEADS @ u)
+        assert np.array_equal(solver._pair_cu(u, np.empty((9, 5))), _HEADS @ u)
         # integer rows add exactly, so a wrong sign or row fails here
         f0, s, d = (rng.integers(-1000, 1000, shape).astype(float) for shape in
                     ((50,), (9, 50), (9, 50)))
