@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ProtocolError
-from .geometry import RankBox, VoxelGrid
+from .geometry import MAX_CELLS, RankBox, VoxelGrid
 from .numbering import cell_index, parse_scheme
 
 __all__ = [
@@ -74,6 +74,13 @@ class SparseRecords:
             raise DataError(
                 f"inconsistent record arrays: coords {self.coords.shape}, "
                 f"ic {self.ic.shape}, nbr {self.nbr.shape}"
+            )
+        # the file's types, which every reader and producer makes
+        types = (self.coords.dtype, self.ic.dtype, self.nbr.dtype)
+        if types != (np.uint32, np.uint64, np.uint64):
+            raise DataError(
+                "record arrays must be uint32 coords, uint64 ic and uint64 nbr, got "
+                f"coords {types[0]}, ic {types[1]}, nbr {types[2]}"
             )
 
     def __len__(self) -> int:
@@ -288,8 +295,10 @@ def check_links(records: SparseRecords, header) -> None:
     links are symmetric), and the header's scheme numbers the cells in
     I_c order. A wrong link names the smallest I_c with one and its first
     wrong direction. The lookup field spans only the records' box, so
-    inflated header dims cost no memory; dims too large for the scheme's
-    64-bit codes raise ParameterError."""
+    inflated header dims cost no memory; a box of more than MAX_CELLS
+    cells, more than a voxel file holds, raises DataError before it is
+    allocated, and dims too large for the scheme's 64-bit codes raise
+    ParameterError."""
     check_records(records, header.n_fluid)
     dims, periodic, nbr, coords = header.dims, header.periodic, records.nbr, records.coords
     X, Y, Z = dims
@@ -300,6 +309,9 @@ def check_links(records: SparseRecords, header) -> None:
         outside = (c < 0).any(axis=1) | (c[:, 0] >= X) | (c[:, 1] >= Y) | (c[:, 2] >= Z)
         a = int(np.argmax(outside))
         raise DataError(f"I_c={a + 1} lies at {tuple(coords[a].tolist())}, outside dims {(X, Y, Z)}")
+    box = tuple(h + 1 for h in hi)
+    if box[0] * box[1] * box[2] > MAX_CELLS:
+        raise DataError(f"the records' box {box} holds more cells than the limit {MAX_CELLS}")
     # I_c field over the box [0, hi] padded by one cell, like a rank's halo
     px, py, pz = (h + 3 for h in hi)
     at = ((z.astype(np.int64) + 1) * py + y + 1) * px + x + 1

@@ -8,6 +8,7 @@ produce bit-identical grids.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -263,41 +264,52 @@ def save_voxels(path, grid: VoxelGrid) -> None:
 
 
 def load_voxels(path) -> VoxelGrid:
-    """Read a voxel file back into a VoxelGrid; errors carry byte offsets."""
+    """Read a voxel file back into a VoxelGrid; errors carry byte offsets.
+
+    The header is checked before the payload is read, and the payload
+    size is taken from the file's size, so a bad header costs no read of
+    the flags. Memory is the packed payload plus one byte a cell."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(
-            f"truncated header: need {_HEADER.size} bytes, file has {len(raw)}",
-            offset=len(raw),
-        )
-    magic, version, X, Y, Z = _HEADER.unpack_from(raw, 0)
-    if magic != VOXEL_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {VOXEL_MAGIC!r}", offset=0)
-    if version != VOXEL_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    for i, (name, d) in enumerate(zip("XYZ", (X, Y, Z))):
-        if d < 1:
-            raise FormatError(f"dimension {name}={d} must be >= 1", offset=8 + 8 * i)
-    ncells = X * Y * Z
-    if ncells > MAX_CELLS:
-        raise FormatError(
-            f"dimension overflow: {X}*{Y}*{Z} cells exceeds limit {MAX_CELLS}",
-            offset=8,
-        )
-    nbytes = (ncells + 7) // 8
-    got = len(raw) - _HEADER.size
-    if got < nbytes:
-        raise FormatError(
-            f"truncated flag payload: expected {nbytes} bytes, got {got}",
-            offset=len(raw),
-        )
-    if got > nbytes:
-        raise FormatError(
-            f"trailing data: {got - nbytes} bytes past flag payload",
-            offset=_HEADER.size + nbytes,
-        )
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size), bitorder="little"
-    )
-    return VoxelGrid(bits[:ncells].astype(bool).reshape(Z, Y, X))
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(
+                f"truncated header: need {_HEADER.size} bytes, file has {len(head)}",
+                offset=len(head),
+            )
+        magic, version, X, Y, Z = _HEADER.unpack(head)
+        if magic != VOXEL_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {VOXEL_MAGIC!r}", offset=0)
+        if version != VOXEL_VERSION:
+            raise FormatError(f"unsupported version {version}", offset=4)
+        for i, (name, d) in enumerate(zip("XYZ", (X, Y, Z))):
+            if d < 1:
+                raise FormatError(f"dimension {name}={d} must be >= 1", offset=8 + 8 * i)
+        ncells = X * Y * Z
+        if ncells > MAX_CELLS:
+            raise FormatError(
+                f"dimension overflow: {X}*{Y}*{Z} cells exceeds limit {MAX_CELLS}",
+                offset=8,
+            )
+        nbytes = (ncells + 7) // 8
+        size = os.fstat(fh.fileno()).st_size
+        got = size - _HEADER.size
+        if got < nbytes:
+            raise FormatError(
+                f"truncated flag payload: expected {nbytes} bytes, got {got}",
+                offset=size,
+            )
+        if got > nbytes:
+            raise FormatError(
+                f"trailing data: {got - nbytes} bytes past flag payload",
+                offset=_HEADER.size + nbytes,
+            )
+        payload = np.empty(nbytes, dtype=np.uint8)
+        got = fh.readinto(payload)
+        if got < nbytes:
+            raise FormatError(
+                f"truncated flag payload: expected {nbytes} bytes, got {got}",
+                offset=_HEADER.size + got,
+            )
+    # the unpacked bits are 0 or 1, so their bytes read as bools uncopied
+    bits = np.unpackbits(payload, count=ncells, bitorder="little")
+    return VoxelGrid(bits.view(bool).reshape(Z, Y, X))

@@ -17,7 +17,6 @@ again and re-reads only the flags through the sort permutation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "RUN_DTYPE",
     "SENTINEL_END",
     "CellOrder",
-    "RankTree",
     "assign_contiguous",
     "build_rank_tree",
     "find_runs",
@@ -57,30 +55,20 @@ RUN_DTYPE = np.dtype(
 )
 
 
-@dataclass(frozen=True)
-class RankTree:
-    """Reduction tree over rank ids: levels of (master, members) groups."""
-
-    nranks: int
-    levels: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-
-    @property
-    def root(self) -> int:
-        return 0
-
-
-def build_rank_tree(P: int) -> RankTree:
-    """Group consecutive blocks of up to 8 ranks per level, smallest id
-    becomes the sibling master, until a single node remains."""
+def build_rank_tree(P: int) -> tuple:
+    """The reduction tree over ranks 0..P-1 as its levels of (master,
+    members) groups. Each level groups consecutive blocks of up to 8 of
+    the previous level's masters (first the ranks), the smallest id
+    becoming the master, until one group remains. One rank forms one
+    group like any other count: its tree is `(((0, (0,)),),)`."""
     if P < 1:
         raise ParameterError(f"rank count must be >= 1, got {P}")
-    nodes = list(range(P))
-    levels = []
-    while len(nodes) > 1:
+    nodes, levels = list(range(P)), []
+    while not levels or len(nodes) > 1:
         groups = [tuple(nodes[i : i + 8]) for i in range(0, len(nodes), 8)]
         levels.append(tuple((g[0], g) for g in groups))
         nodes = [g[0] for g in groups]
-    return RankTree(nranks=P, levels=tuple(levels))
+    return tuple(levels)
 
 
 class CellOrder:
@@ -211,31 +199,27 @@ def find_runs(
     return runs
 
 
-def _reject_overlap(runs: np.ndarray) -> None:
-    """Raise ProtocolError unless incell-sorted runs are disjoint."""
-    inc, out = runs["incell"], runs["outcell"]
+def _merge_runs(A: np.ndarray, owner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge incell-sorted runs whose outcell meets the next incell.
+
+    Returns the merged table, owned by `owner`, and for each run of A
+    the index of the merged run it joined; overlapping runs raise
+    ProtocolError.
+    """
+    inc, out = A["incell"], A["outcell"]
     bad = np.flatnonzero(inc[1:] < out[:-1])
     if bad.size:
         k = int(bad[0])
         raise ProtocolError(
             f"overlapping runs [{inc[k]}, {out[k]}) and [{inc[k + 1]}, {out[k + 1]})"
         )
-
-
-def _merge_runs(A: np.ndarray, owner: int) -> tuple[np.ndarray, np.ndarray]:
-    """Merge incell-sorted runs whose outcell meets the next incell.
-
-    Returns the merged table, owned by `owner`, and for each run of A
-    the index of the merged run it joined.
-    """
-    _reject_overlap(A)
     head = np.ones(A.size, dtype=bool)
-    head[1:] = A["incell"][1:] != A["outcell"][:-1]
+    head[1:] = inc[1:] != out[:-1]
     heads = np.flatnonzero(head)
     B = np.zeros(heads.size, RUN_DTYPE)
-    B["incell"] = A["incell"][heads]
+    B["incell"] = inc[heads]
     # the run before each head (cyclically) ends a merged run
-    B["outcell"] = A["outcell"][np.roll(head, -1)]
+    B["outcell"] = out[np.roll(head, -1)]
     B["fluid"] = np.add.reduceat(A["fluid"], heads)
     B["owner"] = owner
     return B, np.cumsum(head) - 1
@@ -246,43 +230,44 @@ def _fluid_before(fluid: np.ndarray) -> np.ndarray:
     return np.cumsum(fluid) - fluid
 
 
-def octree_reduce(lists_by_rank, tree: RankTree, rng=None) -> list[np.ndarray]:
+def octree_reduce(lists_by_rank, tree, rng=None) -> list[np.ndarray]:
     """Every rank's run table, sorted by incell, with its `start` column
     filled by the tree reduction; the submitted tables are not changed.
 
-    Upward, each sibling master concatenates its children's tables,
-    sorts them by incell index, merges adjacent runs and forwards the
-    result as its own. The root prefix-sums fluid counts (first start
-    is 1). Downward, a run starts at its merged run's start plus the
-    fluid cells of the runs merged before it, and goes back to its
-    sender. `rng`, when given, shuffles message arrival order within
-    sibling groups; results must not depend on it. Each level is
-    logged at DEBUG level.
+    `tree` is `build_rank_tree(P)`: its first level's members are the P
+    ranks, and rank 0 is the root. Upward, each sibling master
+    concatenates its children's tables, sorts them by incell index,
+    merges adjacent runs and forwards the result as its own. The root
+    prefix-sums fluid counts (first start is 1). Downward, a run starts
+    at its merged run's start plus the fluid cells of the runs merged
+    before it, and goes back to its sender. `rng`, when given, shuffles
+    message arrival order within sibling groups; results must not
+    depend on it. Each level is logged at DEBUG level.
     """
-    P = tree.nranks
+    P = sum(len(members) for _, members in tree[0])
     trace = log.isEnabledFor(logging.DEBUG)
     if len(lists_by_rank) != P:
         raise ProtocolError(f"expected {P} rank lists, got {len(lists_by_rank)}")
-    current: dict[int, np.ndarray] = {}
+    # each table is checked where it lies; a fault names its run of
+    # smallest incell, the first of them in submitted order
     for r, runs in enumerate(lists_by_rank):
-        runs = runs.take(np.argsort(runs["incell"], kind="stable"))
+        inc = runs["incell"]
         wrong = np.flatnonzero(runs["owner"] != r)
         if wrong.size:
-            raise ProtocolError(
-                f"rank {r} submitted a run owned by rank {runs['owner'][wrong[0]]}"
-            )
-        bad = np.flatnonzero((runs["incell"] >= runs["outcell"]) | (runs["fluid"] < 0))
+            k = wrong[np.argmin(inc[wrong])]
+            raise ProtocolError(f"rank {r} submitted a run owned by rank {runs['owner'][k]}")
+        bad = np.flatnonzero((inc >= runs["outcell"]) | (runs["fluid"] < 0))
         if bad.size:
-            e = runs[bad[0]]
+            e = runs[bad[np.argmin(inc[bad])]]
             raise ProtocolError(
                 f"rank {r} submitted the invalid run [{e['incell']}, {e['outcell']}) "
                 f"with {e['fluid']} fluid cells"
             )
-        current[r] = runs
+    current = dict(enumerate(lists_by_rank))
 
     # per level, each master's (constituents, merged run joined, merged runs)
     stored: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    for li, level in enumerate(tree.levels):
+    for li, level in enumerate(tree):
         stored.append({})
         nxt: dict[int, np.ndarray] = {}
         for master, members in level:
@@ -301,17 +286,16 @@ def octree_reduce(lists_by_rank, tree: RankTree, rng=None) -> list[np.ndarray]:
                 )
         current = nxt
 
-    root = current[tree.root]
-    _reject_overlap(root)
+    # the last level's one group merges into the root's table
+    root = current[0]
     root["start"] = 1 + _fluid_before(root["fluid"])
     if trace:
-        log.debug("root %d assigned %d starts, N_f=%d",
-                  tree.root, root.size, int(root["fluid"].sum()))
+        log.debug("root 0 assigned %d starts, N_f=%d", root.size, int(root["fluid"].sum()))
 
-    down = {tree.root: root}
-    for li in range(len(tree.levels) - 1, -1, -1):
+    down = {0: root}
+    for li in range(len(tree) - 1, -1, -1):
         nxt_down: dict[int, np.ndarray] = {}
-        for master, members in tree.levels[li]:
+        for master, members in tree[li]:
             A, joined, B = stored[li][master]
             msg = down[master]
             if not np.array_equal(msg["incell"], B["incell"]) or (msg["start"] < 1).any():

@@ -258,6 +258,17 @@ class TestPlacement:
         with pytest.raises(DataError, match=rf"^I_c={ic} is outside 1\.\.{n}$"):
             SparseRecords.concat(batches)
 
+    def test_signed_ic_is_refused_before_placement(self):
+        """An int64 ic holding 0 would place its row at -1; the records
+        refuse any type but the file's uint64 when they are made."""
+        records = records_for(make_channel(4))
+        ic = records.ic.astype(np.int64)
+        ic[3] = 0
+        with pytest.raises(DataError, match=r"^record arrays must be uint32 coords, uint64 ic "
+                                            r"and uint64 nbr, got coords uint32, ic int64, "
+                                            r"nbr uint64$"):
+            SparseRecords.concat([SparseRecords(records.coords, ic, records.nbr)])
+
     def test_repeated_ic_leaves_the_unfilled_slot_for_the_validator(self, tmp_path):
         header, records = preprocess_grid(make_channel(4), LexBlocked(1))
         ic = records.ic.copy()

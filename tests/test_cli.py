@@ -18,6 +18,8 @@ from listlbm import (
     DivergenceError,
     LexBlocked,
     Simulation,
+    SparseHeader,
+    SparseRecords,
     TrtParams,
     VoxelGrid,
     make_channel,
@@ -437,6 +439,23 @@ class TestRecordCoordinates:
             out, err = capsys.readouterr()
             assert f"I_c={ic} " in error_only(err), argv
             assert out == ""
+
+    @pytest.mark.parametrize("scheme", ["lex:b=1", "morton:g=1"])
+    def test_records_spanning_a_huge_box_exit_one(self, tmp_path, scheme):
+        """Two records at opposite corners of dims (2^32, 2^32, 2^32) span
+        a box of 2^96 cells, past any voxel file's: analyze and solve end
+        in one `error:` line naming it before the lookup field is sized."""
+        m = 2**32 - 1
+        records = SparseRecords(np.array([[0, 0, 0], [m, m, m]], np.uint32),
+                                np.array([1, 2], np.uint64), np.zeros((2, 18), np.uint64))
+        path = tmp_path / "huge.sprs"
+        write_sparse(path, records, SparseHeader((2**32,) * 3, 2, scheme))
+        assert sparse_verdicts(path, tmp_path) == {"info": 0, "analyze": 1, "solve": 1}
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            main(["solve", "--in", str(path), "--steps", "1"])
+        assert err.getvalue() == (f"error: the records' box {(m + 1,) * 3} holds more cells "
+                                  f"than the limit {2**40}\n")
 
 
 class TestSchemeOrder:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,24 @@ class TestVoxelFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="offset 0"):
             load_voxels(path)
+
+    def test_bad_magic_reads_no_payload(self, tmp_path):
+        """The header is checked before the flags are read: a 64 MB file
+        with a bad magic fails with a traced peak under 1 MB."""
+        path = tmp_path / "big.voxl"
+        save_voxels(path, make_channel(4))
+        with open(path, "r+b") as fh:
+            fh.write(b"NOPE")
+            fh.truncate(64 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"^bad magic b'NOPE', expected b'VOXL' "
+                                                  r"\(at byte offset 0\)$"):
+                load_voxels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.voxl"

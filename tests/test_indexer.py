@@ -62,23 +62,22 @@ class TestRunTable:
 
 class TestRankTree:
     def test_single_rank(self):
-        tree = build_rank_tree(1)
-        assert tree.levels == ()
-        assert tree.root == 0
+        """One rank forms one level of one group, like any other count."""
+        assert build_rank_tree(1) == (((0, (0,)),),)
 
     def test_one_full_group(self):
         tree = build_rank_tree(8)
-        assert len(tree.levels) == 1
-        ((master, members),) = tree.levels[0]
+        assert len(tree) == 1
+        ((master, members),) = tree[0]
         assert master == 0
         assert members == tuple(range(8))
 
     def test_thirteen_ranks(self):
         tree = build_rank_tree(13)
-        assert len(tree.levels) == 2
-        level1 = tree.levels[0]
+        assert len(tree) == 2
+        level1 = tree[0]
         assert level1 == ((0, tuple(range(8))), (8, tuple(range(8, 13))))
-        assert tree.levels[1] == ((0, (0, 8)),)
+        assert tree[1] == ((0, (0, 8)),)
 
 
 class TestFindRuns:
@@ -163,6 +162,22 @@ class TestOctreeReduce:
         with pytest.raises(ProtocolError, match="owned by rank 3"):
             octree_reduce([table((0, SENTINEL_END, 1, 3))], build_rank_tree(1))
 
+    # rank 1's table arrives out of incell order with three faulty runs;
+    # the one of smallest incell comes last and is the one named
+    @pytest.mark.parametrize("runs, text", [
+        (table((40, 50, 1, 6), (10, 12, 1, 1), (20, 30, 3, 4), (5, 9, 1, 3)),
+         "rank 1 submitted a run owned by rank 3"),
+        (table((40, 41, -1, 1), (10, 12, 1, 1), (30, 30, 0, 1), (5, 3, 2, 1),
+               (20, SENTINEL_END, 1, 1)),
+         "rank 1 submitted the invalid run [5, 3) with 2 fluid cells"),
+    ], ids=["owner", "invalid"])
+    def test_fault_of_smallest_incell_is_named(self, runs, text):
+        kept = runs.copy()
+        with pytest.raises(ProtocolError) as info:
+            octree_reduce([table((0, 4, 2, 0)), runs], build_rank_tree(2))
+        assert str(info.value) == text
+        assert np.array_equal(runs, kept)
+
     def test_arrival_order_does_not_matter(self):
         grid = random_grid(5, (16, 8, 7))
         boxes = decompose_ranks(grid.dims, 13)
@@ -183,7 +198,7 @@ class TestOctreeReduce:
         with caplog.at_level(logging.DEBUG, logger="listlbm.indexer"):
             traced = octree_reduce(lists, tree)
         messages = [r.getMessage() for r in caplog.records]
-        for li, groups in enumerate(tree.levels):
+        for li, groups in enumerate(tree):
             for master, _ in groups:
                 assert sum(m.startswith(f"up level {li} master {master}:")
                            for m in messages) == 1
@@ -192,6 +207,17 @@ class TestOctreeReduce:
         assert sum(m.startswith("root 0 assigned ")
                    and m.endswith(f"N_f={grid.fluid_count}") for m in messages) == 1
         assert all(np.array_equal(a, b) for a, b in zip(traced, base))
+
+    def test_single_rank_trace_has_one_level(self, caplog):
+        runs = table((10, SENTINEL_END, 3, 0), (0, 5, 5, 0))
+        with caplog.at_level(logging.DEBUG, logger="listlbm.indexer"):
+            (out,) = octree_reduce([runs], build_rank_tree(1))
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["up level 0 master 0: 2 runs from [0] -> 2 merged",
+                            "root 0 assigned 2 starts, N_f=8",
+                            "down level 0 master 0: scattered 2 runs to [0]"]
+        assert out["incell"].tolist() == [0, 10] and out["start"].tolist() == [1, 6]
+        assert not runs["start"].any()
 
 
 class TestAssignContiguous:

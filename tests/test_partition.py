@@ -14,6 +14,7 @@ from listlbm import (
     Morton,
     ParameterError,
     PartitionStats,
+    SparseRecords,
     VoxelGrid,
     chunk_ranges,
     emit_histograms,
@@ -127,6 +128,18 @@ class TestPartitionStats:
         records.nbr[0, 5] = 99
         with pytest.raises(DataError):
             partition_stats(records, chunk_ranges(4, 2))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32])
+    def test_narrow_neighbor_type_is_data_error(self, dtype):
+        """An nbr of another type than the file's uint64 is refused when
+        the records are made, not read through an int64 view."""
+        grid = VoxelGrid(np.ones((1, 1, 4), dtype=bool))
+        _, records = preprocess_grid(grid, LexBlocked(1))
+        with pytest.raises(DataError, match=f"^record arrays must be uint32 coords, uint64 ic "
+                                            f"and uint64 nbr, got coords uint32, ic uint64, "
+                                            f"nbr {np.dtype(dtype)}$"):
+            partition_stats(SparseRecords(records.coords, records.ic, records.nbr.astype(dtype)),
+                            chunk_ranges(4, 2))
 
 
 def brute_force_stats(records, bounds):
