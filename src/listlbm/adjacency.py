@@ -304,9 +304,8 @@ def check_links(records: SparseRecords, header) -> None:
     X, Y, Z = dims
     x, y, z = coords.T  # strided views: no copy of the coords
     hi = [int(v.max(initial=0)) for v in (x, y, z)]
-    if coords.min(initial=0) < 0 or any(h >= d for h, d in zip(hi, dims)):
-        c = coords.astype(np.int64)
-        outside = (c < 0).any(axis=1) | (c[:, 0] >= X) | (c[:, 1] >= Y) | (c[:, 2] >= Z)
+    if any(h >= d for h, d in zip(hi, dims)):
+        outside = (x >= X) | (y >= Y) | (z >= Z)
         a = int(np.argmax(outside))
         raise DataError(f"I_c={a + 1} lies at {tuple(coords[a].tolist())}, outside dims {(X, Y, Z)}")
     box = tuple(h + 1 for h in hi)

@@ -9,9 +9,10 @@ domain-wide unique contiguous index in [1, N_f]; solid cells carry 0.
 The reduction is deterministic regardless of message arrival order and
 independent of the rank count. Ranks are simulated in-process.
 
-Each rank sorts its box by index once: `find_runs` leaves the sorted
-cells in the shared `CellOrder`, and `assign_contiguous` takes them out
-again and re-reads only the flags through the sort permutation.
+The tables label cells by their gapless position in index order. Each
+rank sorts its box by position once: `find_runs` leaves the sorted
+positions in the shared `CellOrder`, and `assign_contiguous` takes them
+out again and re-reads only the flags through the sort permutation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Compares greater than every 64-bit cell index; marks a run with no
+# Compares greater than every cell position; marks a run with no
 # foreign successor cell.
 SENTINEL_END = 2**64 - 1
 
@@ -74,13 +75,14 @@ def build_rank_tree(P: int) -> tuple:
 class CellOrder:
     """Global order of all existing cells under one numbering scheme.
 
-    Blocked lexicographic indices are gapless, so position == code.
-    Morton codes may contain gaps; a sorted table of every cell's code
-    and a (Z, Y, X) field of every cell's position in it map between
-    codes and global positions. Keeps its `dims` and `scheme`.
+    A cell's position is its rank by code among all cells, gapless in
+    0..ncells-1; the run tables label cells by it. Blocked lexicographic
+    codes are gapless, so position == code; Morton codes may contain
+    gaps, and a (Z, Y, X) field holds every cell's position. Keeps its
+    `dims` and `scheme`.
 
-    Also holds, per box, the sorted cells `find_runs` hands over to
-    `assign_contiguous`, which takes them out again.
+    Also holds, per box, the sorted positions and permutation that
+    `find_runs` hands over to `assign_contiguous`, which takes them out.
     """
 
     def __init__(self, dims, scheme: NumberingScheme):
@@ -88,12 +90,10 @@ class CellOrder:
         self.dims, self.scheme = (X, Y, Z), scheme
         self.ncells = X * Y * Z
         self._sorted: dict[RankBox, tuple] = {}
-        if isinstance(scheme, LexBlocked):
-            self.codes_sorted = self._positions = None
-        else:
+        self._positions = None
+        if not isinstance(scheme, LexBlocked):
             codes = cell_index(scheme, *_box_axes((0, 0, 0), (X, Y, Z)), dims).reshape(-1)
             by_code = np.argsort(codes, kind="stable")
-            self.codes_sorted = codes[by_code]
             self._positions = np.empty(self.ncells, dtype=np.int64)
             self._positions[by_code] = np.arange(self.ncells)
             self._positions = self._positions.reshape(Z, Y, X)
@@ -106,11 +106,6 @@ class CellOrder:
         (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
         return self._positions[z0:z1, y0:y1, x0:x1].reshape(-1)
 
-    def code_at(self, positions: np.ndarray) -> np.ndarray:
-        if self.codes_sorted is None:
-            return np.asarray(positions, dtype=np.uint64)
-        return self.codes_sorted[positions]
-
 
 def _box_axes(lo, hi):
     """x, y and z aranges of the box [lo, hi), shaped to broadcast to
@@ -121,15 +116,15 @@ def _box_axes(lo, hi):
 
 
 def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder, keep: bool):
-    """Codes, flags and global positions of the box's cells, sorted
-    ascending by code. `order` must be built for the grid under `scheme`.
+    """Flags and global positions of the box's cells, sorted ascending
+    by position. `order` must be built for the grid under `scheme`.
 
     The sort depends only on dims, scheme and box, so it is taken from
     `order`'s slot for the box when there is one (the slot is emptied)
     and made by `_sort_box` otherwise; `keep` leaves it in the slot for
     the next call. The flags are always read from `grid`.
 
-    Returns (codes_sorted, flags_sorted, positions, sort_permutation, box_shape).
+    Returns (flags_sorted, positions, sort_permutation, box_shape).
     """
     if (order.dims, order.scheme) != (grid.dims, scheme):
         raise ParameterError(f"cell order built for dims {order.dims} and "
@@ -138,16 +133,16 @@ def _box_sorted_cells(grid: VoxelGrid, scheme, box: RankBox, order: CellOrder, k
     cells = order._sorted.pop(box, None) or _sort_box(box, order)
     if keep:
         order._sorted[box] = cells
-    codes, positions, sortidx = cells
+    positions, sortidx = cells
     (x0, y0, z0), (x1, y1, z1) = box.lo, box.hi
     flags = grid.flags[z0:z1, y0:y1, x0:x1].reshape(-1)[sortidx]
-    return codes, flags, positions, sortidx, (z1 - z0, y1 - y0, x1 - x0)
+    return flags, positions, sortidx, (z1 - z0, y1 - y0, x1 - x0)
 
 
 def _sort_box(box: RankBox, order: CellOrder):
-    """The box's codes sorted ascending, their global positions, and the
-    permutation that sorts the box's (z, y, x)-ordered cells: a full
-    slice when they are in order already."""
+    """The box's global positions sorted ascending, and the permutation
+    that sorts the box's (z, y, x)-ordered cells: a full slice when they
+    are in order already."""
     positions = order.box_positions(box)
     if (positions[1:] > positions[:-1]).all():
         # in order already, as in a lex:b=1 box of whole rows
@@ -157,7 +152,7 @@ def _sort_box(box: RankBox, order: CellOrder):
         # the stable one runs faster on a box's partly ordered positions
         sortidx = np.argsort(positions, kind="stable")
         positions = positions[sortidx]
-    return order.code_at(positions), positions, sortidx
+    return positions, sortidx
 
 
 def _run_bounds(positions: np.ndarray):
@@ -177,23 +172,23 @@ def find_runs(
 ) -> np.ndarray:
     """Summarize the box's cells as a RUN_DTYPE table sorted by incell.
 
-    The outcell is the existing cell with the smallest index greater
-    than the run; it always lies on another rank (otherwise the run
-    would extend). SENTINEL_END marks the run containing the globally
-    last cell. `box` must be `all_boxes[box.rank]`, and `order` is the
-    `CellOrder` of the grid under `scheme`, built once for all boxes;
-    the box's sorted cells stay in `order` for `assign_contiguous`.
+    Cells are labelled by their `CellOrder` position: the incell is the
+    run's first cell, and the outcell the position after its last one,
+    which always lies on another rank (otherwise the run would extend).
+    SENTINEL_END marks the run containing the globally last cell. `box`
+    must be `all_boxes[box.rank]`, and `order` is the `CellOrder` of the
+    grid under `scheme`, built once for all boxes; the box's sorted
+    positions stay in `order` for `assign_contiguous`.
     """
     if not (box.rank < len(all_boxes) and all_boxes[box.rank] == box):
         raise ParameterError(f"box of rank {box.rank} not in the decomposition")
-    codes_s, flags_s, pos, _, _ = _box_sorted_cells(grid, scheme, box, order, keep=True)
+    flags_s, pos, _, _ = _box_sorted_cells(grid, scheme, box, order, keep=True)
     starts, ends = _run_bounds(pos)
-    succ = pos[ends - 1] + 1
-    has_succ = succ < order.ncells
     runs = np.zeros(starts.size, RUN_DTYPE)
-    runs["incell"] = codes_s[starts]
-    runs["outcell"] = SENTINEL_END
-    runs["outcell"][has_succ] = order.code_at(succ[has_succ])
+    runs["incell"] = pos[starts]
+    runs["outcell"] = pos[ends - 1] + 1
+    if pos[-1] == order.ncells - 1:
+        runs["outcell"][-1] = SENTINEL_END
     runs["fluid"] = np.add.reduceat(flags_s.astype(np.int64), starts)
     runs["owner"] = box.rank
     return runs
@@ -333,23 +328,25 @@ def assign_contiguous(
 
     Within each run, fluid cells receive consecutive I_c starting at
     the run's start in increasing index order; solid cells receive 0.
-    Returned array is indexed [z - lo_z, y - lo_y, x - lo_x]. Takes the
-    box's sorted cells out of `order` when `find_runs` left them there,
-    and sorts the box itself otherwise.
+    Returned array is indexed [z - lo_z, y - lo_y, x - lo_x]. `runs`
+    must be in incell order, as `octree_reduce` returns it; a table out
+    of that order is a run incell mismatch. Takes the box's sorted
+    positions out of `order` when `find_runs` left them there, and sorts
+    the box itself otherwise.
     """
-    codes_s, flags_s, pos, sortidx, shape = _box_sorted_cells(grid, scheme, box, order, keep=False)
+    flags_s, pos, sortidx, shape = _box_sorted_cells(grid, scheme, box, order, keep=False)
     starts, _ = _run_bounds(pos)
-    runs = runs.take(np.argsort(runs["incell"], kind="stable"))
     if runs.size != starts.size:
         raise ProtocolError(
             f"box of rank {box.rank} has {starts.size} runs "
             f"but received {runs.size} records"
         )
-    bad = np.flatnonzero(codes_s[starts] != runs["incell"])
+    incell = pos[starts].view(np.uint64)  # positions are >= 0
+    bad = np.flatnonzero(incell != runs["incell"])
     if bad.size:
         k = bad[0]
         raise ProtocolError(
-            f"run incell mismatch: box has {codes_s[starts[k]]}, "
+            f"run incell mismatch: box has {incell[k]}, "
             f"record says {runs['incell'][k]}"
         )
     bad = np.flatnonzero(runs["start"] < 1)
@@ -367,9 +364,9 @@ def assign_contiguous(
     # run's start less the fluid cells of the runs before it
     fl = np.flatnonzero(flags_s)
     base = runs["start"] - _fluid_before(fluid)
-    out_sorted = np.zeros(codes_s.size, dtype=np.uint64)
+    out_sorted = np.zeros(pos.size, dtype=np.uint64)
     out_sorted[fl] = np.arange(fl.size) + np.repeat(base, fluid)
-    dense = np.empty(codes_s.size, dtype=np.uint64)
+    dense = np.empty(pos.size, dtype=np.uint64)
     dense[sortidx] = out_sorted
     return dense.reshape(shape)
 

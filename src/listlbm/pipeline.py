@@ -41,9 +41,8 @@ def preprocess_grid(
     halos = halo_exchange(grid, boxes, ic_by_rank, periodic=periodic)
     del ic_by_rank
     records = SparseRecords.zeros(grid.fluid_count)
-    halos.reverse()
-    while halos:  # each halo goes once its records are placed
-        build_adjacency(halos.pop(), records)
+    for halo in halos:
+        build_adjacency(halo, records)
     header = SparseHeader(
         dims=grid.dims,
         n_fluid=grid.fluid_count,

@@ -13,6 +13,7 @@ from listlbm import (
     RankBox,
     VoxelGrid,
     build_rank_tree,
+    cell_index,
     decompose_ranks,
     find_runs,
     make_packing,
@@ -189,6 +190,35 @@ class TestOctreeReduce:
             assert all(np.array_equal(a, b) for a, b in zip(shuffled, base))
         assert not any(runs["start"].any() for runs in lists)
 
+    # the Morton(2) codes of 5 x 3 x 6 cells have gaps, so a table of
+    # codes would not read as positions
+    @pytest.mark.parametrize("P", [1, 2, 6, 9, 18])
+    def test_morton_tables_carry_positions(self, P):
+        grid = random_grid(9, (5, 3, 6))
+        X, Y, Z = grid.dims
+        x, y, z = (a.reshape(-1) for a in np.meshgrid(np.arange(X), np.arange(Y),
+                                                       np.arange(Z), indexing="ij"))
+        codes = cell_index(Morton(2), x, y, z, grid.dims)
+        assert codes.max() >= codes.size  # the codes have gaps
+        by_pos = np.argsort(codes, kind="stable")
+        x, y, z = x[by_pos], y[by_pos], z[by_pos]  # the cells in position order
+        fluid = grid.flags[z, y, x]
+        boxes = decompose_ranks(grid.dims, P)
+        lists = [runs_of(grid, Morton(2), b, boxes) for b in boxes]
+        covered = 0
+        for b, runs in zip(boxes, octree_reduce(lists, build_rank_tree(P))):
+            for inc, out, nfluid in zip(runs["incell"], runs["outcell"], runs["fluid"]):
+                end = codes.size if out == SENTINEL_END else int(out)
+                cells = slice(int(inc), end)
+                assert 0 < end - int(inc) and end <= codes.size
+                (x0, y0, z0), (x1, y1, z1) = b.lo, b.hi
+                assert ((x0 <= x[cells]) & (x[cells] < x1) & (y0 <= y[cells]) & (y[cells] < y1)
+                        & (z0 <= z[cells]) & (z[cells] < z1)).all()
+                assert fluid[cells].sum() == nfluid
+                assert (out == SENTINEL_END) == (end == codes.size)
+                covered += end - int(inc)
+        assert covered == codes.size
+
     def test_debug_trace_logs_each_level(self, caplog):
         grid = random_grid(8, (8, 8, 8))
         boxes = decompose_ranks(grid.dims, 64)
@@ -251,6 +281,19 @@ class TestAssignContiguous:
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
         with pytest.raises(ProtocolError, match=match):
             contiguous(grid, LexBlocked(1), box, np.array(rows, dtype=RUN_DTYPE))
+
+    def test_table_out_of_incell_order_rejected(self):
+        """A reduced table is taken in the incell order `octree_reduce`
+        returns it in; reversed, its first run names the mismatch."""
+        grid = VoxelGrid(np.ones((2, 1, 2), dtype=bool))
+        # under lex:b=1 rank 0 holds positions 0 and 2, rank 1 1 and 3
+        boxes = [RankBox(0, (0, 0, 0), (1, 1, 2)), RankBox(1, (1, 0, 0), (2, 1, 2))]
+        lists = [runs_of(grid, LexBlocked(1), b, boxes) for b in boxes]
+        runs = octree_reduce(lists, build_rank_tree(2))[0]
+        assert runs["incell"].tolist() == [0, 2] and runs["start"].tolist() == [1, 3]
+        assert contiguous(grid, LexBlocked(1), boxes[0], runs).tolist() == [[[1]], [[3]]]
+        with pytest.raises(ProtocolError, match=r"^run incell mismatch: box has 0, record says 2$"):
+            contiguous(grid, LexBlocked(1), boxes[0], runs[::-1])
 
 
 class TestCellOrderMismatch:
@@ -347,7 +390,6 @@ class TestSerialOracle:
         x = np.arange(4)[None, None, :]
         y = np.arange(4)[None, :, None]
         z = np.arange(4)[:, None, None]
-        from listlbm import cell_index
         assert np.array_equal(field, cell_index(Morton(1), x, y, z, (4, 4, 4)) + 1)
 
     def test_fluid_values_are_a_bijection(self):
@@ -365,7 +407,6 @@ class TestSerialOracle:
         x = np.arange(X)[None, None, :]
         y = np.arange(Y)[None, :, None]
         z = np.arange(Z)[:, None, None]
-        from listlbm import cell_index
         codes = np.broadcast_to(cell_index(scheme, x, y, z, grid.dims), field.shape)
         order = np.argsort(codes[grid.flags], kind="stable")
         by_code = field[grid.flags][order].astype(np.int64)
