@@ -7,13 +7,19 @@ also cuts the rank boxes' axes. Quality metrics count, per
 partition, the distinct neighbor partitions and the directed PDF links
 crossing partition boundaries.
 
-`partition_stats` walks the adjacency in blocks of `_ROWS` records: one
-gather of an owner table of N_f + 1 entries gives each link's target
-partition, and only the crossing links' pair ids leave the block. The
-distinct partition pairs are counted by sorting those ids once, so its
-memory is one block plus the crossing links plus N, for any N up to
-N_f. It builds no dense N x N matrix: that would take 8 N^2 bytes,
-80 GB at N = 10^5, which `analyze --parts` accepts.
+`partition_stats` walks the adjacency once, in blocks of `_ROWS`
+records: it checks each block's neighbor range, then one gather of an
+owner table of N_f + 1 entries gives each link's target partition, and
+only the crossing links' pair ids leave the block. A block inside one
+partition finds its crossing links by comparing with that partition's
+number; a block straddling a boundary compares each row with its own
+partition. When every partition holds at least `_ROWS` records, blocks
+also end at partition boundaries, so all of them lie in one partition.
+The distinct partition pairs are counted by sorting the ids once, as
+int32 when N^2 < 2^31, so its memory is one block plus 4 bytes per
+crossing link (8 at larger N) plus N, for any N up to N_f. It builds no
+dense N x N matrix: that would take 8 N^2 bytes, 80 GB at N = 10^5,
+which `analyze --parts` accepts.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ __all__ = [
     "partition_stats",
 ]
 
-# records per block of partition_stats: the block's (_ROWS, 18) gathered
-# partitions and crossing mask stay in cache
-_ROWS = 1 << 14
+# records per block of partition_stats: the block's (_ROWS, 18) uint64
+# entries (590 kB) stay in L2 cache between the range check and the gather
+_ROWS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,32 +103,52 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     A directed link a -> b counts when partition(a) != partition(b);
     links to solid cells (nbr 0) and links staying inside a partition
     (including periodic wraps onto the same partition) do not count.
-    The records pass `check_records` first; link symmetry is not checked.
-    Memory is one block of `_ROWS` records plus 8 bytes per crossing
-    link (twice, while the blocks are joined) plus N.
+    Records that fail `check_records` raise its DataError, for the same
+    first bad entry; link symmetry is not checked. Memory is
+    one block of `_ROWS` records plus 4 bytes per crossing link when
+    N^2 < 2^31, else 8 (twice, while the blocks are joined), plus N.
 
-    `lut[i]` is the partition of I_c = i (-1 at i = 0, the solid link)
-    in the smallest signed type that holds -1..N-1; record a holds
-    I_c = a + 1, so its own partition is `lut[a + 1]`. Each crossing
-    link becomes the pair id own * N + target.
+    The record count and the `ic` column are checked first; each block's
+    neighbor range is checked just before the block is gathered, so the
+    adjacency is read from memory once. `lut[i]` is the partition of
+    I_c = i in the smallest signed type that holds -1..N-1; record a
+    holds I_c = a + 1, so its own partition is `lut[a + 1]`. A block
+    inside one partition p gathers with `lut[0] = p`, so that solid links
+    compare equal and one scalar test `dst != p` finds the crossing
+    links; a block straddling a boundary gathers with `lut[0] = -1` and
+    compares each row with its own partition (`_crossing_pairs`). Each
+    crossing link becomes the pair id own * N + target, int32 when
+    N^2 < 2^31, whose sort is about twice as fast as int64's.
     """
-    check_records(records, assignment.n_fluid)
-    N = assignment.N
-    lut = np.empty(assignment.n_fluid + 1, dtype=np.min_scalar_type(-N))
-    lut[0] = -1
+    n_fluid, N = assignment.n_fluid, assignment.N
+    n = len(records)
+    if n != n_fluid or not np.array_equal(records.ic, np.arange(1, n + 1, dtype=np.uint64)):
+        check_records(records, n_fluid)
+    lut = np.empty(n_fluid + 1, dtype=np.min_scalar_type(-N))
     lut[1:] = np.repeat(np.arange(N, dtype=lut.dtype), assignment.sizes)
-    # entries are 0..N_f after check_records, so the int64 view is exact;
-    # gathering by uint64 indices, or from an int64 table, is about 2x slower
-    nbr, own = records.nbr.view(np.int64), lut[1:]
-    pair_ids = np.concatenate([
-        _crossing_pairs(lut[nbr[a0 : a0 + _ROWS]], own[a0 : a0 + _ROWS], N)
-        for a0 in range(0, nbr.shape[0], _ROWS)
-    ])
+    own = lut[1:]
+    id_type = np.int32 if N * N < 1 << 31 else np.int64
+    # the range check reads the uint64 entries, where 2^63 + k is not
+    # negative; the gather reads the int64 view, which is exact for
+    # 0..N_f, and by uint64 indices it is about 2x slower
+    nbr, index = records.nbr, records.nbr.view(np.int64)
+    pairs = []
+    for a0, a1 in _blocks(assignment):
+        if nbr[a0:a1].max() > n_fluid:
+            check_records(records, n_fluid)
+        p = int(own[a0]) if own[a0] == own[a1 - 1] else None
+        lut[0] = -1 if p is None else p
+        # the block's entries are 0..N_f, so clipping changes none
+        pairs.append(_crossing_pairs(lut.take(index[a0:a1], mode="clip"), own[a0:a1],
+                                     p, N, id_type))
+    pair_ids = np.concatenate(pairs)
+    del pairs
     pair_ids.sort()
     first = np.ones(pair_ids.size, dtype=bool)
     first[1:] = pair_ids[1:] != pair_ids[:-1]
-    # partition p's links are the sorted ids in [p N, (p + 1) N)
-    edges = np.arange(N + 1) * N
+    # partition p's links are the sorted ids in [p N, (p + 1) N); edges
+    # in the ids' type, so searchsorted does not cast the ids to int64
+    edges = np.arange(N + 1, dtype=id_type) * N
     remote_links = np.diff(np.searchsorted(pair_ids, edges))
     neighbor_count = np.diff(np.searchsorted(pair_ids[first], edges))
     return PartitionStats(
@@ -132,19 +158,34 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     )
 
 
-def _crossing_pairs(dst: np.ndarray, own: np.ndarray, N: int) -> np.ndarray:
+def _blocks(assignment: PartitionAssignment):
+    """Record ranges [a0, a1) of at most `_ROWS` records in order. When
+    every partition holds at least `_ROWS` records (N * _ROWS <= N_f),
+    the ranges also end at partition boundaries, so each lies inside one
+    partition; at larger N that would leave blocks of a few records."""
+    n = assignment.n_fluid
+    cuts = (assignment.boundaries - 1).tolist() if assignment.N * _ROWS <= n else [0, n]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        for a0 in range(lo, hi, _ROWS):
+            yield a0, min(a0 + _ROWS, hi)
+
+
+def _crossing_pairs(dst: np.ndarray, own: np.ndarray, p, N: int, id_type) -> np.ndarray:
     """Pair ids own * N + target of one block's crossing links, in row
-    order: `dst` is the block's (rows, 18) target partitions (-1 for a
-    solid link), `own` its rows' partitions."""
+    order and of `id_type`: `dst` is the block's (rows, 18) target
+    partitions and `own` its rows' partitions. A block inside one
+    partition p (`p` not None) was gathered with solid links as p; any
+    other block, with solid links as -1."""
+    if p is not None:
+        return np.add(dst[dst != p], p * N, dtype=id_type)
     cross = np.not_equal(dst, own[:, None])
     cross &= dst >= 0
     ids = np.flatnonzero(cross)
     far = dst.reshape(-1)[ids]
     ids //= 18
-    # own may be int8: the product is taken in int64
-    np.multiply(own[ids], N, out=ids, dtype=np.int64)
-    ids += far
-    return ids
+    pair_ids = np.multiply(own[ids], N, dtype=id_type)
+    pair_ids += far
+    return pair_ids
 
 
 def histogram_paths(prefix) -> tuple[str, str]:

@@ -126,8 +126,23 @@ class TestPartitionStats:
         grid = VoxelGrid(np.ones((1, 1, 4), dtype=bool))
         _, records = preprocess_grid(grid, LexBlocked(1))
         records.nbr[0, 5] = 99
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^link 5 of I_c=1 to 99 is outside 1..4$"):
             partition_stats(records, chunk_ranges(4, 2))
+
+    @pytest.mark.parametrize("rows,a,i,value", [
+        (2, 9, 17, 11),  # in the last of six blocks
+        (partition._ROWS, 2, 3, 2**63 + 5),  # negative through an int64 view
+    ], ids=["last-block", "above-int64"])
+    def test_range_is_checked_in_every_block(self, rows, a, i, value):
+        """Each block's range is checked as the block is read, and a bad
+        block raises `check_records`' text for the first bad entry."""
+        grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
+        _, records = preprocess_grid(grid, LexBlocked(1))
+        records.nbr[a, i] = value
+        with mock.patch.object(partition, "_ROWS", rows), \
+                pytest.raises(DataError, match=f"^link {i} of I_c={a + 1} to {value} "
+                                               f"is outside 1..10$"):
+            partition_stats(records, chunk_ranges(10, 2))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint32])
     def test_narrow_neighbor_type_is_data_error(self, dtype):
@@ -201,9 +216,29 @@ class TestAgainstBruteForce:
         with mock.patch.object(partition, "_ROWS", rows):
             assert_fields_equal_the_oracle(scheme, periodic, shape, density, seed)
 
+    @pytest.mark.parametrize("N", [46_340, 46_341], ids=["int32-ids", "int64-ids"])
+    def test_pair_id_width_equals_a_vectorized_oracle(self, N):
+        """Pair ids own * N + target are int32 up to N = 46,340, the last
+        N with N^2 < 2^31, and int64 above; a chain of 46,400 cells puts
+        one or two cells in each partition at both counts."""
+        assert 46_340**2 < 2**31 <= 46_341**2
+        header, records = preprocess_grid(VoxelGrid(np.ones((1, 1, 46_400), dtype=bool)),
+                                          LexBlocked(1))
+        assignment = chunk_ranges(header.n_fluid, N)
+        stats = partition_stats(records, assignment)
+        bounds = assignment.boundaries.astype(np.int64)
+        nbr = records.nbr.astype(np.int64)
+        own = np.broadcast_to(np.searchsorted(bounds, np.arange(1, header.n_fluid + 1),
+                                              side="right")[:, None] - 1, nbr.shape)
+        far = np.searchsorted(bounds, nbr, side="right") - 1
+        cross = (nbr > 0) & (far != own)
+        pairs = np.unique(np.stack([own[cross], far[cross]], axis=1), axis=0)
+        assert stats.remote_links.tolist() == np.bincount(own[cross], minlength=N).tolist()
+        assert stats.neighbor_count.tolist() == np.bincount(pairs[:, 0], minlength=N).tolist()
+
     def test_peak_stays_well_under_the_records(self, packing24):
         """The adjacency is read in blocks of `_ROWS` records, so the
-        call peaks at about 0.23x `records.nbr.nbytes` at 16 partitions
+        call peaks at about 0.10x `records.nbr.nbytes` at 16 partitions
         on this packing; (N_f, 18) temporaries over the whole adjacency
         peak at 0.46x and must fail the bound."""
         header, records = preprocess_grid(packing24, Morton(2), periodic=(True, False, False))
