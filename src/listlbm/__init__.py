@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .indexer import (
     RUN_DTYPE,
-    SENTINEL_END,
     build_rank_tree,
     find_runs,
     octree_reduce,
@@ -62,7 +61,6 @@ __all__ = [
     "ProtocolError",
     "RankBox",
     "RUN_DTYPE",
-    "SENTINEL_END",
     "Simulation",
     "SparseHeader",
     "SparseRecords",

@@ -19,6 +19,7 @@ from .errors import FormatError, ParameterError
 __all__ = [
     "RankBox",
     "VoxelGrid",
+    "check_prefix",
     "decompose_ranks",
     "load_voxels",
     "make_channel",
@@ -263,6 +264,21 @@ def save_voxels(path, grid: VoxelGrid) -> None:
         fh.write(payload.tobytes())
 
 
+def check_prefix(head: bytes, magic: bytes, version: int) -> tuple[int, int, int]:
+    """Dims X, Y, Z from the 32-byte prefix that starts both the voxel
+    and the sparse file: magic, u32 version, u64 X, Y, Z. FormatError at
+    the offset of a wrong magic or version or of a dimension below 1."""
+    got, v, *dims = _HEADER.unpack_from(head)
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
+    if v != version:
+        raise FormatError(f"unsupported version {v}", offset=4)
+    for i, (name, d) in enumerate(zip("XYZ", dims)):
+        if d < 1:
+            raise FormatError(f"dimension {name}={d} must be >= 1", offset=8 + 8 * i)
+    return tuple(dims)
+
+
 def load_voxels(path) -> VoxelGrid:
     """Read a voxel file back into a VoxelGrid; errors carry byte offsets.
 
@@ -276,14 +292,7 @@ def load_voxels(path) -> VoxelGrid:
                 f"truncated header: need {_HEADER.size} bytes, file has {len(head)}",
                 offset=len(head),
             )
-        magic, version, X, Y, Z = _HEADER.unpack(head)
-        if magic != VOXEL_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {VOXEL_MAGIC!r}", offset=0)
-        if version != VOXEL_VERSION:
-            raise FormatError(f"unsupported version {version}", offset=4)
-        for i, (name, d) in enumerate(zip("XYZ", (X, Y, Z))):
-            if d < 1:
-                raise FormatError(f"dimension {name}={d} must be >= 1", offset=8 + 8 * i)
+        X, Y, Z = check_prefix(head, VOXEL_MAGIC, VOXEL_VERSION)
         ncells = X * Y * Z
         if ncells > MAX_CELLS:
             raise FormatError(

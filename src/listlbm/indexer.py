@@ -27,7 +27,6 @@ from .numbering import LexBlocked, NumberingScheme, cell_index, scheme_text
 
 __all__ = [
     "RUN_DTYPE",
-    "SENTINEL_END",
     "CellOrder",
     "assign_contiguous",
     "build_rank_tree",
@@ -37,11 +36,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Compares greater than every cell position; marks a run with no
-# foreign successor cell.
-SENTINEL_END = 2**64 - 1
-
 
 # One row per run. `start` is the I_c of the run's first fluid cell;
 # 0 means not assigned yet, since I_c starts at 1.
@@ -174,8 +168,8 @@ def find_runs(
 
     Cells are labelled by their `CellOrder` position: the incell is the
     run's first cell, and the outcell the position after its last one,
-    which always lies on another rank (otherwise the run would extend).
-    SENTINEL_END marks the run containing the globally last cell. `box`
+    which lies on another rank (otherwise the run would extend) or, for
+    the run of the globally last cell, is `order.ncells`. `box`
     must be `all_boxes[box.rank]`, and `order` is the `CellOrder` of the
     grid under `scheme`, built once for all boxes; the box's sorted
     positions stay in `order` for `assign_contiguous`.
@@ -187,8 +181,6 @@ def find_runs(
     runs = np.zeros(starts.size, RUN_DTYPE)
     runs["incell"] = pos[starts]
     runs["outcell"] = pos[ends - 1] + 1
-    if pos[-1] == order.ncells - 1:
-        runs["outcell"][-1] = SENTINEL_END
     runs["fluid"] = np.add.reduceat(flags_s.astype(np.int64), starts)
     runs["owner"] = box.rank
     return runs
@@ -361,13 +353,13 @@ def assign_contiguous(
             f"does not match record {runs['fluid'][k]}"
         )
     # the k-th fluid cell of the box, in index order, gets k plus its
-    # run's start less the fluid cells of the runs before it
+    # run's start less the fluid cells of the runs before it, written
+    # once at its place in the box through the sort permutation
     fl = np.flatnonzero(flags_s)
     base = runs["start"] - _fluid_before(fluid)
-    out_sorted = np.zeros(pos.size, dtype=np.uint64)
-    out_sorted[fl] = np.arange(fl.size) + np.repeat(base, fluid)
-    dense = np.empty(pos.size, dtype=np.uint64)
-    dense[sortidx] = out_sorted
+    dense = np.zeros(pos.size, dtype=np.uint64)
+    dense[fl if isinstance(sortidx, slice) else sortidx[fl]] = (
+        np.arange(fl.size) + np.repeat(base, fluid))
     return dense.reshape(shape)
 
 

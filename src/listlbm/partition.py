@@ -8,13 +8,14 @@ partition, the distinct neighbor partitions and the directed PDF links
 crossing partition boundaries.
 
 `partition_stats` walks the adjacency once, in blocks of `_ROWS`
-records: it checks each block's neighbor range, then one gather of an
-owner table of N_f + 1 entries gives each link's target partition, and
-only the crossing links' pair ids leave the block. A block inside one
-partition finds its crossing links by comparing with that partition's
-number; a block straddling a boundary compares each row with its own
-partition. When every partition holds at least `_ROWS` records, blocks
-also end at partition boundaries, so all of them lie in one partition.
+records: it checks each block's I_c and neighbor range, then one
+gather of an owner table of N_f + 1 entries gives each link's target
+partition, and only the crossing links' pair ids leave the block. A
+block inside one partition finds its crossing links by comparing with
+that partition's number; a block straddling a boundary compares each
+row with its own partition. When every partition holds at least
+`_ROWS` records, blocks also end at partition boundaries, so all of
+them lie in one partition.
 The distinct partition pairs are counted by sorting the ids once, as
 int32 when N^2 < 2^31, so its memory is one block plus 4 bytes per
 crossing link (8 at larger N) plus N, for any N up to N_f. It builds no
@@ -108,8 +109,8 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     one block of `_ROWS` records plus 4 bytes per crossing link when
     N^2 < 2^31, else 8 (twice, while the blocks are joined), plus N.
 
-    The record count and the `ic` column are checked first; each block's
-    neighbor range is checked just before the block is gathered, so the
+    The record count is checked first; each block's `ic` and neighbor
+    range are checked just before the block is gathered, so the
     adjacency is read from memory once. `lut[i]` is the partition of
     I_c = i in the smallest signed type that holds -1..N-1; record a
     holds I_c = a + 1, so its own partition is `lut[a + 1]`. A block
@@ -121,8 +122,7 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     N^2 < 2^31, whose sort is about twice as fast as int64's.
     """
     n_fluid, N = assignment.n_fluid, assignment.N
-    n = len(records)
-    if n != n_fluid or not np.array_equal(records.ic, np.arange(1, n + 1, dtype=np.uint64)):
+    if len(records) != n_fluid:
         check_records(records, n_fluid)
     lut = np.empty(n_fluid + 1, dtype=np.min_scalar_type(-N))
     lut[1:] = np.repeat(np.arange(N, dtype=lut.dtype), assignment.sizes)
@@ -131,10 +131,11 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     # the range check reads the uint64 entries, where 2^63 + k is not
     # negative; the gather reads the int64 view, which is exact for
     # 0..N_f, and by uint64 indices it is about 2x slower
-    nbr, index = records.nbr, records.nbr.view(np.int64)
+    ic, nbr, index = records.ic, records.nbr, records.nbr.view(np.int64)
     pairs = []
     for a0, a1 in _blocks(assignment):
-        if nbr[a0:a1].max() > n_fluid:
+        if (nbr[a0:a1].max() > n_fluid
+                or (ic[a0:a1] != np.arange(a0 + 1, a1 + 1, dtype=np.uint64)).any()):
             check_records(records, n_fluid)
         p = int(own[a0]) if own[a0] == own[a1 - 1] else None
         lut[0] = -1 if p is None else p

@@ -23,6 +23,7 @@ import numpy as np
 
 from .adjacency import SparseRecords, check_records, first_bad_entry
 from .errors import FormatError, ParameterError
+from .geometry import check_prefix
 from .numbering import parse_scheme
 
 __all__ = [
@@ -108,14 +109,8 @@ def read_header(fh) -> SparseHeader:
     """Parse the header from an open binary file, leaving the position at
     the first record."""
     fixed = _read_exact(fh, _FIXED.size, "header")
-    magic, version, X, Y, Z, n_fluid, pbits, slen = _FIXED.unpack(fixed)
-    if magic != SPARSE_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {SPARSE_MAGIC!r}", offset=0)
-    if version != SPARSE_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    for i, (name, d) in enumerate(zip("XYZ", (X, Y, Z))):
-        if d < 1:
-            raise FormatError(f"dimension {name}={d} must be >= 1", offset=8 + 8 * i)
+    X, Y, Z = check_prefix(fixed, SPARSE_MAGIC, SPARSE_VERSION)
+    *_, n_fluid, pbits, slen = _FIXED.unpack(fixed)
     if n_fluid > X * Y * Z:
         raise FormatError(
             f"fluid count {n_fluid} exceeds {X * Y * Z} cells", offset=32

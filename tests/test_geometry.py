@@ -6,6 +6,7 @@ import pytest
 
 from listlbm import (
     FormatError,
+    LexBlocked,
     ParameterError,
     RankBox,
     VoxelGrid,
@@ -13,7 +14,10 @@ from listlbm import (
     load_voxels,
     make_channel,
     make_packing,
+    preprocess_grid,
+    read_sparse,
     save_voxels,
+    write_sparse,
 )
 from listlbm import geometry
 
@@ -207,6 +211,40 @@ class TestVoxelFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="offset 8"):
             load_voxels(path)
+
+
+class TestSharedPrefix:
+    """The voxel and the sparse file start with one 32-byte prefix, magic,
+    u32 version and u64 X, Y, Z, and both readers name its faults alike."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("prefix")
+        grid = make_channel(4)
+        save_voxels(out / "c.voxl", grid)
+        header, records = preprocess_grid(grid, LexBlocked(1))
+        write_sparse(out / "c.sprs", records, header)
+        return {"voxel": (out / "c.voxl", load_voxels, b"VOXL"),
+                "sparse": (out / "c.sprs", read_sparse, b"SPRS")}
+
+    @pytest.mark.parametrize("fmt", ["voxel", "sparse"])
+    @pytest.mark.parametrize("at, value, text", [
+        (0, b"NOPE", "bad magic b'NOPE', expected {magic!r}"),
+        (4, (9).to_bytes(4, "little"), "unsupported version 9"),
+        (8, bytes(8), "dimension X=0 must be >= 1"),
+        (16, bytes(8), "dimension Y=0 must be >= 1"),
+        (24, bytes(8), "dimension Z=0 must be >= 1"),
+    ], ids=["magic", "version", "X", "Y", "Z"])
+    def test_both_readers_name_each_fault(self, files, tmp_path, fmt, at, value, text):
+        path, read, magic = files[fmt]
+        raw = bytearray(path.read_bytes())
+        raw[at : at + len(value)] = value
+        bad = tmp_path / path.name
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as info:
+            read(bad)
+        assert str(info.value) == f"{text.format(magic=magic)} (at byte offset {at})"
+        assert info.value.offset == at
 
 
 class TestVoxelGrid:

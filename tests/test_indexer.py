@@ -5,7 +5,6 @@ import pytest
 
 from listlbm import (
     RUN_DTYPE,
-    SENTINEL_END,
     LexBlocked,
     Morton,
     ParameterError,
@@ -52,8 +51,17 @@ def contiguous(grid, scheme, box, runs):
 
 
 class TestRunTable:
-    def test_sentinel_value(self):
-        assert SENTINEL_END == 2 ** 64 - 1
+    @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
+    def test_last_run_ends_at_the_cell_count(self, scheme):
+        """The run of the globally last cell ends at the position after
+        it, the order's cell count, like every other run."""
+        grid = random_grid(11, (6, 5, 3))  # the Morton(2) codes of 6 x 5 x 3 cells have gaps
+        boxes = decompose_ranks(grid.dims, 4)
+        order = CellOrder(grid.dims, scheme)
+        runs = np.sort(np.concatenate([find_runs(grid, scheme, b, boxes, order)
+                                       for b in boxes]), order="incell")
+        assert runs["outcell"][-1] == order.ncells == 90
+        assert (runs["outcell"][:-1] < order.ncells).all()
 
     def test_rejects_empty_or_inverted_runs(self):
         for run in [(5, 5, 0, 0), (5, 3, 0, 0), (0, 2, -1, 0)]:
@@ -87,13 +95,13 @@ class TestFindRuns:
         runs0 = runs_of(grid, LexBlocked(1), TWO_RANK_LINE[0], TWO_RANK_LINE)
         runs1 = runs_of(grid, LexBlocked(1), TWO_RANK_LINE[1], TWO_RANK_LINE)
         assert np.array_equal(runs0, table((0, 2, 2, 0)))
-        assert np.array_equal(runs1, table((2, SENTINEL_END, 2, 1)))
+        assert np.array_equal(runs1, table((2, 4, 2, 1)))
 
     def test_single_rank_single_run(self, channel4):
         (box,) = decompose_ranks(channel4.dims, 1)
         (run,) = runs_of(channel4, LexBlocked(1), box)
         assert run["incell"] == 0
-        assert run["outcell"] == SENTINEL_END
+        assert run["outcell"] == channel4.flags.size
         assert run["fluid"] == channel4.fluid_count
 
     def test_solid_cells_extend_runs_but_not_counts(self):
@@ -123,7 +131,7 @@ class TestFindRuns:
 
 class TestOctreeReduce:
     def test_two_runs_merge_and_split_starts(self):
-        lists = [table((0, 2, 2, 0)), table((2, SENTINEL_END, 2, 1))]
+        lists = [table((0, 2, 2, 0)), table((2, 4, 2, 1))]
         out = octree_reduce(lists, build_rank_tree(2))
         assert out[0]["start"].tolist() == [1]
         assert out[1]["start"].tolist() == [3]
@@ -135,33 +143,33 @@ class TestOctreeReduce:
         assert joined.tolist() == [0, 0, 0, 1]
 
     def test_single_rank_starts_at_one(self):
-        out = octree_reduce([table((0, SENTINEL_END, 7, 0))], build_rank_tree(1))
+        out = octree_reduce([table((0, 7, 7, 0))], build_rank_tree(1))
         assert out[0]["start"].tolist() == [1]
 
     def test_zero_fluid_run_consumes_no_indices(self):
-        runs = table((0, 5, 5, 0), (10, 12, 0, 0), (20, SENTINEL_END, 3, 0))
+        runs = table((0, 5, 5, 0), (10, 12, 0, 0), (20, 23, 3, 0))
         out = octree_reduce([runs], build_rank_tree(1))
         assert out[0]["start"].tolist() == [1, 6, 6]
 
     def test_gaps_between_ranks_allowed(self):
-        lists = [table((0, 4, 3, 0)), table((8, SENTINEL_END, 2, 1))]
+        lists = [table((0, 4, 3, 0)), table((8, 10, 2, 1))]
         out = octree_reduce(lists, build_rank_tree(2))
         assert out[0]["start"].tolist() == [1]
         assert out[1]["start"].tolist() == [4]
 
     def test_overlapping_runs_rejected(self):
-        lists = [table((0, 3, 3, 0)), table((2, SENTINEL_END, 2, 1))]
+        lists = [table((0, 3, 3, 0)), table((2, 4, 2, 1))]
         with pytest.raises(ProtocolError, match="overlapping"):
             octree_reduce(lists, build_rank_tree(2))
 
     def test_overlap_within_single_rank_rejected(self):
-        runs = table((0, 3, 3, 0), (2, SENTINEL_END, 2, 0))
+        runs = table((0, 3, 3, 0), (2, 4, 2, 0))
         with pytest.raises(ProtocolError, match="overlapping"):
             octree_reduce([runs], build_rank_tree(1))
 
     def test_wrong_owner_rejected(self):
         with pytest.raises(ProtocolError, match="owned by rank 3"):
-            octree_reduce([table((0, SENTINEL_END, 1, 3))], build_rank_tree(1))
+            octree_reduce([table((0, 1, 1, 3))], build_rank_tree(1))
 
     # rank 1's table arrives out of incell order with three faulty runs;
     # the one of smallest incell comes last and is the one named
@@ -169,7 +177,7 @@ class TestOctreeReduce:
         (table((40, 50, 1, 6), (10, 12, 1, 1), (20, 30, 3, 4), (5, 9, 1, 3)),
          "rank 1 submitted a run owned by rank 3"),
         (table((40, 41, -1, 1), (10, 12, 1, 1), (30, 30, 0, 1), (5, 3, 2, 1),
-               (20, SENTINEL_END, 1, 1)),
+               (20, 21, 1, 1)),
          "rank 1 submitted the invalid run [5, 3) with 2 fluid cells"),
     ], ids=["owner", "invalid"])
     def test_fault_of_smallest_incell_is_named(self, runs, text):
@@ -207,16 +215,15 @@ class TestOctreeReduce:
         lists = [runs_of(grid, Morton(2), b, boxes) for b in boxes]
         covered = 0
         for b, runs in zip(boxes, octree_reduce(lists, build_rank_tree(P))):
-            for inc, out, nfluid in zip(runs["incell"], runs["outcell"], runs["fluid"]):
-                end = codes.size if out == SENTINEL_END else int(out)
-                cells = slice(int(inc), end)
-                assert 0 < end - int(inc) and end <= codes.size
+            for inc, end, nfluid in zip(runs["incell"].tolist(), runs["outcell"].tolist(),
+                                        runs["fluid"]):
+                cells = slice(inc, end)
+                assert 0 < end - inc and end <= codes.size
                 (x0, y0, z0), (x1, y1, z1) = b.lo, b.hi
                 assert ((x0 <= x[cells]) & (x[cells] < x1) & (y0 <= y[cells]) & (y[cells] < y1)
                         & (z0 <= z[cells]) & (z[cells] < z1)).all()
                 assert fluid[cells].sum() == nfluid
-                assert (out == SENTINEL_END) == (end == codes.size)
-                covered += end - int(inc)
+                covered += end - inc
         assert covered == codes.size
 
     def test_debug_trace_logs_each_level(self, caplog):
@@ -239,7 +246,7 @@ class TestOctreeReduce:
         assert all(np.array_equal(a, b) for a, b in zip(traced, base))
 
     def test_single_rank_trace_has_one_level(self, caplog):
-        runs = table((10, SENTINEL_END, 3, 0), (0, 5, 5, 0))
+        runs = table((10, 13, 3, 0), (0, 5, 5, 0))
         with caplog.at_level(logging.DEBUG, logger="listlbm.indexer"):
             (out,) = octree_reduce([runs], build_rank_tree(1))
         messages = [r.getMessage() for r in caplog.records]
@@ -269,12 +276,12 @@ class TestAssignContiguous:
         grid = line_grid([1, 1, 1, 1])
         box = RankBox(0, (0, 0, 0), (4, 1, 1))
         with pytest.raises(ProtocolError, match="no start"):
-            contiguous(grid, LexBlocked(1), box, table((0, SENTINEL_END, 4, 0)))
+            contiguous(grid, LexBlocked(1), box, table((0, 4, 4, 0)))
 
     @pytest.mark.parametrize("rows,match", [
-        ([(0, 2, 2, 0, 1), (2, SENTINEL_END, 2, 0, 3)], "has 1 runs"),
-        ([(1, SENTINEL_END, 4, 0, 1)], "incell mismatch"),
-        ([(0, SENTINEL_END, 3, 0, 1)], "fluid count 4"),
+        ([(0, 2, 2, 0, 1), (2, 4, 2, 0, 3)], "has 1 runs"),
+        ([(1, 4, 4, 0, 1)], "incell mismatch"),
+        ([(0, 4, 3, 0, 1)], "fluid count 4"),
     ], ids=["run-count", "incell", "fluid-count"])
     def test_mismatched_runs_rejected(self, rows, match):
         grid = line_grid([1, 1, 1, 1])

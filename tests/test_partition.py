@@ -144,6 +144,21 @@ class TestPartitionStats:
                                                f"is outside 1..10$"):
             partition_stats(records, chunk_ranges(10, 2))
 
+    @pytest.mark.parametrize("bad_link", [False, True], ids=["ic-alone", "after-a-bad-link"])
+    def test_ic_is_checked_in_every_block(self, bad_link):
+        """A wrong I_c in the last of five blocks is found in the block
+        pass, and named before a bad link in an earlier block, as
+        `check_records` orders its rules."""
+        grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
+        _, records = preprocess_grid(grid, LexBlocked(1))
+        records.ic[9] = 3
+        if bad_link:
+            records.nbr[0, 5] = 99
+        with mock.patch.object(partition, "_ROWS", 2), \
+                pytest.raises(DataError, match=r"^I_c=10 is not record 9: records must be "
+                                               r"I_c = 1\.\.10 in order$"):
+            partition_stats(records, chunk_ranges(10, 2))
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint32])
     def test_narrow_neighbor_type_is_data_error(self, dtype):
         """An nbr of another type than the file's uint64 is refused when
