@@ -6,7 +6,10 @@ pads `_wrap_pads` wraps on periodic axes and zeroes elsewhere, as it does for
 `check_links`; a rank's view is its box of that field with the pad. A cell is
 fluid when its I_c is > 0; one held by no rank or by two is a ProtocolError
 naming the cell. Neighbor entries store the contiguous index of the fluid
-neighbor, or 0 when the neighbor is solid or outside the domain.
+neighbor, or 0 when the neighbor is solid or outside the domain. They are
+held in `link_dtype(N_f)`, uint32 whenever N_f < 2^32, which halves the
+adjacency in memory; the file keeps u64 entries. `halo_exchange` refuses a
+rank field holding an I_c above N_f before it narrows any value.
 `build_adjacency(halo, out)` and `SparseRecords.concat` place each record
 at the row `_rows_of` gives it, I_c - 1, so a repeated I_c leaves a zero
 row; rows that rise by one, as at one rank under lex:b=1, are written as
@@ -29,7 +32,7 @@ from .numbering import cell_index, parse_scheme
 
 __all__ = [
     "STENCIL", "HaloView", "SparseRecords", "build_adjacency", "check_links", "check_records",
-    "first_bad_entry", "halo_exchange",
+    "first_bad_entry", "halo_exchange", "link_dtype",
 ]
 
 # 18 non-rest directions, opposite-paired: direction i and i XOR 1 are
@@ -56,8 +59,18 @@ assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 1)) == 6
 assert int(np.count_nonzero(np.abs(STENCIL).sum(axis=1) == 2)) == 12
 
 # records per block of `_stencil_links` and of `check_links`' scheme
-# codes: a block's index and link buffers (590 kB each) stay in cache
+# codes: a block's index buffer (590 kB) and uint32 links (295 kB) stay
+# in cache
 _LINK_BLOCK = 4096
+
+# N_f below this limit keep their I_c in 32 bits: every I_c, 1..N_f, fits
+_NARROW = 1 << 32
+
+
+def link_dtype(n_fluid: int) -> type:
+    """The in-memory type of the I_c of N_f fluid cells, in a halo field
+    and in records' `nbr`: uint32 when N_f < 2^32, else uint64."""
+    return np.uint32 if n_fluid < _NARROW else np.uint64
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,7 @@ class SparseRecords:
 
     coords: np.ndarray  # (n, 3) uint32, columns x, y, z
     ic: np.ndarray      # (n,) uint64
-    nbr: np.ndarray     # (n, 18) uint64
+    nbr: np.ndarray     # (n, 18) link_dtype(n): uint32, or uint64 from n = 2^32 on
 
     def __post_init__(self):
         n = self.ic.shape[0]
@@ -75,12 +88,13 @@ class SparseRecords:
                 f"inconsistent record arrays: coords {self.coords.shape}, "
                 f"ic {self.ic.shape}, nbr {self.nbr.shape}"
             )
-        # the file's types, which every reader and producer makes
+        # the types every reader and producer makes: the file's, but for
+        # links that may be held narrower than its u64
         types = (self.coords.dtype, self.ic.dtype, self.nbr.dtype)
-        if types != (np.uint32, np.uint64, np.uint64):
+        if types[:2] != (np.uint32, np.uint64) or types[2] not in (np.uint32, np.uint64):
             raise DataError(
-                "record arrays must be uint32 coords, uint64 ic and uint64 nbr, got "
-                f"coords {types[0]}, ic {types[1]}, nbr {types[2]}"
+                "record arrays must be uint32 coords, uint64 ic and uint32 or uint64 nbr, "
+                f"got coords {types[0]}, ic {types[1]}, nbr {types[2]}"
             )
 
     def __len__(self) -> int:
@@ -91,18 +105,19 @@ class SparseRecords:
 
     @classmethod
     def zeros(cls, n: int) -> "SparseRecords":
-        """n zero records: the set `build_adjacency` places rows into."""
-        return cls(np.zeros((n, 3), np.uint32), np.zeros(n, np.uint64),
-                   np.zeros((n, 18), np.uint64))
+        """n zero records with links in `link_dtype(n)`: the set
+        `build_adjacency` places rows into."""
+        return _zeros(n, link_dtype(n))
 
     @classmethod
     def concat(cls, batches) -> "SparseRecords":
         """The batches' rows placed at row I_c - 1 of n zero records, n their
-        row count. An I_c outside 1..n raises DataError before a row is placed."""
+        row count, with links in the widest of the batches' link types. An
+        I_c outside 1..n raises DataError before a row is placed."""
         batches = list(batches)
         n = sum(map(len, batches))
         rows = [_rows_of(b.ic, n) for b in batches]
-        out = cls.zeros(n)
+        out = _zeros(n, np.result_type(np.uint32, *(b.nbr.dtype for b in batches)))
         for b, row in zip(batches, rows):
             out.coords[row], out.ic[row], out.nbr[row] = b.coords, b.ic, b.nbr
         return out
@@ -115,11 +130,17 @@ class SparseRecords:
         )
 
 
+def _zeros(n: int, link) -> SparseRecords:
+    """n zero records with links of type `link`."""
+    return SparseRecords(np.zeros((n, 3), np.uint32), np.zeros(n, np.uint64),
+                         np.zeros((n, 18), link))
+
+
 def _rows_of(ic: np.ndarray, n: int) -> np.ndarray | slice:
     """The rows I_c - 1 of records with these I_c in a set of n, as a
     slice when they rise by one; DataError naming the first I_c outside
     1..n. Rising strictly over a span of m values, m rows repeat none."""
-    row = ic - 1  # uint64: I_c 0 wraps past n
+    row = np.subtract(ic, 1, dtype=np.uint64)  # I_c 0 wraps past n
     if (row >= n).any():
         raise DataError(f"I_c={ic[np.argmax(row >= n)]} is outside 1..{n}")
     m = row.size
@@ -188,13 +209,16 @@ def halo_exchange(
     """Assemble each rank's padded I_c view from rank-local fields.
 
     Each rank puts its field into one I_c field of the grid padded by one
-    cell; after `_wrap_pads`, each view is its padded box of that field.
-    Each cell of the grid must be held by exactly one box; a gap or an
-    overlap raises ProtocolError naming the first such cell.
+    cell, of `link_dtype(N_f)`; after `_wrap_pads`, each view is its
+    padded box of that field. Each cell of the grid must be held by
+    exactly one box; a gap or an overlap raises ProtocolError naming the
+    first such cell, and so does a rank field's first I_c above N_f,
+    before the field is narrowed into the grid's.
     """
     X, Y, Z = grid.dims
+    n_fluid = grid.fluid_count
     inner = np.s_[1:-1, 1:-1, 1:-1]
-    field = np.zeros((Z + 2, Y + 2, X + 2), dtype=np.uint64)
+    field = np.zeros((Z + 2, Y + 2, X + 2), dtype=link_dtype(n_fluid))
     held = np.ones(field.shape, dtype=bool)  # the pad shell counts as held
     held[inner] = False
     pads = [np.s_[b.lo[2] : b.hi[2] + 2, b.lo[1] : b.hi[1] + 2, b.lo[0] : b.hi[0] + 2]
@@ -212,8 +236,15 @@ def halo_exchange(
         if mine.any():
             cell = tuple(np.add(b.lo, np.argwhere(mine)[0][::-1]).tolist())
             raise ProtocolError(f"cell {cell} is held by rank {b.rank} and by another rank")
+        part = ic_by_rank[b.rank]
+        if part.max(initial=0) > n_fluid:
+            at = np.argwhere(part > n_fluid)[0]
+            raise ProtocolError(
+                f"rank {b.rank} holds I_c={part[tuple(at)]} at cell "
+                f"{tuple(np.add(b.lo, at[::-1]).tolist())}, above N_f={n_fluid}"
+            )
         mine[...] = True
-        field[pad][inner] = ic_by_rank[b.rank]
+        field[pad][inner] = part
     if not held.all():
         cell = tuple((np.argwhere(~held)[0][::-1] - 1).tolist())
         raise ProtocolError(f"cell {cell} is held by no rank")
@@ -229,26 +260,33 @@ def build_adjacency(halo: HaloView, out: SparseRecords | None = None) -> SparseR
 
     A neighbor entry is the fluid neighbor's I_c, or 0 for solid cells
     and cells beyond a non-periodic boundary (their padded I_c is 0).
-    Without `out` the records come out in row-major box order; with it,
-    each record is written to the row of `out` that `_rows_of` gives it,
-    as `SparseRecords.concat` would place it, and `out` is returned: rows
-    that rise by one take each block's links as a slice, any others have
-    each block's rows scattered one by one, so a repeated I_c leaves a
-    zero row. A box reaching past the uint32 coordinates raises
-    ParameterError, and an I_c outside 1..len(out) its DataError, before
-    a row is written.
+    Without `out` the records come out in row-major box order, with
+    links in the halo's type; with it, each record is written to the row
+    of `out` that `_rows_of` gives it, as `SparseRecords.concat` would
+    place it, and `out` is returned: rows that rise by one take each
+    block's links as a slice, any others have each block's rows
+    scattered one by one, so a repeated I_c leaves a zero row. A box
+    reaching past the uint32 coordinates raises ParameterError, and a
+    halo of another type than `out`'s links or an I_c outside
+    1..len(out) a DataError, before a row is written.
     """
     if max(halo.box.hi) > 2**32:
         raise ParameterError(
             f"box of rank {halo.box.rank} reaches coordinate {max(halo.box.hi) - 1}, "
             f"past the largest stored coordinate {2**32 - 1}"
         )
+    # a gather into links of another type would cast, and narrowing wraps
+    if out is not None and out.nbr.dtype != halo.ic.dtype:
+        raise DataError(
+            f"halo of rank {halo.box.rank} holds {halo.ic.dtype} I_c, "
+            f"the records' links are {out.nbr.dtype}"
+        )
     _, py, px = halo.ic.shape
     zz, yy, xx = np.nonzero(halo.ic[1:-1, 1:-1, 1:-1] > 0)
     at = ((zz + 1) * py + yy + 1) * px + xx + 1
     ic = halo.ic.reshape(-1)[at]
     if out is None:  # box order: rows 0..n-1 of a new set
-        out, rows = SparseRecords.zeros(at.size), slice(0, at.size)
+        out, rows = _zeros(at.size, halo.ic.dtype), slice(0, at.size)
     else:
         rows = _rows_of(ic, len(out))
     # a slice of rows takes the links in place; scattered rows take a block's buffer
@@ -257,6 +295,8 @@ def build_adjacency(halo: HaloView, out: SparseRecords | None = None) -> SparseR
     x0, y0, z0 = halo.box.lo
     for axis, v, v0 in ((0, xx, x0), (1, yy, y0), (2, zz, z0)):
         out.coords[rows, axis] = v + v0
+    # the three are views of one nonzero buffer: free it for the link blocks
+    del ic, xx, yy, zz, v
     for b0, links in _stencil_links(halo.ic, at, dst):
         if dst is None:
             out.nbr[rows[b0 : b0 + len(links)]] = links

@@ -15,10 +15,11 @@ block inside one partition finds its crossing links by comparing with
 that partition's number; a block straddling a boundary compares each
 row with its own partition. When every partition holds at least
 `_ROWS` records, blocks also end at partition boundaries, so all of
-them lie in one partition.
-The distinct partition pairs are counted by sorting the ids once, as
-int32 when N^2 < 2^31, so its memory is one block plus 4 bytes per
-crossing link (8 at larger N) plus N, for any N up to N_f. It builds no
+them lie in one partition. Each block's ids are appended to one buffer
+that grows as needed, and the distinct partition pairs are counted by
+sorting it once, as int32 when N^2 < 2^31, so its memory is one block
+plus 4 bytes per crossing link (8 at larger N), 1 more while the
+sorted ids are compared, plus N, for any N up to N_f. It builds no
 dense N x N matrix: that would take 8 N^2 bytes, 80 GB at N = 10^5,
 which `analyze --parts` accepts.
 """
@@ -42,9 +43,10 @@ __all__ = [
     "partition_stats",
 ]
 
-# records per block of partition_stats: the block's (_ROWS, 18) uint64
-# entries (590 kB) stay in L2 cache between the range check and the gather
-_ROWS = 1 << 12
+# records per block of partition_stats: the block's (_ROWS, 18) entries,
+# 147 kB in uint32 and 295 kB as the intp copy its gather reads, stay in
+# L2 cache between the range check and the gather
+_ROWS = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +109,9 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     Records that fail `check_records` raise its DataError, for the same
     first bad entry; link symmetry is not checked. Memory is
     one block of `_ROWS` records plus 4 bytes per crossing link when
-    N^2 < 2^31, else 8 (twice, while the blocks are joined), plus N.
+    N^2 < 2^31, else 8, held once (the buffer grows by a quarter, in
+    place where the allocator can), plus 1 while the sorted ids are
+    compared, plus N.
 
     The record count is checked first; each block's `ic` and neighbor
     range are checked just before the block is gathered, so the
@@ -128,25 +132,32 @@ def partition_stats(records, assignment: PartitionAssignment) -> PartitionStats:
     lut[1:] = np.repeat(np.arange(N, dtype=lut.dtype), assignment.sizes)
     own = lut[1:]
     id_type = np.int32 if N * N < 1 << 31 else np.int64
-    # the range check reads the uint64 entries, where 2^63 + k is not
-    # negative; the gather reads the int64 view, which is exact for
-    # 0..N_f, and by uint64 indices it is about 2x slower
-    ic, nbr, index = records.ic, records.nbr, records.nbr.view(np.int64)
-    pairs = []
+    ic, nbr = records.ic, records.nbr
+    # the range check reads the unsigned entries, where 2^63 + k is not
+    # negative; the gather reads them copied to one reused intp block,
+    # exact for 0..N_f once checked: `take` converts any other index type
+    # to a new intp array of its own
+    index = np.empty((min(_ROWS, n_fluid), 18), np.intp)
+    pair_ids, count = np.empty(0, id_type), 0
     for a0, a1 in _blocks(assignment):
         if (nbr[a0:a1].max() > n_fluid
                 or (ic[a0:a1] != np.arange(a0 + 1, a1 + 1, dtype=np.uint64)).any()):
             check_records(records, n_fluid)
+        block = index[: a1 - a0]
+        block[...] = nbr[a0:a1]
         p = int(own[a0]) if own[a0] == own[a1 - 1] else None
         lut[0] = -1 if p is None else p
         # the block's entries are 0..N_f, so clipping changes none
-        pairs.append(_crossing_pairs(lut.take(index[a0:a1], mode="clip"), own[a0:a1],
-                                     p, N, id_type))
-    pair_ids = np.concatenate(pairs)
-    del pairs
+        ids = _crossing_pairs(lut.take(block, mode="clip"), own[a0:a1], p, N, id_type)
+        if count + ids.size > pair_ids.size:
+            # realloc: in place where the allocator can, and traced once
+            pair_ids.resize(max(count + ids.size, pair_ids.size * 5 // 4), refcheck=False)
+        pair_ids[count : count + ids.size] = ids
+        count += ids.size
+    pair_ids.resize(count, refcheck=False)
     pair_ids.sort()
     first = np.ones(pair_ids.size, dtype=bool)
-    first[1:] = pair_ids[1:] != pair_ids[:-1]
+    np.not_equal(pair_ids[1:], pair_ids[:-1], out=first[1:])
     # partition p's links are the sorted ids in [p N, (p + 1) N); edges
     # in the ids' type, so searchsorted does not cast the ids to int64
     edges = np.arange(N + 1, dtype=id_type) * N

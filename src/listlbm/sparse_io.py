@@ -10,7 +10,10 @@ Partitions are not stored: `chunk_ranges` cuts the list. Records that fail
 raise FormatError at the offset of a bad field, body size or neighbor.
 Records move between arrays and file a block of `_BLOCK` at a time
 through one reused packed buffer, and the reader checks each block's
-neighbor range while the block is in cache.
+neighbor range while the block is in cache. In memory the neighbors are
+held in `link_dtype(N_f)`, uint32 whenever N_f < 2^32: the writer widens
+each block into its u64 fields, and the reader checks each block's u64
+entries before it narrows them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import SparseRecords, check_records, first_bad_entry
+from .adjacency import SparseRecords, check_records, first_bad_entry, link_dtype
 from .errors import FormatError, ParameterError
 from .geometry import check_prefix
 from .numbering import parse_scheme
@@ -76,7 +79,8 @@ def _pack_header(header: SparseHeader) -> bytes:
 def write_sparse(path, records: SparseRecords, header: SparseHeader) -> None:
     """Write records that are already sorted by I_c: record i must hold
     I_c = i + 1. `check_records` runs before any bytes are written; the
-    records are then packed and written a block of `_BLOCK` at a time."""
+    records are then packed, their links widened to the file's u64, and
+    written a block of `_BLOCK` at a time."""
     check_records(records, header.n_fluid)
     with open(path, "wb") as fh:
         fh.write(_pack_header(header))
@@ -166,7 +170,7 @@ def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
         n_fluid = header.n_fluid
         check_body_size(fh, n_fluid)
         coords = np.empty((n_fluid, 3), dtype=np.uint32)
-        nbr = np.empty((n_fluid, 18), dtype=np.uint64)
+        nbr = np.empty((n_fluid, 18), dtype=link_dtype(n_fluid))
         for rows, block in _blocks(n_fluid):
             got = fh.readinto(block.view(np.uint8))
             if got != block.nbytes:
@@ -175,13 +179,14 @@ def read_sparse(path) -> tuple[SparseHeader, SparseRecords]:
                     f"read {got} of {block.nbytes} bytes",
                     offset=base + RECORD_DTYPE.itemsize * rows.start + got,
                 )
-            coords[rows], nbr[rows] = block["coords"], block["nbr"]
-            bad = first_bad_entry(nbr[rows], n_fluid)
+            entries = block["nbr"]
+            bad = first_bad_entry(entries, n_fluid)
             if bad is not None:
                 row, col = rows.start + bad[0], bad[1]
                 raise FormatError(
-                    f"neighbor index {int(nbr[row, col])} of I_c={row + 1} exceeds N_f={n_fluid}",
+                    f"neighbor index {int(entries[bad])} of I_c={row + 1} exceeds N_f={n_fluid}",
                     offset=base + RECORD_DTYPE.itemsize * row + 12 + 8 * col,
                 )
+            coords[rows], nbr[rows] = block["coords"], entries
     ic = np.arange(1, n_fluid + 1, dtype=np.uint64)
     return header, SparseRecords(coords=coords, ic=ic, nbr=nbr)

@@ -224,6 +224,57 @@ class TestHaloExchange:
             halo_exchange(grid, boxes, parts)
 
 
+class TestLinkType:
+    """Links are held in `link_dtype(N_f)`: uint32 below 2^32 fluid cells,
+    and no value reaches a narrow field without a range check."""
+
+    def test_rule_at_its_boundary(self):
+        """I_c runs 1..N_f, so uint32 holds every I_c up to N_f = 2^32 - 1;
+        the rule reads N_f alone, so it is checked here without a field."""
+        assert adjacency.link_dtype(2**32 - 1) is np.uint32
+        assert adjacency.link_dtype(2**32) is np.uint64
+
+    def test_preprocess_holds_uint32_links(self, channel4):
+        _, records = preprocess_grid(channel4, Morton(2), nranks=8)
+        assert records.nbr.dtype == np.uint32
+        assert records.ic.dtype == np.uint64
+
+    # 2^32 + 5 would wrap to 5, a valid I_c, in the uint32 field
+    @pytest.mark.parametrize("value", ["n+1", 2**32 + 5], ids=["n+1", "2^32+5"])
+    def test_rank_field_above_n_fluid_is_refused(self, value):
+        grid = make_channel(4)
+        n = grid.fluid_count
+        value = n + 1 if value == "n+1" else value
+        field = serial_oracle(grid, LexBlocked(1))
+        boxes = decompose_ranks(grid.dims, 2)
+        parts = [field[b.lo[2]:b.hi[2], b.lo[1]:b.hi[1], b.lo[0]:b.hi[0]].copy() for b in boxes]
+        z, y, x = np.argwhere(parts[1] > 0)[3]
+        parts[1][z, y, x] = value
+        b = boxes[1]
+        cell = (b.lo[0] + int(x), b.lo[1] + int(y), b.lo[2] + int(z))
+        out = SparseRecords.zeros(n)
+        with pytest.raises(ProtocolError, match=rf"^rank 1 holds I_c={value} at cell "
+                                                rf"{re.escape(str(cell))}, above N_f={n}$"):
+            for h in halo_exchange(grid, boxes, parts):
+                build_adjacency(h, out)
+        assert not (out.coords.any() or out.ic.any() or out.nbr.any())
+
+    def test_halo_of_another_type_is_refused(self):
+        """A uint64 halo gathered into uint32 links would wrap an I_c past
+        2^32 - 1, so its type must be the records' link type."""
+        grid = make_channel(4)
+        (halo,) = TestPlacement.halos(grid, LexBlocked(1), 1)
+        wide = HaloView(halo.box, halo.ic.astype(np.uint64))
+        out = SparseRecords.zeros(grid.fluid_count)
+        with pytest.raises(DataError, match=r"^halo of rank 0 holds uint64 I_c, "
+                                            r"the records' links are uint32$"):
+            build_adjacency(wide, out)
+        assert not (out.ic.any() or out.nbr.any())
+        box_order = build_adjacency(wide)  # takes the halo's type
+        assert box_order.nbr.dtype == np.uint64
+        assert box_order.equals(build_adjacency(halo, out))
+
+
 class TestPlacement:
     """`SparseRecords.concat` puts each batch row at row I_c - 1, and
     `build_adjacency(halo, out)` each record it builds."""
@@ -260,13 +311,13 @@ class TestPlacement:
 
     def test_signed_ic_is_refused_before_placement(self):
         """An int64 ic holding 0 would place its row at -1; the records
-        refuse any type but the file's uint64 when they are made."""
+        refuse any ic type but the file's uint64 when they are made."""
         records = records_for(make_channel(4))
         ic = records.ic.astype(np.int64)
         ic[3] = 0
         with pytest.raises(DataError, match=r"^record arrays must be uint32 coords, uint64 ic "
-                                            r"and uint64 nbr, got coords uint32, ic int64, "
-                                            r"nbr uint64$"):
+                                            r"and uint32 or uint64 nbr, got coords uint32, "
+                                            r"ic int64, nbr uint32$"):
             SparseRecords.concat([SparseRecords(records.coords, ic, records.nbr)])
 
     def test_repeated_ic_leaves_the_unfilled_slot_for_the_validator(self, tmp_path):
@@ -331,15 +382,17 @@ class TestPlacement:
         batches = [build_adjacency(h) for h in halos]
         assert records.equals(SparseRecords.concat(batches))
 
-    # at one rank the I_c are one range but for the one outside it
+    # at one rank the I_c are one range but for the one outside it;
+    # 2^32 - 1 is the largest I_c the uint32 halo field can hold
     @pytest.mark.parametrize("ic, nranks", [
-        ("n+1", 2), ("2^64-1", 2), ("n+1", 1), ("2^64-1", 1),
-    ], ids=["n+1", "2^64-1", "n+1-1rank", "2^64-1-1rank"])
+        ("n+1", 2), ("2^32-1", 2), ("n+1", 1), ("2^32-1", 1),
+    ], ids=["n+1", "2^32-1", "n+1-1rank", "2^32-1-1rank"])
     def test_placed_ic_outside_range_is_named_as_concat_names_it(self, ic, nranks):
         grid = make_channel(4)
         n = grid.fluid_count
-        value = n + 1 if ic == "n+1" else 2**64 - 1
         halos = self.halos(grid, LexBlocked(1), nranks)
+        assert halos[-1].ic.dtype == np.uint32
+        value = n + 1 if ic == "n+1" else 2**32 - 1
         halos[-1], _ = self.with_ic(halos[-1], 3, value)
         out = SparseRecords.zeros(n)
         for h in halos[:-1]:
@@ -380,7 +433,7 @@ class TestPlacement:
         """A 2-cell box at x = x0, x0 + 1: coordinates up to 2^32 - 1 are
         stored as they are; a box that reaches 2^32, which the uint32
         column would wrap to 0, raises before a row is written."""
-        field = np.zeros((3, 3, 4), np.uint64)
+        field = np.zeros((3, 3, 4), adjacency.link_dtype(2))
         field[1, 1, 1:3] = (1, 2)
         halo = HaloView(RankBox(0, (x0, 0, 0), (x0 + 2, 1, 1)), field)
         out = SparseRecords.zeros(2)
@@ -398,10 +451,10 @@ class TestPlacement:
     @pytest.mark.parametrize("scheme", [LexBlocked(1), Morton(2)], ids=["lex:b=1", "morton:g=2"])
     def test_peak_stays_near_the_records(self, packing24, scheme, nranks):
         """Each rank writes its records straight to their rows of the one
-        record set, so `preprocess_grid` peaks at 1.3-1.7x the records'
-        bytes (164 a record) on the d=24 packing. Every rank's batch held
-        next to the placed set, as concatenation holds them, peaks at
-        2.26-2.54x and must fail the bound."""
+        record set, so `preprocess_grid` peaks at 1.54-1.85x the records'
+        bytes (92 a record: uint32 links) on the d=24 packing. Every
+        rank's batch held next to the placed set, as concatenation holds
+        them, peaks at 2.10-2.53x and must fail the bound."""
         preprocess_grid(make_channel(4), scheme)  # modules imported on a first call
         tracemalloc.start()
         try:
@@ -411,7 +464,8 @@ class TestPlacement:
         finally:
             tracemalloc.stop()
         kept = records.coords.nbytes + records.ic.nbytes + records.nbr.nbytes
-        assert peak < 1.9 * kept, peak / kept
+        assert records.nbr.dtype == np.uint32
+        assert peak < 2.0 * kept, peak / kept
 
 
 def _drop_last(r):

@@ -135,9 +135,12 @@ class TestPartitionStats:
     ], ids=["last-block", "above-int64"])
     def test_range_is_checked_in_every_block(self, rows, a, i, value):
         """Each block's range is checked as the block is read, and a bad
-        block raises `check_records`' text for the first bad entry."""
+        block raises `check_records`' text for the first bad entry. A
+        value past uint32 is set in uint64 records, which hold it."""
         grid = VoxelGrid(np.ones((1, 1, 10), dtype=bool))
         _, records = preprocess_grid(grid, LexBlocked(1))
+        if value >= 2**32:
+            records = SparseRecords(records.coords, records.ic, records.nbr.astype(np.uint64))
         records.nbr[a, i] = value
         with mock.patch.object(partition, "_ROWS", rows), \
                 pytest.raises(DataError, match=f"^link {i} of I_c={a + 1} to {value} "
@@ -160,16 +163,26 @@ class TestPartitionStats:
             partition_stats(records, chunk_ranges(10, 2))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint32])
-    def test_narrow_neighbor_type_is_data_error(self, dtype):
-        """An nbr of another type than the file's uint64 is refused when
-        the records are made, not read through an int64 view."""
-        grid = VoxelGrid(np.ones((1, 1, 4), dtype=bool))
-        _, records = preprocess_grid(grid, LexBlocked(1))
-        with pytest.raises(DataError, match=f"^record arrays must be uint32 coords, uint64 ic "
-                                            f"and uint64 nbr, got coords uint32, ic uint64, "
-                                            f"nbr {np.dtype(dtype)}$"):
-            partition_stats(SparseRecords(records.coords, records.ic, records.nbr.astype(dtype)),
-                            chunk_ranges(4, 2))
+    def test_narrow_neighbor_type_is_data_error(self, dtype, packing24):
+        """uint32 records, as `preprocess_grid` makes them, give the same
+        stats as the same links in uint64; an int32 nbr, where 2^31 and
+        up would read negative, is refused when the records are made."""
+        header, records = preprocess_grid(packing24, Morton(2), periodic=(True, False, False))
+        assert records.nbr.dtype == np.uint32
+        if dtype is np.int32:
+            with pytest.raises(DataError, match="^record arrays must be uint32 coords, uint64 ic "
+                                                "and uint32 or uint64 nbr, got coords uint32, "
+                                                "ic uint64, nbr int32$"):
+                partition_stats(SparseRecords(records.coords, records.ic,
+                                              records.nbr.astype(dtype)),
+                                chunk_ranges(header.n_fluid, 2))
+            return
+        wide = SparseRecords(records.coords, records.ic, records.nbr.astype(np.uint64))
+        for N in (1, 2, 7, 64, 1000):
+            a = chunk_ranges(header.n_fluid, N)
+            got, want = partition_stats(records, a), partition_stats(wide, a)
+            for name in ("fluid_cells", "neighbor_count", "remote_links"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (N, name)
 
 
 def brute_force_stats(records, bounds):
@@ -253,9 +266,10 @@ class TestAgainstBruteForce:
 
     def test_peak_stays_well_under_the_records(self, packing24):
         """The adjacency is read in blocks of `_ROWS` records, so the
-        call peaks at about 0.10x `records.nbr.nbytes` at 16 partitions
-        on this packing; (N_f, 18) temporaries over the whole adjacency
-        peak at 0.46x and must fail the bound."""
+        call peaks at about 0.24x `records.nbr.nbytes` (uint32 links) at
+        16 partitions on this packing; (N_f, 18) temporaries over the
+        whole adjacency, one block of all N_f records, peak at 2.85x and
+        must fail the bound."""
         header, records = preprocess_grid(packing24, Morton(2), periodic=(True, False, False))
         assignment = chunk_ranges(header.n_fluid, 16)
         partition_stats(records, assignment)  # first-call imports are not the call's memory

@@ -10,17 +10,20 @@ from listlbm import (
     LexBlocked,
     Morton,
     ParameterError,
+    Simulation,
     SparseHeader,
+    TrtParams,
     VoxelGrid,
     chunk_ranges,
     make_channel,
     parse_scheme,
+    partition_stats,
     preprocess_grid,
     read_header,
     read_sparse,
     write_sparse,
 )
-from listlbm import sparse_io
+from listlbm import adjacency, sparse_io
 from listlbm.adjacency import SparseRecords
 from listlbm.sparse_io import RECORD_DTYPE
 from conftest import first_record_offset
@@ -245,6 +248,22 @@ class TestFormatErrors:
         assert info.value.offset == at
 
 
+    # in the records' uint32 links 2^32 + 1 would wrap to 1, a valid I_c;
+    # the entry is checked in the file's u64 before it is narrowed
+    @pytest.mark.parametrize("value", [2**32 + 1, 2**64 - 1], ids=["2^32+1", "2^64-1"])
+    def test_neighbor_past_the_link_type(self, channel_file, tmp_path, value):
+        path, header = channel_file
+        at = first_record_offset(path) + 156 * 4 + 12 + 8 * 2  # I_c=5, direction 2
+        bad = corrupt(path, tmp_path, "nbr.sprs",
+                      lambda raw: raw.__setitem__(slice(at, at + 8), value.to_bytes(8, "little")))
+        with pytest.raises(FormatError, match=f"^neighbor index {value} of I_c=5 exceeds "
+                                              f"N_f={header.n_fluid} ") as info:
+            read_sparse(bad)
+        assert info.value.offset == at
+        _, records = read_sparse(path)
+        assert records.nbr.dtype == np.uint32
+
+
 class TestTableFlag:
     """The u32 after the scheme text: the writer always writes 0 and
     the reader takes nothing else."""
@@ -363,9 +382,10 @@ class TestFileMemory:
             tracemalloc.stop()
 
     def test_read_peak_is_the_records_and_one_block(self, packing24_file):
-        """The records returned (164 bytes each) plus one block buffer:
-        about 1.42x at d=24, where a block is 0.42x of the records, and
-        1.05x at d=48. A structured copy of every record reads 1.95x."""
+        """The records returned (92 bytes each, with uint32 links) plus
+        one block buffer: about 1.74x at d=24, where a block is 0.74x of
+        the records, and 1.10x at d=48. A structured copy of every record
+        reads 2.7x."""
         read_sparse(packing24_file)
         peak, (_, got) = self.peak(lambda: read_sparse(packing24_file))
         kept = got.coords.nbytes + got.ic.nbytes + got.nbr.nbytes
@@ -378,3 +398,48 @@ class TestFileMemory:
         peak, _ = self.peak(lambda: write_sparse(path, records, header))
         assert peak <= self.BLOCK_BYTES + self.SLACK, peak
         assert path.read_bytes() == packing24_file.read_bytes()
+
+
+class TestWideLinks:
+    """With the narrowing limit patched down to 1, every N_f holds its
+    links in uint64, the form N_f >= 2^32 takes: the file bytes, the
+    partition stats and the solver state equal the uint32 form's."""
+
+    @pytest.mark.parametrize("case", [
+        *(("channel6", text, digest) for text, digest in TestRoundTrip.PINNED.items()),
+        *(("packing24", text, digest) for text, digest in TestBlocks.PINNED.items()),
+    ], ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_uint64_links_write_read_and_step_the_same(self, request, tmp_path, monkeypatch,
+                                                       case):
+        name, text, digest = case
+        grid = request.getfixturevalue(name)
+
+        def make():
+            header, records = preprocess_grid(grid, parse_scheme(text), nranks=8,
+                                              periodic=(True, False, False))
+            path = tmp_path / f"{records.nbr.dtype}.sprs"
+            write_sparse(path, records, header)
+            return header, records, path, read_sparse(path)[1]
+
+        header, narrow, path, read = make()
+        with monkeypatch.context() as m:
+            m.setattr(adjacency, "_NARROW", 1)
+            _, wide, wide_path, wide_read = make()
+        assert (narrow.nbr.dtype, read.nbr.dtype) == (np.uint32, np.uint32)
+        assert (wide.nbr.dtype, wide_read.nbr.dtype) == (np.uint64, np.uint64)
+        assert wide.equals(narrow) and wide_read.equals(read)
+        for p in (path, wide_path):
+            assert hashlib.sha1(p.read_bytes()).hexdigest() == digest
+        for N in (2, 7, 64):
+            a = chunk_ranges(header.n_fluid, N)
+            got, want = partition_stats(wide, a), partition_stats(narrow, a)
+            for field in ("fluid_cells", "neighbor_count", "remote_links"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (N, field)
+        params = TrtParams(tau_plus=0.8, force=(1e-5, 0.0, 0.0))
+        states = []
+        for records in (narrow, wide):
+            sim = Simulation(header, records, 3, params)
+            sim.init_equilibrium()
+            sim.run(4)
+            states.append(sim.gather_state().view(np.uint64))
+        assert np.array_equal(*states)
